@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Resilience gate: build every preset and run the deterministic
 # chaos/overload suites under it. The default preset additionally runs the
-# full tier-1 test list. Usage: scripts/check.sh [preset...]
+# full tier-1 test list and the pipeline benchmark's own unit tests.
+# Usage: scripts/check.sh [preset...]
 #   scripts/check.sh              # default + tsan + asan
 #   scripts/check.sh tsan         # just one preset
 set -euo pipefail
@@ -19,6 +20,14 @@ for preset in "${presets[@]}"; do
   if [ "$preset" = default ]; then
     echo "==> [$preset] full test suite"
     ctest --preset "$preset" --output-on-failure
+    # perfbench/ is a CMake package of its own; configure it where
+    # perfbench/run.py builds it, so a later benchmark run reuses the build.
+    echo "==> [$preset] perfbench unit tests (percentiles, span self time, verbs)"
+    cmake -S perfbench -B .bench_build/perfbench \
+      -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build .bench_build/perfbench --target perfbench_tests \
+      -j "$(nproc)"
+    .bench_build/perfbench/perfbench_tests
     echo "==> [$preset] bench smoke (crash check + JSON artifacts)"
     scripts/bench_smoke.sh build build/bench-artifacts
     echo "==> [$preset] bench regression gate (scale-free metrics vs baseline)"

@@ -16,13 +16,21 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <utility>
 
 #include "util/status.hpp"
 
 namespace ldmsxx {
 
-/// First-fit free-list allocator with coalescing over a single contiguous
-/// region. Thread-safe. Usually used through MemManager.
+/// Best-fit allocator with coalescing over a single contiguous region.
+/// Blocks tile the region, each behind a 16-byte in-band header. Free blocks
+/// are also indexed by (size, offset), so Allocate takes the smallest block
+/// that fits and the lowest offset among equal sizes, and by offset, so Free
+/// finds the free block to its left to merge with. Free reaches its header
+/// straight from the pointer. Both calls are O(log n) in the number of
+/// blocks, and placement is a pure function of the call sequence.
+/// Thread-safe. Usually used through MemManager.
 class MemPool {
  public:
   explicit MemPool(std::size_t pool_size);
@@ -35,7 +43,9 @@ class MemPool {
   /// Returns nullptr when the pool is exhausted.
   void* Allocate(std::size_t size, std::size_t align = 8);
 
-  /// Return a block obtained from Allocate(). Null is a no-op.
+  /// Return a block obtained from Allocate(). Null is a no-op; a pointer
+  /// this pool did not hand out, or one already freed, is rejected (an
+  /// assert in debug builds, ignored otherwise).
   void Free(void* ptr);
 
   /// True when @p ptr lies inside the managed pool.
@@ -49,9 +59,17 @@ class MemPool {
  private:
   struct BlockHeader;
 
+  BlockHeader* HeaderAt(std::size_t offset);
+  /// Add or remove a free block in both indexes; caller holds mu_.
+  void IndexFree(std::size_t offset, std::size_t size);
+  void UnindexFree(std::size_t offset, std::size_t size);
+
   std::size_t pool_size_;
   std::unique_ptr<std::byte[]> pool_;
   mutable std::mutex mu_;
+  /// Free blocks as (payload size, header offset) and by header offset.
+  std::set<std::pair<std::size_t, std::size_t>> free_by_size_;
+  std::set<std::size_t> free_by_offset_;
   std::size_t in_use_ = 0;
   std::size_t peak_in_use_ = 0;
   std::size_t live_allocations_ = 0;

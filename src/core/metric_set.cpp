@@ -413,12 +413,15 @@ Status MetricSet::SnapshotData(std::span<std::byte> out) const {
     if (!consistent_before) continue;  // writer active; retry
     std::memcpy(out.data(), data_, data_size_);
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t gn_after =
-        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
-            .load(std::memory_order_acquire);
+    // Flag before DGN: a writer that ends its transaction between the two
+    // loads bumps the DGN before it sets the flag, so this order can never
+    // pair the old DGN with the new flag and pass a torn copy.
     const bool consistent_after =
         std::atomic_ref<const std::uint32_t>(hdr->consistent)
             .load(std::memory_order_acquire) != 0;
+    const std::uint64_t gn_after =
+        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
+            .load(std::memory_order_acquire);
     if (gn_before == gn_after && consistent_after) return Status::Ok();
   }
   snapshot_starved_.fetch_add(1, std::memory_order_relaxed);
@@ -426,6 +429,11 @@ Status MetricSet::SnapshotData(std::span<std::byte> out) const {
 }
 
 Status MetricSet::SnapshotDelta(std::uint64_t base_dgn, ByteWriter& w) const {
+  // A reader at DGN 0 never received a sample: its fresh mirror is marked
+  // inconsistent and must reject every delta, so it needs the full chunk.
+  if (base_dgn == 0) {
+    return {ErrorCode::kNotFound, "no delta for a reader without a sample"};
+  }
   const auto* hdr = header();
   const std::size_t rollback = w.size();
   const std::size_t value_size = data_size_ - sizeof(DataHeader);
@@ -494,12 +502,13 @@ Status MetricSet::SnapshotDelta(std::uint64_t base_dgn, ByteWriter& w) const {
       o += e.len;
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t gn_after =
-        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
-            .load(std::memory_order_acquire);
+    // Flag before DGN, as in SnapshotData.
     const bool consistent_after =
         std::atomic_ref<const std::uint32_t>(hdr->consistent)
             .load(std::memory_order_acquire) != 0;
+    const std::uint64_t gn_after =
+        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
+            .load(std::memory_order_acquire);
     if (gn_before == gn_after && consistent_after) return Status::Ok();
   }
   w.Truncate(rollback);

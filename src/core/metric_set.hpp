@@ -156,8 +156,9 @@ class MetricSet {
   /// @p base_dgn, appending to @p w (extent bytes go straight from the live
   /// chunk into the writer via Extend/MutableSpan — no staging buffer) under
   /// the same seqlock validation as SnapshotData. Returns kOk with the
-  /// payload appended, kNotFound when no delta exists for that base or the
-  /// delta would not be smaller than the full chunk (caller ships kData), or
+  /// payload appended, kNotFound when no delta exists for that base (never
+  /// for base 0, a reader that has not received a sample yet) or the delta
+  /// would not be smaller than the full chunk (caller ships kData), or
   /// kInconsistent when the writer stayed active through every retry. On
   /// anything but kOk the writer is rolled back to its original size.
   Status SnapshotDelta(std::uint64_t base_dgn, ByteWriter& w) const;

@@ -2,6 +2,9 @@
 // sets (transactions, MGN/DGN, consistency, mirrors), set registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -60,33 +63,177 @@ TEST(MemManagerTest, AlignmentHonored) {
   }
 }
 
-// Property: random alloc/free sequences never corrupt accounting and
-// freeing everything always restores the full pool.
+bool Filled(const void* p, std::size_t size, std::uint8_t value) {
+  const auto* bytes = static_cast<const std::uint8_t*>(p);
+  return std::all_of(bytes, bytes + size,
+                     [value](std::uint8_t b) { return b == value; });
+}
+
+// Property: random alloc/free sequences at every supported alignment never
+// corrupt accounting or overlap live blocks, and freeing everything (padded
+// pointers included) always restores the full pool.
 TEST(MemManagerPropertyTest, RandomAllocFreeCycles) {
+  struct Live {
+    void* p;
+    std::size_t size;
+    std::uint8_t fill;
+  };
   Rng rng(99);
   MemManager mem(1 << 16);
-  std::vector<std::pair<void*, std::size_t>> live;
+  std::vector<Live> live;
+  const std::size_t aligns[] = {8, 16, 32, 64};
+  std::uint8_t next_fill = 0;
   for (int step = 0; step < 2000; ++step) {
     if (live.empty() || rng.NextDouble() < 0.6) {
       const std::size_t size = 16 + rng.NextBelow(512);
-      void* p = mem.Allocate(size);
+      const std::size_t align = aligns[rng.NextBelow(4)];
+      void* p = mem.Allocate(size, align);
       if (p != nullptr) {
-        // Write the block fully: detects overlap with other live blocks via
-        // the pattern check below.
-        std::memset(p, static_cast<int>(live.size() & 0xff), size);
-        live.emplace_back(p, size);
+        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
+            << "align " << align;
+        // Write the block fully: an overlap with another live block shows
+        // up as a wrong fill when that block is freed.
+        std::memset(p, ++next_fill, size);
+        live.push_back({p, size, next_fill});
       }
     } else {
       const std::size_t victim = rng.NextBelow(live.size());
-      mem.Free(live[victim].first);
+      ASSERT_TRUE(Filled(live[victim].p, live[victim].size, live[victim].fill))
+          << "step " << step;
+      mem.Free(live[victim].p);
       live[victim] = live.back();
       live.pop_back();
     }
   }
-  for (auto& [p, size] : live) mem.Free(p);
+  for (const Live& block : live) {
+    ASSERT_TRUE(Filled(block.p, block.size, block.fill));
+    mem.Free(block.p);
+  }
   EXPECT_EQ(mem.bytes_in_use(), 0u);
+  EXPECT_EQ(mem.allocation_count(), 0u);
   void* all = mem.Allocate((1 << 16) - 64);
   EXPECT_NE(all, nullptr);
+}
+
+// Scale: an aggregator's pool after looking up 10k Blue-Waters-shaped sets
+// (194 metrics: a ~18 kB metadata and a ~1.6 kB data chunk each), torn down
+// in random order. The run time is reported, not asserted.
+TEST(MemManagerScaleTest, TwentyThousandBlocksFreedInRandomOrder) {
+  Schema schema("bw");
+  for (int i = 0; i < 194; ++i) {
+    schema.AddMetric("metric_" + std::to_string(i), MetricType::kU64);
+  }
+  MemManager probe(1 << 20);
+  Status st;
+  auto set =
+      MetricSet::Create(probe, schema, "nid00000/bw", "nid00000", 0, &st);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const std::size_t sizes[2] = {set->metadata_bytes().size(),
+                                set->data_size()};
+  constexpr std::size_t kBlocks = 20000;
+  // Exactly enough for every block: payloads round to 16 bytes, plus a
+  // 16-byte header each.
+  std::size_t pool_size = 0;
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    pool_size += (sizes[i % 2] + 15) / 16 * 16 + 16;
+  }
+  MemManager mem(pool_size);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<void*> blocks(kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    blocks[i] = mem.Allocate(sizes[i % 2]);
+    ASSERT_NE(blocks[i], nullptr) << "block " << i;
+    std::memset(blocks[i], static_cast<int>(i & 0xff), sizes[i % 2]);
+  }
+  EXPECT_EQ(mem.allocation_count(), kBlocks);
+  EXPECT_EQ(mem.bytes_in_use(), pool_size);
+
+  std::vector<std::size_t> order(kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) order[i] = i;
+  Rng rng(7);
+  for (std::size_t i = kBlocks - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBelow(i + 1)]);
+  }
+  for (std::size_t i : order) {
+    // Each block is still live here, so its fill must be intact.
+    ASSERT_TRUE(Filled(blocks[i], sizes[i % 2],
+                       static_cast<std::uint8_t>(i & 0xff)))
+        << "block " << i;
+    mem.Free(blocks[i]);
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  std::printf("[ timing   ] %zu blocks allocated, filled, checked and freed "
+              "in %.1f ms\n",
+              kBlocks, ms);
+
+  EXPECT_EQ(mem.bytes_in_use(), 0u);
+  EXPECT_EQ(mem.allocation_count(), 0u);
+  void* whole = mem.Allocate(pool_size - 16);
+  EXPECT_NE(whole, nullptr) << "freed blocks did not coalesce";
+  mem.Free(whole);
+}
+
+// Best fit: a request that fits a small and a large hole lands in the small
+// one, and between equal holes the lower offset wins. Guard blocks keep the
+// holes from coalescing with each other and with the free tail.
+TEST(MemManagerTest, PlacementIsBestFitLowestOffset) {
+  {
+    MemManager mem(1 << 16);
+    void* large = mem.Allocate(512);
+    ASSERT_NE(mem.Allocate(16), nullptr);
+    void* small = mem.Allocate(64);
+    ASSERT_NE(mem.Allocate(16), nullptr);
+    mem.Free(large);
+    mem.Free(small);
+    EXPECT_EQ(mem.Allocate(48), small)
+        << "first fit would take the earlier, larger hole";
+  }
+  {
+    MemManager mem(1 << 16);
+    void* low = mem.Allocate(64);
+    ASSERT_NE(mem.Allocate(16), nullptr);
+    void* high = mem.Allocate(64);
+    ASSERT_NE(mem.Allocate(16), nullptr);
+    ASSERT_LT(low, high);
+    mem.Free(high);
+    mem.Free(low);
+    EXPECT_EQ(mem.Allocate(64), low);
+    EXPECT_EQ(mem.Allocate(64), high);
+  }
+}
+
+// Free rejects a pointer it did not hand out or has already taken back
+// (debug builds assert), without touching the accounting or the blocks.
+TEST(MemManagerTest, ForeignAndDoubleFreesRejected) {
+  MemManager mem(8192);
+  // Two 64-byte-aligned requests whose blocks start 32 bytes apart modulo
+  // 64, so at least one of them is padded behind its header.
+  void* aligned_a = mem.Allocate(100, 64);
+  void* spacer = mem.Allocate(16);
+  void* aligned_b = mem.Allocate(100, 64);
+  void* plain = mem.Allocate(100);
+  void* keep = mem.Allocate(100);
+  ASSERT_NE(keep, nullptr);
+  std::memset(keep, 0, 100);
+  mem.Free(aligned_a);
+  mem.Free(aligned_b);
+  mem.Free(plain);  // merges into aligned_b's block; its header goes stale
+  const std::size_t in_use = mem.bytes_in_use();
+  int outside = 0;
+  EXPECT_DEBUG_DEATH(mem.Free(aligned_a), "");
+  EXPECT_DEBUG_DEATH(mem.Free(aligned_b), "");
+  EXPECT_DEBUG_DEATH(mem.Free(plain), "");
+  EXPECT_DEBUG_DEATH(mem.Free(&outside), "");
+  EXPECT_DEBUG_DEATH(mem.Free(static_cast<std::byte*>(keep) + 32), "");
+  EXPECT_EQ(mem.bytes_in_use(), in_use);
+  EXPECT_EQ(mem.allocation_count(), 2u);
+  mem.Free(spacer);
+  mem.Free(keep);
+  EXPECT_EQ(mem.bytes_in_use(), 0u);
+  EXPECT_NE(mem.Allocate(8192 - 16), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,12 +492,16 @@ TEST_F(MetricSetTest, DeltaServedOnlyForExactPredecessor) {
   set->BeginTransaction();
   set->SetU64(0, 1);
   set->EndTransaction(kNsPerSec);
+  // gn is 1, but a reader at base 0 never received a sample: its mirror
+  // could not apply a delta, so it must get the full chunk.
+  ByteWriter w;
+  EXPECT_EQ(set->SnapshotDelta(0, w).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(w.size(), 0u);
   set->BeginTransaction();
   set->SetU64(0, 2);
   set->EndTransaction(2 * kNsPerSec);
   // gn is now 2; only base 1 has a delta. A gap (base 0) must refuse — no
   // delta chains — as must a future base.
-  ByteWriter w;
   EXPECT_EQ(set->SnapshotDelta(0, w).code(), ErrorCode::kNotFound);
   EXPECT_EQ(w.size(), 0u);
   EXPECT_EQ(set->SnapshotDelta(2, w).code(), ErrorCode::kNotFound);

@@ -1,9 +1,11 @@
 // Daemon behaviour tests: configuration command language, on-the-fly
 // sampling interval change, store-policy filtering, DGN no-new-data skip,
-// and the separate connection pool surviving dead producers.
+// the separate connection pool surviving dead producers, and a fresh
+// mirror's first pull of a sparse sample.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "daemon/config.hpp"
@@ -428,6 +430,115 @@ TEST(LdmsdTest, SlowSamplerSurfacesSkippedFiringsAndResynchronizes) {
   EXPECT_EQ(daemon.counters().samples.load(), 6u);
   daemon.Stop();
 }
+
+// A Blue-Waters-shaped 194-metric set whose every sample, the first one
+// included, writes just two metrics.
+class SparseSampler final : public SamplerPlugin {
+ public:
+  const std::string& name() const override { return name_; }
+
+  Status Init(MemManager& mem, SetRegistry& sets,
+              const PluginParams& params) override {
+    (void)params;
+    Schema schema("sparse");
+    for (int i = 0; i < 194; ++i) {
+      schema.AddMetric("m" + std::to_string(i), MetricType::kU64);
+    }
+    Status st;
+    set_ = MetricSet::Create(mem, schema, "node/sparse", "node", 1, &st);
+    if (set_ == nullptr) return st;
+    return sets.Add(set_);
+  }
+
+  Status Sample(TimeNs now) override {
+    ++samples_;
+    set_->BeginTransaction();
+    set_->SetU64(samples_ % 194, samples_);
+    set_->SetU64((samples_ * 7 + 100) % 194, 1000 + samples_);
+    set_->EndTransaction(now);
+    return Status::Ok();
+  }
+
+  std::vector<MetricSetPtr> Sets() const override { return {set_}; }
+
+  const MetricSetPtr& set() const { return set_; }
+
+ private:
+  std::string name_ = "sparse";
+  MetricSetPtr set_;
+  std::uint64_t samples_ = 0;
+};
+
+class SparseFirstSampleTest : public ::testing::TestWithParam<const char*> {};
+
+// Regression: a new mirror sits at DGN 0, marked inconsistent. After the
+// producer's first transaction the only delta on offer has base 0, which
+// the mirror must reject, so that first pull has to carry the full chunk
+// or the sample is lost as a failed update.
+TEST_P(SparseFirstSampleTest, FirstPullAfterSparseSampleSucceeds) {
+  const std::string transport = GetParam();
+  SimClock clock(0);
+  LdmsdOptions sopts;
+  sopts.name = "node";
+  sopts.listen_transport = transport;
+  sopts.listen_address =
+      transport == "sock" ? "127.0.0.1:0" : "sparse-first/" + transport;
+  sopts.worker_threads = 0;
+  sopts.connection_threads = 0;
+  sopts.store_threads = 0;
+  sopts.clock = &clock;
+  sopts.log_level = LogLevel::kOff;
+  Ldmsd sampler(sopts);
+  auto plugin = std::make_shared<SparseSampler>();
+  SamplerConfig sc;
+  sc.interval = kNsPerSec;
+  ASSERT_TRUE(sampler.AddSampler(plugin, sc).ok());
+  ASSERT_TRUE(sampler.Start().ok());
+
+  LdmsdOptions aopts = sopts;
+  aopts.name = "agg";
+  aopts.listen_transport.clear();
+  Ldmsd aggregator(aopts);
+  ProducerConfig pc;
+  pc.name = "node";
+  pc.transport = transport;
+  pc.address = sampler.listen_address();
+  pc.interval = kNsPerSec;
+  pc.offset = kNsPerSec / 2;
+  ASSERT_TRUE(aggregator.AddProducer(pc).ok());
+  ASSERT_TRUE(aggregator.Start().ok());
+
+  const MetricSetPtr& source = plugin->set();
+  for (std::uint64_t sample = 1; sample <= 3; ++sample) {
+    // Sample first, then let the aggregator pull; its first pull (sample 1)
+    // is also its connect and lookup.
+    const TimeNs t = static_cast<TimeNs>(sample) * kNsPerSec;
+    sampler.RunUntil(clock, t);
+    ASSERT_EQ(source->data_gn(), sample);
+    aggregator.RunUntil(clock, t + kNsPerSec / 2);
+
+    EXPECT_EQ(aggregator.counters().updates_failed.load(), 0u)
+        << "sample " << sample;
+    EXPECT_EQ(aggregator.counters().updates_ok.load(), sample);
+    MetricSetPtr mirror = aggregator.sets().Find("node/sparse");
+    ASSERT_NE(mirror, nullptr);
+    EXPECT_TRUE(mirror->consistent());
+    std::vector<std::byte> want(source->data_size());
+    std::vector<std::byte> got(mirror->data_size());
+    ASSERT_TRUE(source->SnapshotData(want).ok());
+    ASSERT_TRUE(mirror->SnapshotData(got).ok());
+    ASSERT_EQ(want.size(), got.size());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size()))
+        << "sample " << sample;
+  }
+  // Pulls after the first one still travel as deltas.
+  EXPECT_EQ(aggregator.counters().updates_delta.load(), 2u);
+  aggregator.Stop();
+  sampler.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, SparseFirstSampleTest,
+                         ::testing::Values("local", "sock"));
 
 TEST(LdmsdTest, ListenOnUnknownTransportFails) {
   LdmsdOptions opts;

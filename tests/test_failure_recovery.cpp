@@ -1,5 +1,6 @@
 // Failure injection and recovery: sampler daemon restarts (same and changed
-// schema), one-sided transport re-pinning after reconnect, and HSN link
+// schema, with the aggregator's set-memory accounting across the mirror
+// replacement), one-sided transport re-pinning after reconnect, and HSN link
 // failure surfacing through the gpcdr link-status metric.
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <thread>
 
 #include "daemon/ldmsd.hpp"
+#include "harness/mini_cluster.hpp"
 #include "sampler/samplers.hpp"
 #include "sim/cluster.hpp"
 #include "store/memory_store.hpp"
@@ -160,6 +162,47 @@ TEST(SchemaChangeTest, MirrorIsReplacedAfterPeerSchemaChange) {
 
   aggregator.Stop();
   sampler->Stop();
+}
+
+// Each schema change makes the aggregator drop the stale mirrors and look
+// them up again (Ldmsd::CollectCycle's stale_mirrors path). Every set the
+// daemon holds owns exactly a metadata and a data chunk of its pool, so the
+// pool's live allocations must match after every re-lookup: a dropped
+// mirror whose chunks were not freed, or freed twice, breaks the count.
+TEST(SchemaChangeTest, PoolFreesReplacedMirrors) {
+  harness::MiniClusterOptions opts;
+  opts.samplers = 2;
+  opts.sets_per_sampler = 2;
+  harness::MiniCluster cluster(opts);
+  const DurationNs tick = opts.collect_interval;
+  Ldmsd& aggregator = cluster.aggregator(0);
+  cluster.Advance(1 * kNsPerSec);
+  ASSERT_EQ(aggregator.sets().List().size(), 4u);
+  EXPECT_EQ(aggregator.memory().allocation_count(), 8u);
+
+  std::size_t relookups = 0;
+  for (std::size_t width : {12u, 4u, 16u, 8u}) {
+    cluster.KillSampler(0);
+    cluster.Advance(2 * tick);
+    cluster.RestartSampler(0, width);
+    for (int step = 0; step < 20; ++step) {
+      const std::uint64_t lookups = aggregator.counters().lookups.load();
+      cluster.Advance(tick);
+      if (aggregator.counters().lookups.load() == lookups) continue;
+      ++relookups;
+      EXPECT_EQ(aggregator.memory().allocation_count(),
+                2 * aggregator.sets().List().size())
+          << "width " << width << " step " << step;
+    }
+    for (const char* instance : {"node0/chaos", "node0/chaos1"}) {
+      MetricSetPtr mirror = aggregator.sets().Find(instance);
+      ASSERT_NE(mirror, nullptr) << instance;
+      EXPECT_EQ(mirror->schema().metric_count(), width) << instance;
+    }
+  }
+  EXPECT_GE(relookups, 8u);
+  EXPECT_EQ(aggregator.sets().List().size(), 4u);
+  EXPECT_EQ(aggregator.memory().allocation_count(), 8u);
 }
 
 TEST(LinkFailureTest, GpcdrReportsDownLink) {
