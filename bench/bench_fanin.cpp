@@ -100,10 +100,8 @@ FaninResult MeasureFanin(const std::string& transport, int producers,
 }
 
 // ---------------------------------------------------------------------------
-// Pipelining on one connection: a producer daemon hosting many sets used to
-// cost one RTT per set per cycle (lock-step client). With request
-// multiplexing the aggregator issues every update at once (UpdateAll), so a
-// cycle costs ~one RTT plus server time.
+// A producer hosting many sets behind one connection, for the batch and delta
+// sections below.
 // ---------------------------------------------------------------------------
 
 class MultiSetHandler final : public ServiceHandler {
@@ -172,18 +170,7 @@ class MultiSetHandler final : public ServiceHandler {
     return Status::Ok();
   }
 
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override {
-    MetricSetPtr set = Find(instance);
-    if (set == nullptr) return {ErrorCode::kNotFound, instance};
-    data->resize(set->data_size());
-    return set->SnapshotData(*data);
-  }
-
   void HandleAdvertise(const AdvertiseMsg&) override {}
-  MetricSetPtr HandleRdmaExpose(const std::string& instance) override {
-    return Find(instance);
-  }
 
   std::uint32_t HandleAssignHandle(const std::string& instance) override {
     for (std::size_t s = 0; s < sets_.size(); ++s) {
@@ -212,61 +199,10 @@ class MultiSetHandler final : public ServiceHandler {
   std::uint64_t tick_ = 0;
 };
 
-void MeasurePipelining(int sets, int metrics, int cycles) {
-  MultiSetHandler handler(sets, metrics);
-  SockTransport sock;
-  std::unique_ptr<Listener> listener;
-  if (!sock.Listen("127.0.0.1:0", &handler, &listener).ok()) return;
-  std::unique_ptr<Endpoint> ep;
-  if (!sock.Connect(listener->address(), &ep).ok()) return;
-
-  const std::vector<std::string> instances = handler.instances();
-  MemManager mem(16 << 20);
-  std::vector<MetricSetPtr> mirror_sets;
-  std::vector<MetricSet*> mirrors;
-  for (const auto& instance : instances) {
-    std::vector<std::byte> metadata;
-    if (!ep->Lookup(instance, &metadata).ok()) return;
-    Status st;
-    auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
-    if (!st.ok()) return;
-    mirrors.push_back(mirror.get());
-    mirror_sets.push_back(std::move(mirror));
-  }
-
-  // Serial baseline: the old lock-step behaviour, one blocking round trip
-  // per set per cycle.
-  const double serial_s = TimeSeconds([&] {
-    for (int c = 0; c < cycles; ++c) {
-      handler.Bump();
-      for (std::size_t i = 0; i < instances.size(); ++i) {
-        (void)ep->Update(instances[i], *mirrors[i]);
-      }
-    }
-  });
-
-  // Pipelined: every update in flight at once, harvested as they complete.
-  const double batched_s = TimeSeconds([&] {
-    for (int c = 0; c < cycles; ++c) {
-      handler.Bump();
-      (void)ep->UpdateAll(instances, mirrors);
-    }
-  });
-
-  const double total = static_cast<double>(sets) * cycles;
-  const double serial_rate = total / serial_s;
-  const double batched_rate = total / batched_s;
-  MeasuredRow(
-      "1 conn x %d sets (%d metrics): serial %7.0f upd/s, pipelined "
-      "%7.0f upd/s  -> %.1fx",
-      sets, metrics, serial_rate, batched_rate, batched_rate / serial_rate);
-}
-
 // ---------------------------------------------------------------------------
-// Batched, handle-addressed, DGN-gated updates: request frames per cycle drop
-// from O(sets) to 1 per producer, and quiescent sets come back as 5-byte
-// markers instead of full chunks. Measured against the pipelined per-set
-// protocol on one real loopback TCP connection.
+// Batched, handle-addressed, DGN-gated updates: one request frame per
+// producer per cycle, and quiescent sets come back as 5-byte markers instead
+// of full chunks. Measured on one real loopback TCP connection.
 // ---------------------------------------------------------------------------
 
 struct PathStats {
@@ -314,7 +250,6 @@ void MeasureBatchProtocol(int sets, int cycles, JsonWriter& json) {
     }
     mirrors.push_back(mirror.get());
     mirror_sets.push_back(std::move(mirror));
-    specs[i].instance = instances[i];
     specs[i].handle = extra.handle;
   }
 
@@ -323,9 +258,10 @@ void MeasureBatchProtocol(int sets, int cycles, JsonWriter& json) {
     return stats.bytes_tx.load() + stats.bytes_rx.load();
   };
 
-  // Drive one path for `cycles` cycles, bumping the first `active` sets each
-  // cycle; returns per-cycle frames/bytes/latency from the endpoint stats.
-  auto run = [&](bool batched, std::size_t active) {
+  // Drive the batch path for `cycles` cycles, bumping the first `active` sets
+  // each cycle; returns per-cycle frames/bytes/latency from the endpoint
+  // stats.
+  auto run = [&](std::size_t active) {
     for (auto& spec : specs) spec.last_dgn = 0;  // every set stale at start
     std::vector<Endpoint::BatchUpdateResult> results;
     std::vector<std::uint64_t> cycle_ns;
@@ -338,17 +274,13 @@ void MeasureBatchProtocol(int sets, int cycles, JsonWriter& json) {
       for (int c = 0; c < cycles; ++c) {
         handler.BumpFirst(active);
         const auto t0 = std::chrono::steady_clock::now();
-        if (batched) {
-          ep->UpdateBatch(specs, &results);
-          for (std::size_t i = 0; i < results.size(); ++i) {
-            auto& r = results[i];
-            if (!r.status.ok() || r.unchanged) continue;
-            if (mirrors[i]->ApplyData(r.data).ok()) {
-              specs[i].last_dgn = mirrors[i]->data_gn();
-            }
+        ep->UpdateBatch(specs, &results);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          auto& r = results[i];
+          if (!r.status.ok() || r.unchanged) continue;
+          if (mirrors[i]->ApplyData(r.data).ok()) {
+            specs[i].last_dgn = mirrors[i]->data_gn();
           }
-        } else {
-          (void)ep->UpdateAll(instances, mirrors);
         }
         cycle_ns.push_back(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -358,14 +290,11 @@ void MeasureBatchProtocol(int sets, int cycles, JsonWriter& json) {
     });
     PathStats out;
     const double n_cycles = static_cast<double>(cycles);
-    // Per-set fallback sends one request frame per update; the batch path
-    // sends one kUpdateBatchReq per cycle. Both are visible in the endpoint
-    // counters, so the frame numbers are measured, not assumed.
+    // Frames come from the endpoint counters, so they are measured, not
+    // assumed.
     const std::uint64_t updates = stats.updates.load() - updates0;
     const std::uint64_t batches = stats.update_batches.load() - batches0;
-    out.frames_per_cycle =
-        batches > 0 ? static_cast<double>(batches) / n_cycles
-                    : static_cast<double>(updates) / n_cycles;
+    out.frames_per_cycle = static_cast<double>(batches) / n_cycles;
     out.bytes_per_cycle =
         static_cast<double>(wire_bytes() - bytes0) / n_cycles;
     out.updates_per_sec = static_cast<double>(updates) / total_s;
@@ -377,27 +306,19 @@ void MeasureBatchProtocol(int sets, int cycles, JsonWriter& json) {
   };
 
   const std::size_t all = instances.size();
-  const PathStats legacy = run(/*batched=*/false, all);
-  const PathStats batch = run(/*batched=*/true, all);
+  const PathStats batch = run(all);
   // Ablation: half the sets stop sampling; their entries ride back as 5-byte
   // unchanged markers instead of full chunks.
-  const PathStats quiescent = run(/*batched=*/true, all / 2);
+  const PathStats quiescent = run(all / 2);
 
-  const double frame_reduction =
-      batch.frames_per_cycle > 0
-          ? legacy.frames_per_cycle / batch.frames_per_cycle
-          : 0.0;
   const double quiescent_bytes_reduction =
       quiescent.bytes_per_cycle > 0
           ? batch.bytes_per_cycle / quiescent.bytes_per_cycle
           : 0.0;
 
   MeasuredRow(
-      "%4d sets: frames/cycle %6.1f -> %4.1f (%5.1fx), bytes/cycle "
-      "%8.0f -> %8.0f, p99 %7.1f -> %7.1f us",
-      sets, legacy.frames_per_cycle, batch.frames_per_cycle, frame_reduction,
-      legacy.bytes_per_cycle, batch.bytes_per_cycle, legacy.p99_cycle_us,
-      batch.p99_cycle_us);
+      "%4d sets: frames/cycle %4.1f, bytes/cycle %8.0f, p99 %7.1f us", sets,
+      batch.frames_per_cycle, batch.bytes_per_cycle, batch.p99_cycle_us);
   MeasuredRow(
       "%4d sets, 50%% quiescent: bytes/cycle %8.0f (%4.2fx less), "
       "unchanged/cycle %6.1f",
@@ -407,10 +328,8 @@ void MeasureBatchProtocol(int sets, int cycles, JsonWriter& json) {
   json.BeginObject();
   json.Field("sets_per_producer", sets);
   json.Field("cycles", cycles);
-  EmitPath(json, "legacy_per_set", legacy);
   EmitPath(json, "batched", batch);
   EmitPath(json, "batched_half_quiescent", quiescent);
-  json.Field("frame_reduction", frame_reduction);
   json.Field("quiescent_bytes_reduction", quiescent_bytes_reduction);
   json.EndObject();
 }
@@ -449,7 +368,6 @@ void MeasureDeltaProtocol(int sets, int dirty_pct, int cycles,
     }
     mirrors.push_back(mirror.get());
     mirror_sets.push_back(std::move(mirror));
-    specs[i].instance = instances[i];
     specs[i].handle = extra.handle;
   }
 
@@ -593,18 +511,8 @@ int main() {
   NoteRow("extrapolates; one-sided rdma/ugni pulls cost less per producer,");
   NoteRow("reproducing the ugni > sock fan-in ordering of the paper.");
 
-  Banner("T-fanin/pipe",
-         "request multiplexing on one sock connection (serial vs batched)");
-  PaperRow("n/a — client-side pipelining of the update pull (Figure 2 {e})");
-  MeasurePipelining(/*sets=*/32, /*metrics=*/194, /*cycles=*/smoke ? 10 : 100);
-  MeasurePipelining(/*sets=*/64, /*metrics=*/194, /*cycles=*/smoke ? 5 : 50);
-  NoteRow("serial = one blocking round trip per set per cycle (the old");
-  NoteRow("lock-step client); pipelined = Endpoint::UpdateAll issues all");
-  NoteRow("requests before harvesting, so a cycle costs ~one RTT total.");
-
-  Banner("T-fanin/batch",
-         "batched handle-addressed DGN-gated updates vs per-set pipelining");
-  PaperRow("n/a — request frames per cycle: O(sets) -> 1 per producer");
+  Banner("T-fanin/batch", "batched handle-addressed DGN-gated updates");
+  PaperRow("n/a — one request frame per producer per cycle");
   json.BeginArray("batch_cases");
   const int batch_sets[] = {1, 64, 512};
   for (const int sets : batch_sets) {
@@ -613,9 +521,8 @@ int main() {
     MeasureBatchProtocol(sets, cycles, json);
   }
   json.EndArray();
-  NoteRow("legacy = pipelined per-set kUpdateReq frames; batched = one");
-  NoteRow("kUpdateBatchReq carrying (handle, last_dgn) pairs, response");
-  NoteRow("interleaves full chunks with 5-byte unchanged markers.");
+  NoteRow("one kUpdateBatchReq carries (handle, last_dgn) pairs; the");
+  NoteRow("response interleaves full chunks with 5-byte unchanged markers.");
 
   Banner("T-fanin/delta",
          "delta-encoded updates vs full chunks (sparse-change workload)");

@@ -91,6 +91,7 @@ std::vector<std::byte> MetricSet::SerializeMetadata(
     w.U32(def.data_offset);
     WriteFixedName(w, def.name);
   }
+  if (!w.ok()) return {};  // a name too long for its u16 length prefix
   auto bytes = w.Take();
   const std::uint32_t mgn = HashMetadata(bytes);
   std::memcpy(bytes.data() + kMgnFieldOffset, &mgn, sizeof mgn);
@@ -134,6 +135,15 @@ MetricSetPtr MetricSet::Create(MemManager& mem, const Schema& schema,
   (void)schema.value_area_size();
   auto meta_bytes =
       SerializeMetadata(schema, instance, producer, component_id);
+  if (meta_bytes.empty()) {
+    // Refused before allocating: metadata that cannot carry the names would
+    // make every mirror of this set fail to parse.
+    if (status != nullptr) {
+      *status = {ErrorCode::kInvalidArgument,
+                 "instance, producer or schema name longer than 65535 bytes"};
+    }
+    return nullptr;
+  }
   // shared_ptr with private ctor: wrap manually.
   MetricSetPtr set(new MetricSet(mem.pool(), schema, std::move(instance),
                                  std::move(producer), component_id));

@@ -55,7 +55,9 @@ class MetricSet {
   /// @param instance  set instance name, e.g. "nid00042/meminfo"
   /// @param producer  producer (host) name stored with the set
   /// @param component_id default component ID for metrics defined with 0
-  /// Returns nullptr and sets @p status on pool exhaustion.
+  /// Returns nullptr and sets @p status on pool exhaustion (kOutOfMemory) or
+  /// when a name is longer than the metadata's u16 length prefix can hold
+  /// (kInvalidArgument; nothing is allocated then).
   static MetricSetPtr Create(MemManager& mem, const Schema& schema,
                              std::string instance, std::string producer,
                              std::uint64_t component_id, Status* status);
@@ -223,7 +225,8 @@ class MetricSet {
   void CompileDirtyExtents(std::uint64_t base_dgn);
 
   /// Serialize header+schema into metadata bytes; MGN is a content hash so
-  /// identical schemas produce identical MGNs across restarts.
+  /// identical schemas produce identical MGNs across restarts. Empty when a
+  /// name does not fit its u16 length prefix.
   static std::vector<std::byte> SerializeMetadata(
       const Schema& schema, const std::string& instance,
       const std::string& producer, std::uint64_t component_id);

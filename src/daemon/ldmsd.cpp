@@ -645,12 +645,10 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   const std::uint64_t t0 = NowSteadyNs();
   bool any_failure = false;
   std::vector<std::string> stale_mirrors;
-  // One batched pull for all of this producer's sets (the tentpole of the
-  // batch protocol): handle-addressed sets travel in a single
-  // kUpdateBatchReq frame — one request frame per producer per cycle instead
-  // of one per set — and sets whose DGN has not advanced come back as 5-byte
-  // "unchanged" markers instead of full chunks. Legacy peers (version 0) fall
-  // back to pipelined per-set updates inside the same call. The spec/result
+  // One batched pull for all of this producer's sets: handle-addressed sets
+  // travel in a single kUpdateBatchReq frame — one request frame per
+  // producer per cycle — and sets whose DGN has not advanced come back as
+  // 5-byte "unchanged" markers instead of full chunks. The spec/result
   // vectors live on the producer so steady-state cycles reuse capacity.
   const std::size_t n = producer.mirrors.size();
   auto& specs = producer.batch_specs;
@@ -660,13 +658,9 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   entries.clear();
   specs.reserve(n);
   entries.reserve(n);
-  for (auto& [instance, mirror] : producer.mirrors) {
-    Endpoint::BatchUpdateSpec spec;
-    spec.instance = instance;
-    spec.handle = mirror.handle;
-    spec.last_dgn = mirror.last_gn;
-    specs.push_back(std::move(spec));
-    entries.push_back(&mirror);
+  for (auto& entry : producer.mirrors) {
+    specs.push_back({entry.second.handle, entry.second.last_gn});
+    entries.push_back(&entry);
   }
   const TransportStats& ep_stats = producer.endpoint->stats();
   const std::uint64_t wire_before =
@@ -681,14 +675,13 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   producer.update_bytes_on_wire += wire_delta;
   counters_.update_bytes_on_wire.fetch_add(wire_delta,
                                            std::memory_order_relaxed);
+  producer.updates_batched += n;
+  counters_.updates_batched.fetch_add(n, std::memory_order_relaxed);
   bool disconnected = false;
   for (std::size_t i = 0; i < n; ++i) {
     Endpoint::BatchUpdateResult& result = results[i];
-    MirrorEntry& mirror = *entries[i];
-    if (result.batched) {
-      ++producer.updates_batched;
-      counters_.updates_batched.fetch_add(1, std::memory_order_relaxed);
-    }
+    const std::string& instance = entries[i]->first;
+    MirrorEntry& mirror = entries[i]->second;
     Status st = std::move(result.status);
     if (st.ok() && !result.unchanged) {
       std::lock_guard<std::mutex> set_lock(*mirror.mu);
@@ -719,10 +712,10 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
       } else if (st.code() == ErrorCode::kInvalidArgument) {
         // Metadata generation mismatch: the peer restarted with a changed
         // schema. Drop the mirror; the next cycle looks it up fresh.
-        log_.Warn("set ", specs[i].instance, " changed schema on ",
+        log_.Warn("set ", instance, " changed schema on ",
                   producer.config.name, "; re-looking up");
-        stale_mirrors.push_back(specs[i].instance);
-      } else if (result.batched && st.code() == ErrorCode::kNotFound) {
+        stale_mirrors.push_back(instance);
+      } else if (st.code() == ErrorCode::kNotFound) {
         // The peer no longer knows this handle (it restarted, or the set was
         // dropped and re-registered). Re-lookup refreshes the handle without
         // discarding the mirror.
@@ -732,7 +725,7 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
     }
     if (result.unchanged) {
       // The producer's DGN gate answered "no new sample" without shipping
-      // the chunk — same outcome as the legacy gn == last_gn check below.
+      // the chunk — same outcome as the gn == last_gn check below.
       ++producer.updates_unchanged;
       counters_.updates_unchanged.fetch_add(1, std::memory_order_relaxed);
       counters_.updates_no_new_data.fetch_add(1, std::memory_order_relaxed);
@@ -799,16 +792,6 @@ Status Ldmsd::HandleLookup(const std::string& instance,
   return Status::Ok();
 }
 
-Status Ldmsd::HandleUpdate(const std::string& instance,
-                           std::vector<std::byte>* data) {
-  MetricSetPtr set = sets_.Find(instance);
-  if (set == nullptr) {
-    return {ErrorCode::kNotFound, "no such set: " + instance};
-  }
-  data->resize(set->data_size());
-  return set->SnapshotData(*data);
-}
-
 void Ldmsd::HandleAdvertise(const AdvertiseMsg& msg) {
   if (!options_.accept_advertised_producers) {
     log_.Debug("ignoring advertise from ", msg.producer);
@@ -839,10 +822,6 @@ void Ldmsd::HandleAdvertise(const AdvertiseMsg& msg) {
     log_.Warn("advertised producer ", msg.producer, " rejected: ",
               st.ToString());
   }
-}
-
-MetricSetPtr Ldmsd::HandleRdmaExpose(const std::string& instance) {
-  return sets_.Find(instance);
 }
 
 std::uint32_t Ldmsd::HandleAssignHandle(const std::string& instance) {

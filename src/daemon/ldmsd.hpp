@@ -135,8 +135,8 @@ class Ldmsd final : public ServiceHandler {
     std::atomic<std::uint64_t> updates_ok{0};
     std::atomic<std::uint64_t> updates_no_new_data{0};
     std::atomic<std::uint64_t> updates_failed{0};
-    /// Per-set pulls that travelled inside a kUpdateBatchReq frame instead
-    /// of their own request frame.
+    /// Per-set pulls issued inside a kUpdateBatchReq frame (every pull is
+    /// batched; the counter stays for the pipeline benchmark's breakdown).
     std::atomic<std::uint64_t> updates_batched{0};
     /// Pulls the producer answered with the 5-byte DGN-gate marker (no new
     /// sample), so no data chunk crossed the wire.
@@ -255,10 +255,7 @@ class Ldmsd final : public ServiceHandler {
   std::vector<std::string> HandleDir() override;
   Status HandleLookup(const std::string& instance,
                       std::vector<std::byte>* metadata) override;
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override;
   void HandleAdvertise(const AdvertiseMsg& msg) override;
-  MetricSetPtr HandleRdmaExpose(const std::string& instance) override;
   std::uint32_t HandleAssignHandle(const std::string& instance) override;
   MetricSetPtr HandleResolveHandle(std::uint32_t handle) override;
   /// Serve a tree-sharded query against this daemon's local tsdb store (the
@@ -370,8 +367,8 @@ class Ldmsd final : public ServiceHandler {
     MetricSetPtr set;
     std::uint64_t last_gn = 0;
     /// Compact handle the producer assigned at lookup for batch-addressed
-    /// pulls; kInvalidSetHandle against legacy peers. Refreshed on every
-    /// (re-)lookup, since a producer restart invalidates old handles.
+    /// pulls. Refreshed on every (re-)lookup, since a producer restart
+    /// invalidates old handles.
     std::uint32_t handle = kInvalidSetHandle;
     /// Serializes ApplyData against StoreSet.
     std::shared_ptr<std::mutex> mu = std::make_shared<std::mutex>();
@@ -412,7 +409,7 @@ class Ldmsd final : public ServiceHandler {
     /// steady-state pull path recycles capacity instead of reallocating.
     std::vector<Endpoint::BatchUpdateSpec> batch_specs;
     std::vector<Endpoint::BatchUpdateResult> batch_results;
-    std::vector<MirrorEntry*> batch_entries;
+    std::vector<std::pair<const std::string, MirrorEntry>*> batch_entries;
     std::mutex mu;  // guards all mutable state above
   };
 

@@ -4,7 +4,6 @@
 #include "store/fault_store.hpp"
 #include "store/flatfile_store.hpp"
 #include "store/memory_store.hpp"
-#include "store/sos_store.hpp"
 #include "store/tsdb/tsdb_store.hpp"
 #include "util/strings.hpp"
 
@@ -70,12 +69,6 @@ void RegisterBuiltinStores() {
     if (auto it = params.find("path"); it != params.end())
       opts.root_path = it->second;
     return std::make_shared<FlatFileStore>(std::move(opts));
-  });
-  registry.AddStore("store_sos", [](const PluginParams& params) {
-    SosStoreOptions opts;
-    if (auto it = params.find("path"); it != params.end())
-      opts.root_path = it->second;
-    return std::make_shared<SosStore>(std::move(opts));
   });
   registry.AddStore("store_mem", [](const PluginParams& params) {
     std::size_t max_samples = 0;

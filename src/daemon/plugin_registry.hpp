@@ -45,8 +45,8 @@ class PluginRegistry {
   std::unordered_map<std::string, StoreFactory> stores_;
 };
 
-/// Register the four built-in store plugins (store_csv, store_flatfile,
-/// store_sos, store_mem). Idempotent.
+/// Register the built-in store plugins (store_csv, store_flatfile,
+/// store_mem, store_tsdb). Idempotent.
 void RegisterBuiltinStores();
 
 }  // namespace ldmsxx

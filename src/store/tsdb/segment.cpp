@@ -10,9 +10,7 @@
 namespace ldmsxx {
 namespace {
 
-constexpr std::uint32_t kSegMagicV1 = 0x3147534c;      // "LSG1"
 constexpr std::uint32_t kSegMagicV2 = 0x3247534c;      // "LSG2"
-constexpr std::uint32_t kTrailerMagicV1 = 0x4647534c;  // "LSGF"
 constexpr std::uint32_t kTrailerMagicV2 = 0x4747534c;  // "LSGG"
 constexpr std::size_t kTrailerSize = 8 + 8 + 4;
 
@@ -33,7 +31,7 @@ std::uint64_t Fnv1a(const void* data, std::size_t n) {
 /// arrays, and the byte-serial variant's dependent multiply per byte is the
 /// single largest CPU cost of sealing a segment; folding a word at a time
 /// keeps the same corruption-detection role at 1/8th the multiplies. Used
-/// for kRaw column CRCs (v1 and v2 writers and readers agree).
+/// for kRaw column CRCs (writer and reader agree).
 std::uint64_t Fnv1aWords(const std::uint64_t* p, std::size_t n_words) {
   std::uint64_t h = 1469598103934665603ull;
   for (std::size_t i = 0; i < n_words; ++i) {
@@ -224,14 +222,7 @@ Status ReadSegmentFooter(const std::string& path, SegmentFooter* out) {
   ByteReader tr({reinterpret_cast<const std::byte*>(trailer), kTrailerSize});
   const std::uint64_t footer_offset = tr.U64();
   const std::uint64_t footer_crc = tr.U64();
-  const std::uint32_t trailer_magic = tr.U32();
-  if (trailer_magic == kTrailerMagicV1) {
-    out->version = 1;
-  } else if (trailer_magic == kTrailerMagicV2) {
-    out->version = 2;
-  } else {
-    return Corrupt(path, "bad trailer magic");
-  }
+  if (tr.U32() != kTrailerMagicV2) return Corrupt(path, "bad trailer magic");
   const std::size_t footer_end = static_cast<std::size_t>(size) - kTrailerSize;
   if (footer_offset >= footer_end) {
     return Corrupt(path, "footer offset out of range");
@@ -269,20 +260,10 @@ Status ReadSegmentFooter(const std::string& path, SegmentFooter* out) {
   for (std::size_t i = 0; i < total_cols; ++i) out->offsets.push_back(r.U64());
   out->crcs.reserve(total_cols);
   for (std::size_t i = 0; i < total_cols; ++i) out->crcs.push_back(r.U64());
-  if (out->version >= 2) {
-    out->codecs.reserve(total_cols);
-    for (std::size_t i = 0; i < total_cols; ++i) out->codecs.push_back(r.U8());
-    out->enc_lens.reserve(total_cols);
-    for (std::size_t i = 0; i < total_cols; ++i) {
-      out->enc_lens.push_back(r.U64());
-    }
-  } else {
-    // v1: every column is a raw slot run.
-    out->codecs.assign(total_cols,
-                       static_cast<std::uint8_t>(ColumnCodec::kRaw));
-    out->enc_lens.assign(total_cols,
-                         out->row_count * sizeof(std::uint64_t));
-  }
+  out->codecs.reserve(total_cols);
+  for (std::size_t i = 0; i < total_cols; ++i) out->codecs.push_back(r.U8());
+  out->enc_lens.reserve(total_cols);
+  for (std::size_t i = 0; i < total_cols; ++i) out->enc_lens.push_back(r.U64());
   if (!r.ok() || out->table.empty()) {
     return Corrupt(path, "malformed footer");
   }

@@ -17,10 +17,8 @@
 //            (3 + ncols) x u8 codec ids | (3 + ncols) x u64 encoded lengths
 //   trailer: u64 footer_offset | u64 footer_crc | u32 magic "LSGG"
 //
-// Format v1 ("LSG1"/"LSGF") is the same without the codec-id/encoded-length
-// footer arrays — every column is a raw u64 slot run. Readers dispatch on
-// the trailer magic, so a store directory can mix v1 and v2 files and a
-// restart re-attaches both seamlessly.
+// A file with any other trailer magic (including the retired uncompressed
+// format v1, "LSGF") is rejected as foreign; a restart skips it.
 //
 // Codecs (store/tsdb/codec.hpp) are chosen per column at seal time:
 // delta-of-delta varints for timestamps, RLE for the node and producer-
@@ -67,7 +65,6 @@ struct SegmentFooter {
   static constexpr std::size_t DataCol(std::size_t i) { return 3 + i; }
 
   std::string table;
-  std::uint8_t version = 2;
   TimeNs min_ts = 0;
   TimeNs max_ts = 0;
   std::uint64_t row_count = 0;
@@ -79,8 +76,7 @@ struct SegmentFooter {
   std::vector<std::string> producers;
   std::vector<SegmentColumn> columns;
   /// Per-column byte offset, CRC, codec, and encoded length (3 + ncols
-  /// entries each). v1 footers parse into the same arrays with every codec
-  /// kRaw and every encoded length row_count * 8.
+  /// entries each).
   std::vector<std::uint64_t> offsets;
   std::vector<std::uint64_t> crcs;
   std::vector<std::uint8_t> codecs;
@@ -154,7 +150,6 @@ Status WriteSegmentFile(const std::string& path, const SegmentBuilder& builder,
                         bool durable = true, bool compress = true);
 
 /// Read and validate a sealed segment's footer (one seek + one small read).
-/// Accepts both format v1 and v2; footer->version records which.
 Status ReadSegmentFooter(const std::string& path, SegmentFooter* out);
 
 /// Read column @p col (uniform index: SegmentFooter::kTsCol / kNodeCol /

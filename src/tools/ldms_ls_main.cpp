@@ -56,38 +56,70 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (!long_listing) {
+    for (const auto& instance : instances) {
+      std::printf("%s\n", instance.c_str());
+    }
+    return 0;
+  }
+
+  // Look every set up (metadata + handle), then pull them all with one
+  // batch, the same two steps an aggregator takes.
   MemManager mem(16 << 20);
-  for (const auto& instance : instances) {
-    std::printf("%s\n", instance.c_str());
-    if (!long_listing) continue;
+  std::vector<MetricSetPtr> mirrors(instances.size());
+  std::vector<std::string> errors(instances.size());
+  std::vector<std::size_t> pulled;  // instance index of each spec
+  std::vector<Endpoint::BatchUpdateSpec> specs;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
     std::vector<std::byte> metadata;
-    if (Status st = endpoint->Lookup(instance, &metadata); !st.ok()) {
-      std::fprintf(stderr, "  lookup failed: %s\n", st.ToString().c_str());
+    Endpoint::LookupExtra extra;
+    if (Status st = endpoint->LookupEx(instances[i], &metadata, &extra);
+        !st.ok()) {
+      errors[i] = "lookup failed: " + st.ToString();
       continue;
     }
     Status st;
-    auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
-    if (mirror == nullptr) {
-      std::fprintf(stderr, "  bad metadata: %s\n", st.ToString().c_str());
+    mirrors[i] = MetricSet::CreateMirror(mem, metadata, &st);
+    if (mirrors[i] == nullptr) {
+      errors[i] = "bad metadata: " + st.ToString();
       continue;
     }
-    if (Status upd = endpoint->Update(instance, *mirror); !upd.ok()) {
-      std::fprintf(stderr, "  update failed: %s\n", upd.ToString().c_str());
+    pulled.push_back(i);
+    specs.push_back({extra.handle, 0});
+  }
+  std::vector<Endpoint::BatchUpdateResult> results;
+  endpoint->UpdateBatch(specs, &results);
+  for (std::size_t k = 0; k < pulled.size(); ++k) {
+    const std::size_t i = pulled[k];
+    Endpoint::BatchUpdateResult& r = results[k];
+    Status st = r.status;
+    if (st.ok() && !r.unchanged) {
+      st = r.delta ? mirrors[i]->ApplyDelta(r.data)
+                   : mirrors[i]->ApplyData(r.data);
+    }
+    if (!st.ok()) errors[i] = "update failed: " + st.ToString();
+  }
+
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    std::printf("%s\n", instances[i].c_str());
+    if (!errors[i].empty()) {
+      std::fprintf(stderr, "  %s\n", errors[i].c_str());
       continue;
     }
-    const TimeNs ts = mirror->timestamp();
+    const MetricSet& mirror = *mirrors[i];
+    const TimeNs ts = mirror.timestamp();
     std::printf("  schema=%s producer=%s component_id=%llu ts=%llu.%06llu "
                 "consistent=%d\n",
-                mirror->schema().name().c_str(),
-                mirror->producer_name().c_str(),
-                static_cast<unsigned long long>(mirror->component_id()),
+                mirror.schema().name().c_str(),
+                mirror.producer_name().c_str(),
+                static_cast<unsigned long long>(mirror.component_id()),
                 static_cast<unsigned long long>(ts / kNsPerSec),
                 static_cast<unsigned long long>((ts % kNsPerSec) / kNsPerUs),
-                mirror->consistent() ? 1 : 0);
-    for (std::size_t m = 0; m < mirror->schema().metric_count(); ++m) {
-      const MetricDef& def = mirror->schema().metric(m);
+                mirror.consistent() ? 1 : 0);
+    for (std::size_t m = 0; m < mirror.schema().metric_count(); ++m) {
+      const MetricDef& def = mirror.schema().metric(m);
       std::printf("  %-4s %-40s %s\n", MetricTypeName(def.type),
-                  def.name.c_str(), mirror->GetValue(m).ToString().c_str());
+                  def.name.c_str(), mirror.GetValue(m).ToString().c_str());
     }
   }
   return 0;

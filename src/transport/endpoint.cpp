@@ -1,33 +1,9 @@
-// Endpoint base-class plumbing: the sync-over-async layering shared by all
-// transports. Synchronous Update is UpdateRaw + ApplyData; the default
-// async methods complete inline through the synchronous path (correct for
-// the in-process transports); UpdateAll issues everything first and then
-// harvests, which is what lets a pipelined transport overlap round trips.
+// Endpoint base-class bodies and the batch serving policy every transport
+// shares: sock runs ServeBatchEntry into its connection buffer, local and
+// rdma into the result's data, so the three answer alike by construction.
 #include "transport/transport.hpp"
 
-#include <condition_variable>
-#include <mutex>
-
 namespace ldmsxx {
-
-Status Endpoint::Update(const std::string& instance, MetricSet& mirror) {
-  std::vector<std::byte> data;
-  Status st = UpdateRaw(instance, &data);
-  if (!st.ok()) return st;
-  return mirror.ApplyData(data);
-}
-
-void Endpoint::LookupAsync(const std::string& instance, AsyncHandler handler) {
-  std::vector<std::byte> metadata;
-  Status st = Lookup(instance, &metadata);
-  handler(std::move(st), std::move(metadata));
-}
-
-void Endpoint::UpdateAsync(const std::string& instance, AsyncHandler handler) {
-  std::vector<std::byte> data;
-  Status st = UpdateRaw(instance, &data);
-  handler(std::move(st), std::move(data));
-}
 
 Status Endpoint::RemoteQuery(const QueryRequest& req, QueryResponse* resp) {
   (void)req;
@@ -37,126 +13,67 @@ Status Endpoint::RemoteQuery(const QueryRequest& req, QueryResponse* resp) {
   return {ErrorCode::kUnsupported, "transport does not carry query frames"};
 }
 
-Status Endpoint::LookupEx(const std::string& instance,
-                          std::vector<std::byte>* metadata,
-                          LookupExtra* extra) {
-  if (extra != nullptr) *extra = LookupExtra{};
-  return Lookup(instance, metadata);
+Status Endpoint::Lookup(const std::string& instance,
+                        std::vector<std::byte>* metadata) {
+  return LookupEx(instance, metadata, nullptr);
 }
 
-void Endpoint::UpdateBatch(const std::vector<BatchUpdateSpec>& specs,
-                           std::vector<BatchUpdateResult>* results) {
-  const std::size_t n = specs.size();
-  results->assign(n, BatchUpdateResult{});
-  if (n == 0) return;
-  // Legacy fallback: per-set pipelined pulls. No DGN gating happens on the
-  // wire, so `unchanged` stays false and the caller does its own gn check
-  // on the returned chunk, exactly as before the batch protocol.
-  struct Harvest {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  } harvest{.remaining = n};
-  CorkWrites();
-  for (std::size_t i = 0; i < n; ++i) {
-    UpdateAsync(specs[i].instance,
-                [results, &harvest, i](Status st, std::vector<std::byte> data) {
-                  std::lock_guard<std::mutex> lock(harvest.mu);
-                  (*results)[i].status = std::move(st);
-                  (*results)[i].data = std::move(data);
-                  if (--harvest.remaining == 0) harvest.cv.notify_all();
-                });
-  }
-  UncorkWrites();
-  std::unique_lock<std::mutex> lock(harvest.mu);
-  harvest.cv.wait(lock, [&harvest] { return harvest.remaining == 0; });
+void Endpoint::LookupAsync(const std::string& instance, AsyncHandler handler) {
+  std::vector<std::byte> metadata;
+  Status st = Lookup(instance, &metadata);
+  handler(std::move(st), std::move(metadata));
 }
 
-std::vector<Status> Endpoint::UpdateAll(
-    const std::vector<std::string>& instances,
-    const std::vector<MetricSet*>& mirrors) {
-  const std::size_t n = instances.size();
-  std::vector<Status> statuses(n);
-  if (n == 0) return statuses;
-  std::vector<BatchUpdateSpec> specs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    specs[i].instance = instances[i];
-    MetricSet* mirror = i < mirrors.size() ? mirrors[i] : nullptr;
-    if (mirror != nullptr) specs[i].last_dgn = mirror->data_gn();
-  }
-  std::vector<BatchUpdateResult> results;
-  UpdateBatch(specs, &results);
-  for (std::size_t i = 0; i < n; ++i) {
-    Status st = std::move(results[i].status);
-    MetricSet* mirror = i < mirrors.size() ? mirrors[i] : nullptr;
-    if (st.ok() && !results[i].unchanged && mirror != nullptr) {
-      st = results[i].delta ? mirror->ApplyDelta(results[i].data)
-                            : mirror->ApplyData(results[i].data);
-    }
-    statuses[i] = std::move(st);
-  }
-  return statuses;
+Status Endpoint::UpdateRaw(const std::string& instance,
+                           std::vector<std::byte>* data) {
+  (void)data;
+  return {ErrorCode::kUnsupported,
+          "per-set pulls are retired; use LookupEx + UpdateBatch for " +
+              instance};
 }
 
-void ServeUpdateBatch(ServiceHandler& handler, const UpdateBatchRequest& req,
-                      UpdateBatchResponse* resp, TransportStats* stats) {
-  resp->code = 0;
-  resp->entries.clear();
-  resp->entries.reserve(req.entries.size());
-  if (stats != nullptr) {
-    stats->update_batches.fetch_add(1, std::memory_order_relaxed);
-    stats->updates.fetch_add(req.entries.size(), std::memory_order_relaxed);
+void Endpoint::UpdateAsync(const std::string& instance, AsyncHandler handler) {
+  std::vector<std::byte> data;
+  Status st = UpdateRaw(instance, &data);
+  handler(std::move(st), std::move(data));
+}
+
+void ServedEntry::CountInto(TransportStats* stats) const {
+  if (stats == nullptr) return;
+  if (kind == BatchEntryKind::kUnchanged) {
+    stats->updates_unchanged.fetch_add(1, std::memory_order_relaxed);
+  } else if (kind == BatchEntryKind::kDelta) {
+    stats->updates_delta.fetch_add(1, std::memory_order_relaxed);
+    stats->delta_bytes_saved.fetch_add(bytes_saved, std::memory_order_relaxed);
   }
-  for (const auto& e : req.entries) {
-    UpdateBatchResponse::Entry out;
-    out.handle = e.handle;
-    MetricSetPtr set = handler.HandleResolveHandle(e.handle);
-    if (set == nullptr) {
-      out.kind = BatchEntryKind::kError;
-      out.code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
-      resp->entries.push_back(std::move(out));
-      continue;
-    }
-    // DGN gate: only an exact match means "the chunk you already hold". A
-    // producer restart can reset the DGN below last_dgn, and that chunk is
-    // new data the aggregator must see.
-    if (set->data_gn() == e.last_dgn && set->consistent()) {
-      out.kind = BatchEntryKind::kUnchanged;
-      if (stats != nullptr) {
-        stats->updates_unchanged.fetch_add(1, std::memory_order_relaxed);
-      }
-      resp->entries.push_back(std::move(out));
-      continue;
-    }
-    // Delta path: only for clients that declared they can decode it, and
-    // only when the set advanced exactly one transaction past what the
-    // client holds (no delta chains across gaps). Anything else — including
-    // a torn delta snapshot — falls through to the full chunk.
-    if (req.version >= kDeltaProtocolVersion) {
-      ByteWriter dw(&out.data);
-      if (set->SnapshotDelta(e.last_dgn, dw).ok()) {
-        out.kind = BatchEntryKind::kDelta;
-        if (stats != nullptr) {
-          stats->updates_delta.fetch_add(1, std::memory_order_relaxed);
-          stats->delta_bytes_saved.fetch_add(
-              set->data_size() - out.data.size(), std::memory_order_relaxed);
-        }
-        resp->entries.push_back(std::move(out));
-        continue;
-      }
-      out.data.clear();
-    }
-    out.data.resize(set->data_size());
-    Status st = set->SnapshotData(out.data);
-    if (!st.ok()) {
-      out.kind = BatchEntryKind::kError;
-      out.code = static_cast<std::uint8_t>(st.code());
-      out.data.clear();
-    } else {
-      out.kind = BatchEntryKind::kData;
-    }
-    resp->entries.push_back(std::move(out));
+}
+
+ServedEntry ServeBatchEntry(const MetricSet* set, std::uint64_t last_dgn,
+                            bool accept_delta, ByteWriter& out) {
+  if (set == nullptr) return {BatchEntryKind::kError, ErrorCode::kNotFound};
+  // DGN gate: only an exact match means "the chunk you already hold". A
+  // producer restart can reset the DGN below last_dgn, and that chunk is
+  // new data the aggregator must see.
+  if (set->data_gn() == last_dgn && set->consistent()) {
+    return {BatchEntryKind::kUnchanged};
   }
+  const std::size_t start = out.size();
+  // Delta: the changed extents go straight from the live chunk into @p out.
+  // SnapshotDelta declines (rolling @p out back) when the set did not
+  // advance exactly one transaction past last_dgn (no delta chains), when
+  // the delta would not be smaller than the chunk, or on a torn read; the
+  // full chunk follows.
+  if (accept_delta && set->SnapshotDelta(last_dgn, out).ok()) {
+    return {BatchEntryKind::kDelta, ErrorCode::kOk,
+            set->data_size() - (out.size() - start)};
+  }
+  const std::size_t size = set->data_size();
+  const Status st = set->SnapshotData(out.MutableSpan(out.Extend(size), size));
+  if (!st.ok()) {
+    out.Truncate(start);
+    return {BatchEntryKind::kError, st.code()};
+  }
+  return {BatchEntryKind::kData};
 }
 
 }  // namespace ldmsxx

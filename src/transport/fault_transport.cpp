@@ -49,26 +49,6 @@ class FaultEndpoint final : public Endpoint {
     return st;
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
-    Status st = Intercept(FaultOp::kLookup, metadata, [&] {
-      return inner_->Lookup(instance, metadata);
-    });
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    Status st = Intercept(FaultOp::kUpdate, data, [&] {
-      return inner_->UpdateRaw(instance, data);
-    });
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
   Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
                   LookupExtra* extra) override {
     if (extra != nullptr) *extra = LookupExtra{};
@@ -80,9 +60,9 @@ class FaultEndpoint final : public Endpoint {
     return st;
   }
 
-  // Batched pull under fault injection. One Decision is drawn per entry — the
-  // same number and order of kUpdate draws as the per-set protocol, so seeded
-  // chaos runs stay aligned whether batching is on or off. Frame semantics
+  // Batched pull under fault injection. One Decision is drawn per entry, so
+  // a seeded schedule's kUpdate stream advances with the number of sets
+  // pulled, not with how they are framed. Frame semantics
   // decide the blast radius: a drawn disconnect or stall kills/steals the
   // whole batch frame (every entry fails), while truncate/corrupt mangle only
   // that entry's chunk within an otherwise-delivered response.
@@ -174,9 +154,6 @@ class FaultEndpoint final : public Endpoint {
     if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
-
-  void CorkWrites() override { inner_->CorkWrites(); }
-  void UncorkWrites() override { inner_->UncorkWrites(); }
 
  private:
   /// Common fault wrapper. @p payload is the response buffer truncation and

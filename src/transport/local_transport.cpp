@@ -46,61 +46,39 @@ class LocalEndpoint final : public Endpoint {
     if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
     return node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
       const std::uint64_t t0 = NowSteadyNs();
-      *instances = h->HandleDir();
+      DirResponse resp{0, h->HandleDir()};
       ChargeServer(srv, NowSteadyNs() - t0);
-      std::uint64_t resp_bytes = kFrameHeaderSize + 5;
-      for (const auto& name : *instances) resp_bytes += 2 + name.size();
-      Account(kFrameHeaderSize, resp_bytes, srv);
+      Account(kFrameHeaderSize,
+              kFrameHeaderSize + EncodeDirResponse(resp).size(), srv);
+      *instances = std::move(resp.instances);
       return Status::Ok();
     });
-  }
-
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
-    if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
-    Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
-      const std::uint64_t t0 = NowSteadyNs();
-      Status inner = h->HandleLookup(instance, metadata);
-      ChargeServer(srv, NowSteadyNs() - t0);
-      Account(kFrameHeaderSize + 2 + instance.size(),
-              kFrameHeaderSize + 5 + metadata->size(), srv);
-      return inner;
-    });
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
-    Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
-      const std::uint64_t t0 = NowSteadyNs();
-      Status inner = h->HandleUpdate(instance, data);
-      ChargeServer(srv, NowSteadyNs() - t0);
-      Account(kFrameHeaderSize + 2 + instance.size(),
-              kFrameHeaderSize + 5 + data->size(), srv);
-      return inner;
-    });
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
   }
 
   Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
                   LookupExtra* extra) override {
     if (extra != nullptr) *extra = LookupExtra{};
-    Status st = Lookup(instance, metadata);
-    if (!st.ok() || extra == nullptr) return st;
-    // The version/handle ride in the lookup response's trailing bytes on the
-    // wire; in-process we ask the handler directly. A legacy handler returns
-    // no handle, which keeps the peer at version 0.
-    node_->WithHandler([&](ServiceHandler* h, TransportStats*) {
-      extra->handle = h->HandleAssignHandle(instance);
-      extra->version =
-          extra->handle != kInvalidSetHandle ? kBatchProtocolVersion : 0;
-      return Status::Ok();
+    if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
+    std::uint32_t handle = kInvalidSetHandle;
+    Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
+      const std::uint64_t t0 = NowSteadyNs();
+      Status inner = h->HandleLookup(instance, metadata);
+      if (inner.ok()) handle = h->HandleAssignHandle(instance);
+      if (inner.ok() && handle == kInvalidSetHandle) {
+        inner = {ErrorCode::kNotFound, "no such set: " + instance};
+      }
+      if (!inner.ok()) metadata->clear();
+      ChargeServer(srv, NowSteadyNs() - t0);
+      Account(kFrameHeaderSize + EncodeLookupRequest({instance}).size(),
+              kFrameHeaderSize + LookupResponseSize(metadata->size()), srv);
+      return inner;
     });
+    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
+    if (!st.ok()) {
+      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      return st;
+    }
+    if (extra != nullptr) extra->handle = handle;
     return st;
   }
 
@@ -115,74 +93,32 @@ class LocalEndpoint final : public Endpoint {
       }
       return;
     }
-    // One modeled request frame for the whole batch (12 bytes per entry),
-    // one response frame whose size depends on what each entry answered.
-    std::uint64_t resp_bytes = kFrameHeaderSize + 5;
-    std::size_t batched_entries = 0;
+    // One modeled request frame for the whole batch, one response frame
+    // whose size depends on what each entry answered.
+    const bool accept_delta = delta_updates();
     Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
       const std::uint64_t t0 = NowSteadyNs();
+      std::uint64_t resp_bytes =
+          kFrameHeaderSize + UpdateBatchResponseHeaderSize();
       for (std::size_t i = 0; i < n; ++i) {
         BatchUpdateResult& r = (*results)[i];
-        if (specs[i].handle == kInvalidSetHandle) {
-          // No handle (set never looked up via LookupEx): legacy per-set
-          // semantics inside the same fabric call.
-          r.status = h->HandleUpdate(specs[i].instance, &r.data);
-          resp_bytes += kFrameHeaderSize + 5 + r.data.size();
-          continue;
+        const MetricSetPtr set = h->HandleResolveHandle(specs[i].handle);
+        ByteWriter out(&r.data);
+        const ServedEntry served =
+            ServeBatchEntry(set.get(), specs[i].last_dgn, accept_delta, out);
+        served.CountInto(&stats_);
+        served.CountInto(srv);
+        r.unchanged = served.kind == BatchEntryKind::kUnchanged;
+        r.delta = served.kind == BatchEntryKind::kDelta;
+        if (served.kind == BatchEntryKind::kError) {
+          r.status = {served.error, served.error == ErrorCode::kNotFound
+                                        ? "unknown set handle"
+                                        : "batch entry failed"};
         }
-        r.batched = true;
-        ++batched_entries;
-        MetricSetPtr set = h->HandleResolveHandle(specs[i].handle);
-        if (set == nullptr) {
-          r.status = {ErrorCode::kNotFound, "unknown set handle"};
-          resp_bytes += 6;  // handle + kind + code
-          continue;
-        }
-        if (set->data_gn() == specs[i].last_dgn && set->consistent()) {
-          r.status = Status::Ok();
-          r.unchanged = true;
-          resp_bytes += 5;  // handle + kind marker only
-          stats_.updates_unchanged.fetch_add(1, std::memory_order_relaxed);
-          if (srv != nullptr) {
-            srv->updates_unchanged.fetch_add(1, std::memory_order_relaxed);
-          }
-          continue;
-        }
-        // Delta path, gated on the client-side knob exactly like the wire
-        // client's declared protocol version; falls back to the full chunk
-        // whenever no (smaller) delta exists for this base DGN.
-        if (delta_updates()) {
-          ByteWriter dw(&r.data);
-          if (set->SnapshotDelta(specs[i].last_dgn, dw).ok()) {
-            r.status = Status::Ok();
-            r.delta = true;
-            resp_bytes += 9 + r.data.size();  // handle + kind + len + delta
-            const std::uint64_t saved = set->data_size() - r.data.size();
-            stats_.updates_delta.fetch_add(1, std::memory_order_relaxed);
-            stats_.delta_bytes_saved.fetch_add(saved,
-                                               std::memory_order_relaxed);
-            if (srv != nullptr) {
-              srv->updates_delta.fetch_add(1, std::memory_order_relaxed);
-              srv->delta_bytes_saved.fetch_add(saved,
-                                               std::memory_order_relaxed);
-            }
-            continue;
-          }
-          r.data.clear();
-        }
-        r.data.resize(set->data_size());
-        r.status = set->SnapshotData(r.data);
-        if (!r.status.ok()) {
-          r.data.clear();
-          resp_bytes += 6;
-        } else {
-          resp_bytes += 9 + r.data.size();  // handle + kind + len + chunk
-        }
+        resp_bytes += BatchEntrySize(served.kind, r.data.size());
       }
       ChargeServer(srv, NowSteadyNs() - t0);
-      // +1: the request's trailing client-version byte.
-      Account(kFrameHeaderSize + 4 + 12 * batched_entries + 1, resp_bytes,
-              srv);
+      Account(kFrameHeaderSize + UpdateBatchRequestSize(n), resp_bytes, srv);
       if (srv != nullptr) {
         srv->update_batches.fetch_add(1, std::memory_order_relaxed);
         srv->updates.fetch_add(n, std::memory_order_relaxed);
@@ -197,6 +133,7 @@ class LocalEndpoint final : public Endpoint {
       for (auto& r : *results) {
         r.status = st;
         r.unchanged = false;
+        r.delta = false;
         r.data.clear();
       }
     }

@@ -7,14 +7,38 @@
 #include "core/metric_set.hpp"
 
 namespace ldmsxx {
+namespace {
+
+// Batch entry layout: u32 handle | u8 kind | body.
+constexpr std::size_t kEntryKindAt = 4;
+constexpr std::size_t kEntryLenAt = 5;
+constexpr std::size_t kEntryPayloadAt = 9;
+
+bool HasPayload(BatchEntryKind kind) {
+  return kind == BatchEntryKind::kData || kind == BatchEntryKind::kDelta;
+}
+
+}  // namespace
+
+std::size_t BeginFrame(ByteWriter& w, MsgType type, std::uint64_t request_id) {
+  const std::size_t start = w.size();
+  w.U32(0);  // payload length, patched by EndFrame
+  w.U8(static_cast<std::uint8_t>(type));
+  w.U64(request_id);
+  return start;
+}
+
+void EndFrame(ByteWriter& w, std::size_t frame_start) {
+  w.PatchU32(frame_start, static_cast<std::uint32_t>(
+                              w.size() - frame_start - kFrameHeaderSize));
+}
 
 std::vector<std::byte> EncodeFrame(MsgType type, std::uint64_t request_id,
                                    std::span<const std::byte> payload) {
   ByteWriter w;
-  w.U32(static_cast<std::uint32_t>(payload.size()));
-  w.U8(static_cast<std::uint8_t>(type));
-  w.U64(request_id);
+  const std::size_t start = BeginFrame(w, type, request_id);
   w.Raw(payload.data(), payload.size());
+  EndFrame(w, start);
   return w.Take();
 }
 
@@ -27,11 +51,15 @@ FrameHeader DecodeFrameHeader(std::span<const std::byte> bytes) {
   return hdr;
 }
 
-std::vector<std::byte> EncodeDirResponse(const DirResponse& msg) {
-  ByteWriter w;
+void WriteDirResponse(ByteWriter& w, const DirResponse& msg) {
   w.U8(msg.code);
   w.U32(static_cast<std::uint32_t>(msg.instances.size()));
   for (const auto& name : msg.instances) w.Str(name);
+}
+
+std::vector<std::byte> EncodeDirResponse(const DirResponse& msg) {
+  ByteWriter w;
+  WriteDirResponse(w, msg);
   return w.Take();
 }
 
@@ -64,14 +92,15 @@ bool DecodeLookupRequest(std::span<const std::byte> payload,
   return r.ok();
 }
 
-std::vector<std::byte> EncodeLookupResponse(const LookupResponse& msg) {
-  ByteWriter w;
+void WriteLookupResponse(ByteWriter& w, const LookupResponse& msg) {
   w.U8(msg.code);
   w.Bytes(msg.metadata);
-  // Trailing extension: pre-batch decoders stop after the metadata bytes and
-  // never look at these (ByteReader only faults on overrun).
-  w.U8(msg.version);
   w.U32(msg.handle);
+}
+
+std::vector<std::byte> EncodeLookupResponse(const LookupResponse& msg) {
+  ByteWriter w;
+  WriteLookupResponse(w, msg);
   return w.Take();
 }
 
@@ -80,42 +109,12 @@ bool DecodeLookupResponse(std::span<const std::byte> payload,
   ByteReader r(payload);
   out->code = r.U8();
   out->metadata = r.Bytes();
-  if (r.ok() && r.remaining() >= 5) {
-    out->version = r.U8();
-    out->handle = r.U32();
-  } else {
-    out->version = 0;
-    out->handle = kInvalidSetHandle;
-  }
+  out->handle = r.U32();
   return r.ok();
 }
 
-std::vector<std::byte> EncodeUpdateRequest(const UpdateRequest& msg) {
-  ByteWriter w;
-  w.Str(msg.instance);
-  return w.Take();
-}
-
-bool DecodeUpdateRequest(std::span<const std::byte> payload,
-                         UpdateRequest* out) {
-  ByteReader r(payload);
-  out->instance = r.Str();
-  return r.ok();
-}
-
-std::vector<std::byte> EncodeUpdateResponse(const UpdateResponse& msg) {
-  ByteWriter w;
-  w.U8(msg.code);
-  w.Bytes(msg.data);
-  return w.Take();
-}
-
-bool DecodeUpdateResponse(std::span<const std::byte> payload,
-                          UpdateResponse* out) {
-  ByteReader r(payload);
-  out->code = r.U8();
-  out->data = r.Bytes();
-  return r.ok();
+std::size_t LookupResponseSize(std::size_t metadata_bytes) {
+  return 1 + 4 + metadata_bytes + 4;
 }
 
 std::vector<std::byte> EncodeAdvertise(const AdvertiseMsg& msg) {
@@ -123,8 +122,6 @@ std::vector<std::byte> EncodeAdvertise(const AdvertiseMsg& msg) {
   w.Str(msg.producer);
   w.Str(msg.dialback_address);
   w.Str(msg.transport);
-  // Trailing extension (self-assembly announce); old decoders stop after the
-  // three strings and ignore these bytes.
   w.U8(msg.announce ? 1 : 0);
   w.U64(msg.node_id);
   return w.Take();
@@ -152,9 +149,7 @@ std::vector<std::byte> EncodeUpdateBatchRequest(const UpdateBatchRequest& msg) {
     w.U32(e.handle);
     w.U64(e.last_dgn);
   }
-  // Trailing client-revision byte; v1 decoders read their entries and never
-  // look at it (ByteReader only faults on overrun).
-  w.U8(msg.version);
+  w.U8(msg.accept_delta ? kBatchRevisionDelta : kBatchRevisionFull);
   return w.Take();
 }
 
@@ -178,135 +173,65 @@ bool DecodeUpdateBatchRequest(std::span<const std::byte> payload,
     if (!seen.insert(e.handle).second) return false;
     out->entries.push_back(e);
   }
-  // Absent trailing byte = a v1 client that never learned to decode kDelta.
-  out->version = r.ok() && r.remaining() >= 1 ? r.U8() : 1;
+  const std::uint8_t revision = r.U8();
+  if (revision != kBatchRevisionFull && revision != kBatchRevisionDelta) {
+    return false;
+  }
+  out->accept_delta = revision == kBatchRevisionDelta;
   return r.ok();
+}
+
+std::size_t UpdateBatchRequestSize(std::size_t entries) {
+  return 4 + 12 * entries + 1;
+}
+
+void WriteUpdateBatchResponseHeader(ByteWriter& w, std::uint8_t code,
+                                    std::size_t entries) {
+  w.U8(code);
+  w.U32(static_cast<std::uint32_t>(entries));
+}
+
+std::size_t UpdateBatchResponseHeaderSize() { return 1 + 4; }
+
+std::size_t BeginBatchEntry(ByteWriter& w, std::uint32_t handle) {
+  const std::size_t start = w.size();
+  w.U32(handle);
+  w.U8(0);   // kind, set by EndBatchEntry
+  w.U32(0);  // payload length, patched (or dropped) by EndBatchEntry
+  return start;
+}
+
+void EndBatchEntry(ByteWriter& w, std::size_t entry_start, BatchEntryKind kind,
+                   std::uint8_t code) {
+  if (HasPayload(kind)) {
+    const std::span<std::byte> kind_byte =
+        w.MutableSpan(entry_start + kEntryKindAt, 1);
+    if (!kind_byte.empty()) kind_byte[0] = static_cast<std::byte>(kind);
+    w.PatchU32(entry_start + kEntryLenAt,
+               static_cast<std::uint32_t>(w.size() - entry_start -
+                                          kEntryPayloadAt));
+    return;
+  }
+  w.Truncate(entry_start + kEntryKindAt);
+  w.U8(static_cast<std::uint8_t>(kind));
+  if (kind == BatchEntryKind::kError) w.U8(code);
+}
+
+std::size_t BatchEntrySize(BatchEntryKind kind, std::size_t payload_bytes) {
+  if (HasPayload(kind)) return kEntryPayloadAt + payload_bytes;
+  return kEntryKindAt + 1 + (kind == BatchEntryKind::kError ? 1 : 0);
 }
 
 std::vector<std::byte> EncodeUpdateBatchResponse(
     const UpdateBatchResponse& msg) {
   ByteWriter w;
-  w.U8(msg.code);
-  w.U32(static_cast<std::uint32_t>(msg.entries.size()));
+  WriteUpdateBatchResponseHeader(w, msg.code, msg.entries.size());
   for (const auto& e : msg.entries) {
-    w.U32(e.handle);
-    w.U8(static_cast<std::uint8_t>(e.kind));
-    switch (e.kind) {
-      case BatchEntryKind::kUnchanged:
-        break;
-      case BatchEntryKind::kData:
-      case BatchEntryKind::kDelta:
-        w.Bytes(e.data);
-        break;
-      case BatchEntryKind::kError:
-        w.U8(e.code);
-        break;
-    }
+    const std::size_t start = BeginBatchEntry(w, e.handle);
+    if (HasPayload(e.kind)) w.Raw(e.data.data(), e.data.size());
+    EndBatchEntry(w, start, e.kind, e.code);
   }
   return w.Take();
-}
-
-std::vector<std::byte> EncodeQueryRequest(const QueryRequest& msg) {
-  ByteWriter w;
-  w.Str(msg.strgp);
-  w.Str(msg.table);
-  w.U64(msg.t0);
-  w.U64(msg.t1);
-  w.U32(static_cast<std::uint32_t>(msg.nodes.size()));
-  for (const std::uint64_t n : msg.nodes) w.U64(n);
-  w.U32(static_cast<std::uint32_t>(msg.metrics.size()));
-  for (const auto& m : msg.metrics) w.Str(m);
-  w.U32(msg.limit);
-  // Trailing version byte; v0 decoders stop at limit and ignore it.
-  w.U8(msg.version);
-  return w.Take();
-}
-
-bool DecodeQueryRequest(std::span<const std::byte> payload, QueryRequest* out) {
-  ByteReader r(payload);
-  out->strgp = r.Str();
-  out->table = r.Str();
-  out->t0 = r.U64();
-  out->t1 = r.U64();
-  const std::uint32_t nnodes = r.U32();
-  if (static_cast<std::size_t>(nnodes) > r.remaining() / 8) return false;
-  out->nodes.clear();
-  out->nodes.reserve(nnodes);
-  for (std::uint32_t i = 0; i < nnodes && r.ok(); ++i) {
-    out->nodes.push_back(r.U64());
-  }
-  const std::uint32_t nmetrics = r.U32();
-  // Each metric name costs at least its 2-byte length prefix.
-  if (static_cast<std::size_t>(nmetrics) > r.remaining() / 2) return false;
-  out->metrics.clear();
-  out->metrics.reserve(nmetrics);
-  for (std::uint32_t i = 0; i < nmetrics && r.ok(); ++i) {
-    out->metrics.push_back(r.Str());
-  }
-  out->limit = r.U32();
-  out->version = r.ok() && r.remaining() >= 1 ? r.U8() : 0;
-  return r.ok();
-}
-
-std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg) {
-  ByteWriter w;
-  w.U8(msg.code);
-  w.Str(msg.error);
-  w.U16(static_cast<std::uint16_t>(msg.columns.size()));
-  for (const auto& c : msg.columns) w.Str(c);
-  w.U32(static_cast<std::uint32_t>(msg.rows.size()));
-  for (const auto& row : msg.rows) {
-    w.U64(row.ts);
-    w.U64(row.node);
-    for (const double v : row.values) w.D64(v);
-  }
-  w.U64(msg.total_rows);
-  w.U8(msg.truncated);
-  w.U64(msg.segments_considered);
-  w.U64(msg.segments_pruned);
-  w.U64(msg.segments_read);
-  w.U64(msg.bytes_read);
-  w.U64(msg.bytes_decoded);
-  // Trailing version byte; v0 decoders stop at the counters and ignore it.
-  w.U8(msg.version);
-  return w.Take();
-}
-
-bool DecodeQueryResponse(std::span<const std::byte> payload,
-                         QueryResponse* out) {
-  ByteReader r(payload);
-  out->code = r.U8();
-  out->error = r.Str();
-  const std::uint16_t ncols = r.U16();
-  if (static_cast<std::size_t>(ncols) > r.remaining() / 2) return false;
-  out->columns.clear();
-  out->columns.reserve(ncols);
-  for (std::uint16_t i = 0; i < ncols && r.ok(); ++i) {
-    out->columns.push_back(r.Str());
-  }
-  const std::uint32_t nrows = r.U32();
-  // Each row is exactly 16 + 8 * ncols bytes.
-  const std::size_t row_bytes = 16 + 8 * static_cast<std::size_t>(ncols);
-  if (static_cast<std::size_t>(nrows) > r.remaining() / row_bytes) return false;
-  out->rows.clear();
-  out->rows.reserve(nrows);
-  for (std::uint32_t i = 0; i < nrows && r.ok(); ++i) {
-    QueryResponse::Row row;
-    row.ts = r.U64();
-    row.node = r.U64();
-    row.values.reserve(ncols);
-    for (std::uint16_t c = 0; c < ncols; ++c) row.values.push_back(r.D64());
-    out->rows.push_back(std::move(row));
-  }
-  out->total_rows = r.U64();
-  out->truncated = r.U8();
-  out->segments_considered = r.U64();
-  out->segments_pruned = r.U64();
-  out->segments_read = r.U64();
-  out->bytes_read = r.U64();
-  out->bytes_decoded = r.U64();
-  out->version = r.ok() && r.remaining() >= 1 ? r.U8() : 0;
-  return r.ok();
 }
 
 bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
@@ -347,6 +272,107 @@ bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
     }
     out->entries.push_back(std::move(e));
   }
+  return r.ok();
+}
+
+std::vector<std::byte> EncodeQueryRequest(const QueryRequest& msg) {
+  ByteWriter w;
+  w.Str(msg.strgp);
+  w.Str(msg.table);
+  w.U64(msg.t0);
+  w.U64(msg.t1);
+  w.U32(static_cast<std::uint32_t>(msg.nodes.size()));
+  for (const std::uint64_t n : msg.nodes) w.U64(n);
+  w.U32(static_cast<std::uint32_t>(msg.metrics.size()));
+  for (const auto& m : msg.metrics) w.Str(m);
+  w.U32(msg.limit);
+  return w.Take();
+}
+
+bool DecodeQueryRequest(std::span<const std::byte> payload, QueryRequest* out) {
+  ByteReader r(payload);
+  out->strgp = r.Str();
+  out->table = r.Str();
+  out->t0 = r.U64();
+  out->t1 = r.U64();
+  const std::uint32_t nnodes = r.U32();
+  if (static_cast<std::size_t>(nnodes) > r.remaining() / 8) return false;
+  out->nodes.clear();
+  out->nodes.reserve(nnodes);
+  for (std::uint32_t i = 0; i < nnodes && r.ok(); ++i) {
+    out->nodes.push_back(r.U64());
+  }
+  const std::uint32_t nmetrics = r.U32();
+  // Each metric name costs at least its 2-byte length prefix.
+  if (static_cast<std::size_t>(nmetrics) > r.remaining() / 2) return false;
+  out->metrics.clear();
+  out->metrics.reserve(nmetrics);
+  for (std::uint32_t i = 0; i < nmetrics && r.ok(); ++i) {
+    out->metrics.push_back(r.Str());
+  }
+  out->limit = r.U32();
+  return r.ok();
+}
+
+void WriteQueryResponse(ByteWriter& w, const QueryResponse& msg) {
+  w.U8(msg.code);
+  w.Str(msg.error);
+  w.U16(static_cast<std::uint16_t>(msg.columns.size()));
+  for (const auto& c : msg.columns) w.Str(c);
+  w.U32(static_cast<std::uint32_t>(msg.rows.size()));
+  for (const auto& row : msg.rows) {
+    w.U64(row.ts);
+    w.U64(row.node);
+    for (const double v : row.values) w.D64(v);
+  }
+  w.U64(msg.total_rows);
+  w.U8(msg.truncated);
+  w.U64(msg.segments_considered);
+  w.U64(msg.segments_pruned);
+  w.U64(msg.segments_read);
+  w.U64(msg.bytes_read);
+  w.U64(msg.bytes_decoded);
+}
+
+std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg) {
+  ByteWriter w;
+  WriteQueryResponse(w, msg);
+  return w.Take();
+}
+
+bool DecodeQueryResponse(std::span<const std::byte> payload,
+                         QueryResponse* out) {
+  ByteReader r(payload);
+  out->code = r.U8();
+  out->error = r.Str();
+  const std::uint16_t ncols = r.U16();
+  if (static_cast<std::size_t>(ncols) > r.remaining() / 2) return false;
+  out->columns.clear();
+  out->columns.reserve(ncols);
+  for (std::uint16_t i = 0; i < ncols && r.ok(); ++i) {
+    out->columns.push_back(r.Str());
+  }
+  const std::uint32_t nrows = r.U32();
+  // Each row is exactly 16 + 8 * ncols bytes.
+  const std::size_t row_bytes = 16 + 8 * static_cast<std::size_t>(ncols);
+  if (static_cast<std::size_t>(nrows) > r.remaining() / row_bytes) return false;
+  out->rows.clear();
+  out->rows.reserve(nrows);
+  for (std::uint32_t i = 0; i < nrows && r.ok(); ++i) {
+    QueryResponse::Row row;
+    row.ts = r.U64();
+    row.node = r.U64();
+    row.values.reserve(ncols);
+    for (std::uint16_t c = 0; c < ncols; ++c) row.values.push_back(r.D64());
+    out->rows.push_back(std::move(row));
+  }
+  out->total_rows = r.U64();
+  out->truncated = r.U8();
+  out->segments_considered = r.U64();
+  out->segments_pruned = r.U64();
+  out->segments_read = r.U64();
+  out->bytes_read = r.U64();
+  out->bytes_decoded = r.U64();
   return r.ok();
 }
 

@@ -1,11 +1,18 @@
 // Wire protocol between ldmsd peers, mirroring the paper's Figure 2 flows:
-// dir (set discovery), lookup (returns the metadata chunk once), update
-// (pulls only the data chunk each interval), plus an advertise control
-// message supporting connection initiation from the sampler side
-// ("mechanisms to enable initiation of a connection from either side",
-// §IV-B).
+// dir (set discovery), lookup (returns the metadata chunk and a set handle
+// once), the batch update (pulls only data chunks, one frame per producer
+// per interval), plus an advertise control message supporting connection
+// initiation from the sampler side ("mechanisms to enable initiation of a
+// connection from either side", §IV-B).
 //
 // Frame layout: u32 payload_len | u8 type | u64 request_id | payload.
+//
+// This is the one encoder module. The response writers (Write*, and the
+// batch response's header/entry steps) append through a ByteWriter, which
+// the sock listener points at a connection's output buffer to encode in
+// place; Encode* return a fresh vector and share those writers. Decoders
+// return false on malformed input, including any strict prefix of a valid
+// payload.
 #pragma once
 
 #include <cstdint>
@@ -23,31 +30,20 @@ enum class MsgType : std::uint8_t {
   kDirResp,
   kLookupReq,
   kLookupResp,
-  kUpdateReq,
-  kUpdateResp,
-  kAdvertise,  // sampler -> aggregator: "connect back to me"
+  // 5 and 6 carried the per-set update pull, which the batch frames
+  // replaced; the numbers stay retired so every other type keeps its value.
+  kAdvertise = 7,    // sampler -> aggregator: "connect back to me"
   kUpdateBatchReq,   // aggregator -> producer: (handle, last_dgn) pairs
   kUpdateBatchResp,  // producer -> aggregator: data / unchanged / error entries
   kQueryReq,   // aggregator -> leaf: run a tsdb predicate on your local store
   kQueryResp,  // leaf -> aggregator: bounded result page + scan counters
 };
 
-/// Protocol revision advertised in the trailing bytes of a lookup response.
-/// Version >= 1 peers understand kUpdateBatchReq; version 0 (or a response
-/// with no trailing bytes at all, i.e. a pre-batch peer) means the client
-/// must stick to per-set kUpdateReq frames — old servers silently drop
-/// unknown frame types, which would otherwise turn into request timeouts.
-/// Version >= 2 peers additionally understand kDelta batch-response entries;
-/// a client declares its own revision in a trailing byte of the batch
-/// request (absent = version 1), and the server only emits kDelta entries to
-/// clients that declared >= kDeltaProtocolVersion. Both extensions ride in
-/// ignored-by-old-decoders trailing bytes, so every version pairing
-/// interoperates (worst case: full chunks).
-constexpr std::uint8_t kBatchProtocolVersion = 2;
-/// Minimum peer revision at which the batch protocol itself is usable.
-constexpr std::uint8_t kMinBatchProtocolVersion = 1;
-/// Minimum declared client revision at which a server may answer kDelta.
-constexpr std::uint8_t kDeltaProtocolVersion = 2;
+/// The batch request's trailing revision byte: kBatchRevisionDelta lets the
+/// server answer with kDelta entries, kBatchRevisionFull asks for full
+/// chunks only (prdcr_add delta=0).
+constexpr std::uint8_t kBatchRevisionFull = 1;
+constexpr std::uint8_t kBatchRevisionDelta = 2;
 
 /// "No handle assigned." Handles are compact u32 ids a producer assigns at
 /// lookup time; they address the set in batch updates without re-sending the
@@ -76,39 +72,28 @@ struct LookupRequest {
   std::string instance;
 };
 
+/// Lookup answer. Wire form: u8 code | u32 len, metadata | u32 handle. The
+/// handle addresses the set in batch updates; a failed lookup carries no
+/// metadata and kInvalidSetHandle.
 struct LookupResponse {
   std::uint8_t code = 0;
   std::vector<std::byte> metadata;
-  // Trailing optional fields (appended after metadata). Old decoders ignore
-  // trailing bytes; new decoders treat their absence as version 0 / no
-  // handle, so the extension is wire-compatible in both directions.
-  std::uint8_t version = 0;
   std::uint32_t handle = kInvalidSetHandle;
 };
 
-struct UpdateRequest {
-  std::string instance;
-};
-
-struct UpdateResponse {
-  std::uint8_t code = 0;
-  std::vector<std::byte> data;
-};
-
 /// One batched pull for every set on a producer. Wire form:
-///   u32 count | count x (u32 handle, u64 last_dgn) | [u8 version]
-/// The decoder rejects duplicate handles — response entries are keyed by
-/// handle, so a duplicate would make the reply ambiguous. The trailing
-/// version byte declares the client's protocol revision (v1 encoders omit
-/// it; decoders treat absence as 1): it is what authorizes the server to
-/// answer with kDelta entries.
+///   u32 count | count x (u32 handle, u64 last_dgn) | u8 revision
+/// The decoder rejects duplicate handles (response entries are keyed by
+/// handle, so a duplicate would make the reply ambiguous) and any revision
+/// other than kBatchRevisionFull/kBatchRevisionDelta.
 struct UpdateBatchRequest {
   struct Entry {
     std::uint32_t handle = kInvalidSetHandle;
     std::uint64_t last_dgn = 0;
   };
   std::vector<Entry> entries;
-  std::uint8_t version = kBatchProtocolVersion;
+  /// Revision byte: whether the server may answer with kDelta entries.
+  bool accept_delta = true;
 };
 
 /// Per-entry result kind inside a batch response.
@@ -143,14 +128,11 @@ struct UpdateBatchResponse {
   std::vector<Entry> entries;
 };
 
-/// Tree-sharded query fan-out (ISSUE 10): the root aggregator forwards a
-/// tsdb predicate to each leaf, which runs it against its local store and
+/// Tree-sharded query fan-out: the root aggregator forwards a tsdb
+/// predicate to each leaf, which runs it against its local store and
 /// answers with a bounded page of rows. Wire form:
 ///   str strgp | str table | u64 t0 | u64 t1 |
-///   u32 nnodes | nnodes x u64 | u32 nmetrics | nmetrics x str |
-///   u32 limit | [u8 version]
-/// The trailing version byte follows the lookup-response idiom: old
-/// decoders stop at limit and ignore it; its absence decodes as version 0.
+///   u32 nnodes | nnodes x u64 | u32 nmetrics | nmetrics x str | u32 limit
 struct QueryRequest {
   std::string strgp;  ///< storage policy name the store is registered under
   std::string table;
@@ -161,7 +143,6 @@ struct QueryRequest {
   /// Row cap for the response page; 0 = the server's default cap. The server
   /// never exceeds its own kMaxQueryRespRows regardless.
   std::uint32_t limit = 0;
-  std::uint8_t version = 0;
 };
 
 /// Hard server-side ceiling on rows in one kQueryResp page; a fan-out over
@@ -175,7 +156,7 @@ constexpr std::uint32_t kMaxQueryRespRows = 65536;
 ///   u32 nrows | nrows x (u64 ts, u64 node, ncols x f64) |
 ///   u64 total_rows | u8 truncated |
 ///   u64 segments_considered | u64 segments_pruned | u64 segments_read |
-///   u64 bytes_read | u64 bytes_decoded | [u8 version]
+///   u64 bytes_read | u64 bytes_decoded
 struct QueryResponse {
   struct Row {
     std::uint64_t ts = 0;
@@ -195,19 +176,18 @@ struct QueryResponse {
   std::uint64_t segments_read = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_decoded = 0;
-  std::uint8_t version = 0;
 };
 
 struct AdvertiseMsg {
   std::string producer;
   std::string dialback_address;  // where the aggregator should connect
   std::string transport;         // transport plugin name for dialback
-  /// Trailing extension (same idiom as the lookup-response version byte:
-  /// old decoders stop after the three strings and ignore these). announce
-  /// upgrades a plain advertise to self-assembly: "place me in the
-  /// aggregation tree" — the receiving seed aggregator consults its
-  /// TreeManager, assigns a leaf, and persists the assignment. node_id is
-  /// the announcing host's torus node id, the rendezvous placement input.
+  /// Trailing extension (a frame that stops after the three strings decodes
+  /// as a plain advertise). announce upgrades a plain advertise to
+  /// self-assembly: "place me in the aggregation tree" — the receiving seed
+  /// aggregator consults its TreeManager, assigns a leaf, and persists the
+  /// assignment. node_id is the announcing host's torus node id, the
+  /// rendezvous placement input.
   bool announce = false;
   std::uint64_t node_id = 0;
 };
@@ -219,23 +199,22 @@ std::vector<std::byte> EncodeFrame(MsgType type, std::uint64_t request_id,
 /// Parse a frame header from exactly kFrameHeaderSize bytes.
 FrameHeader DecodeFrameHeader(std::span<const std::byte> bytes);
 
-// Payload encoders/decoders. Decoders return false on malformed input.
+/// Start a frame on @p w: a header whose payload length EndFrame patches
+/// once the payload is appended. Returns the frame's offset in the buffer.
+std::size_t BeginFrame(ByteWriter& w, MsgType type, std::uint64_t request_id);
+void EndFrame(ByteWriter& w, std::size_t frame_start);
+
+void WriteDirResponse(ByteWriter& w, const DirResponse& msg);
 std::vector<std::byte> EncodeDirResponse(const DirResponse& msg);
 bool DecodeDirResponse(std::span<const std::byte> payload, DirResponse* out);
 
 std::vector<std::byte> EncodeLookupRequest(const LookupRequest& msg);
 bool DecodeLookupRequest(std::span<const std::byte> payload, LookupRequest* out);
 
+void WriteLookupResponse(ByteWriter& w, const LookupResponse& msg);
 std::vector<std::byte> EncodeLookupResponse(const LookupResponse& msg);
 bool DecodeLookupResponse(std::span<const std::byte> payload,
                           LookupResponse* out);
-
-std::vector<std::byte> EncodeUpdateRequest(const UpdateRequest& msg);
-bool DecodeUpdateRequest(std::span<const std::byte> payload, UpdateRequest* out);
-
-std::vector<std::byte> EncodeUpdateResponse(const UpdateResponse& msg);
-bool DecodeUpdateResponse(std::span<const std::byte> payload,
-                          UpdateResponse* out);
 
 std::vector<std::byte> EncodeAdvertise(const AdvertiseMsg& msg);
 bool DecodeAdvertise(std::span<const std::byte> payload, AdvertiseMsg* out);
@@ -244,13 +223,30 @@ std::vector<std::byte> EncodeUpdateBatchRequest(const UpdateBatchRequest& msg);
 bool DecodeUpdateBatchRequest(std::span<const std::byte> payload,
                               UpdateBatchRequest* out);
 
+/// The batch response is written in three steps so a server can produce
+/// each entry's payload straight into the frame: the header, then per entry
+/// BeginBatchEntry, the payload bytes (kData/kDelta only), and EndBatchEntry,
+/// which fills in the kind and either the payload length or the error code.
+void WriteUpdateBatchResponseHeader(ByteWriter& w, std::uint8_t code,
+                                    std::size_t entries);
+std::size_t BeginBatchEntry(ByteWriter& w, std::uint32_t handle);
+void EndBatchEntry(ByteWriter& w, std::size_t entry_start, BatchEntryKind kind,
+                   std::uint8_t code);
 std::vector<std::byte> EncodeUpdateBatchResponse(const UpdateBatchResponse& msg);
 bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
                                UpdateBatchResponse* out);
 
+/// Payload sizes of the frames above, for a transport that models a frame
+/// instead of encoding it (local): the same layouts, counted.
+std::size_t LookupResponseSize(std::size_t metadata_bytes);
+std::size_t UpdateBatchRequestSize(std::size_t entries);
+std::size_t UpdateBatchResponseHeaderSize();
+std::size_t BatchEntrySize(BatchEntryKind kind, std::size_t payload_bytes);
+
 std::vector<std::byte> EncodeQueryRequest(const QueryRequest& msg);
 bool DecodeQueryRequest(std::span<const std::byte> payload, QueryRequest* out);
 
+void WriteQueryResponse(ByteWriter& w, const QueryResponse& msg);
 std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg);
 bool DecodeQueryResponse(std::span<const std::byte> payload,
                          QueryResponse* out);

@@ -58,66 +58,52 @@ class RdmaEndpoint final : public Endpoint {
     });
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
+  // Two-sided: fetch the metadata and the set's handle, then resolve the
+  // handle once to pin the set's memory for one-sided reads (memory
+  // registration). Pulls address pinned sets by that handle.
+  Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
+                  LookupExtra* extra) override {
+    if (extra != nullptr) *extra = LookupExtra{};
     if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
+    std::uint32_t handle = kInvalidSetHandle;
     Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
       const std::uint64_t t0 = NowSteadyNs();
-      // Two-sided: fetch metadata AND pin the set's memory for one-sided
-      // reads (memory registration).
-      MetricSetPtr target = h->HandleRdmaExpose(instance);
-      if (target == nullptr) {
-        return Status{ErrorCode::kNotFound, "no such set: " + instance};
+      Status inner = h->HandleLookup(instance, metadata);
+      MetricSetPtr target;
+      if (inner.ok()) {
+        handle = h->HandleAssignHandle(instance);
+        target = h->HandleResolveHandle(handle);
       }
-      auto meta = target->metadata_bytes();
-      metadata->assign(meta.begin(), meta.end());
-      pinned_[instance] = std::move(target);
-      const std::uint64_t dt = NowSteadyNs() - t0;
+      if (inner.ok() && target == nullptr) {
+        inner = {ErrorCode::kNotFound, "no such set: " + instance};
+      }
+      if (!inner.ok()) {
+        metadata->clear();
+        return inner;
+      }
+      pinned_[handle] = std::move(target);
       if (srv != nullptr) {
-        srv->server_cpu_ns.fetch_add(dt, std::memory_order_relaxed);
+        srv->server_cpu_ns.fetch_add(NowSteadyNs() - t0,
+                                     std::memory_order_relaxed);
         srv->bytes_tx.fetch_add(metadata->size(), std::memory_order_relaxed);
       }
       stats_.bytes_rx.fetch_add(metadata->size(), std::memory_order_relaxed);
       return Status::Ok();
     });
     stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    // One-sided read path: a dead peer means the "NIC" no longer responds,
-    // even though the pinned memory is still reachable in-process.
-    if (!node_->alive()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kDisconnected, "peer is down"};
-    }
-    auto it = pinned_.find(instance);
-    if (it == pinned_.end()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kNotFound, "set not looked up: " + instance};
-    }
-    if (options_.read_latency_ns > 0) SpinFor(options_.read_latency_ns);
-    const MetricSet& target = *it->second;
-    data->resize(target.data_size());
-    Status st = target.SnapshotData(*data);
     if (!st.ok()) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return st;
     }
-    stats_.bytes_rx.fetch_add(data->size(), std::memory_order_relaxed);
-    // Deliberately NOT charged to the peer's server_cpu_ns: one-sided.
-    return Status::Ok();
+    if (extra != nullptr) extra->handle = handle;
+    return st;
   }
 
-  // One-sided batch pull. RDMA needs no set handles or version negotiation —
-  // the endpoint reads pinned memory directly — but it benefits from the same
-  // DGN gate: an 8-byte read of the header's generation number decides
-  // whether the full chunk is fetched, so quiescent sets cost one tiny read
-  // instead of the whole data chunk. Server CPU stays uncharged throughout.
+  // One-sided batch pull over the pinned sets: the same ServeBatchEntry
+  // answers as the two-sided transports, but read straight out of the
+  // registered memory, so server CPU stays uncharged throughout. The gate is
+  // modeled as an 8-byte read of the header's generation number, so a
+  // quiescent set costs one tiny read instead of the whole data chunk.
   void UpdateBatch(const std::vector<BatchUpdateSpec>& specs,
                    std::vector<BatchUpdateResult>* results) override {
     const std::size_t n = specs.size();
@@ -125,6 +111,8 @@ class RdmaEndpoint final : public Endpoint {
     if (n == 0) return;
     stats_.updates.fetch_add(n, std::memory_order_relaxed);
     stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
+    // A dead peer means the "NIC" no longer responds, even though the
+    // pinned memory is still reachable in-process.
     if (closed_ || !node_->alive()) {
       const Status down = closed_
                               ? Status{ErrorCode::kDisconnected,
@@ -135,51 +123,39 @@ class RdmaEndpoint final : public Endpoint {
       for (auto& r : *results) r.status = down;
       return;
     }
+    const bool accept_delta = delta_updates();
     for (std::size_t i = 0; i < n; ++i) {
       BatchUpdateResult& r = (*results)[i];
-      r.batched = true;
-      auto it = pinned_.find(specs[i].instance);
-      if (it == pinned_.end()) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        r.status = {ErrorCode::kNotFound,
-                    "set not looked up: " + specs[i].instance};
-        continue;
+      auto it = pinned_.find(specs[i].handle);
+      const MetricSet* target =
+          it == pinned_.end() ? nullptr : it->second.get();
+      if (target != nullptr) {
+        if (options_.read_latency_ns > 0) SpinFor(options_.read_latency_ns);
+        stats_.bytes_rx.fetch_add(8, std::memory_order_relaxed);  // gate read
       }
-      const MetricSet& target = *it->second;
-      // Gate read: one header-word fetch.
-      if (options_.read_latency_ns > 0) SpinFor(options_.read_latency_ns);
-      stats_.bytes_rx.fetch_add(8, std::memory_order_relaxed);
-      if (target.data_gn() == specs[i].last_dgn && target.consistent()) {
-        r.status = Status::Ok();
-        r.unchanged = true;
-        stats_.updates_unchanged.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (options_.read_latency_ns > 0) SpinFor(options_.read_latency_ns);
-      // Delta read: the extent table lives beside the pinned chunk, so a
-      // one-sided reader can pull just the changed bytes when the set
-      // advanced exactly one transaction. Still no server CPU charged.
-      if (delta_updates()) {
-        ByteWriter dw(&r.data);
-        if (target.SnapshotDelta(specs[i].last_dgn, dw).ok()) {
-          r.status = Status::Ok();
-          r.delta = true;
+      ByteWriter out(&r.data);
+      const ServedEntry served =
+          ServeBatchEntry(target, specs[i].last_dgn, accept_delta, out);
+      served.CountInto(&stats_);
+      switch (served.kind) {
+        case BatchEntryKind::kUnchanged:
+          r.unchanged = true;
+          break;
+        case BatchEntryKind::kError:
+          stats_.errors.fetch_add(1, std::memory_order_relaxed);
+          r.status = {served.error, served.error == ErrorCode::kNotFound
+                                        ? "unknown set handle"
+                                        : "batch entry failed"};
+          break;
+        case BatchEntryKind::kDelta:
+        case BatchEntryKind::kData:
+          // The extent table lives beside the pinned chunk, so a delta is
+          // one read of just the changed bytes.
+          if (options_.read_latency_ns > 0) SpinFor(options_.read_latency_ns);
+          r.delta = served.kind == BatchEntryKind::kDelta;
           stats_.bytes_rx.fetch_add(r.data.size(), std::memory_order_relaxed);
-          stats_.updates_delta.fetch_add(1, std::memory_order_relaxed);
-          stats_.delta_bytes_saved.fetch_add(
-              target.data_size() - r.data.size(), std::memory_order_relaxed);
-          continue;
-        }
-        r.data.clear();
+          break;
       }
-      r.data.resize(target.data_size());
-      r.status = target.SnapshotData(r.data);
-      if (!r.status.ok()) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        r.data.clear();
-        continue;
-      }
-      stats_.bytes_rx.fetch_add(r.data.size(), std::memory_order_relaxed);
     }
   }
 
@@ -194,7 +170,7 @@ class RdmaEndpoint final : public Endpoint {
  private:
   std::shared_ptr<FabricNode> node_;
   RdmaOptions options_;
-  std::unordered_map<std::string, MetricSetPtr> pinned_;
+  std::unordered_map<std::uint32_t, MetricSetPtr> pinned_;  // by handle
   bool closed_ = false;
 };
 

@@ -6,9 +6,11 @@
 //
 //  * Dir/Lookup/Advertise are two-sided (they hit the handler, like sock).
 //  * At lookup time the endpoint "registers" the remote set's memory by
-//    taking a shared_ptr to the MetricSet itself.
-//  * Update copies the data chunk straight out of that memory with the
-//    seqlock snapshot — zero handler involvement, zero target CPU charged.
+//    resolving the set's handle once and keeping a shared_ptr to the
+//    MetricSet itself, keyed by that handle.
+//  * UpdateBatch serves each handle straight out of that memory with the
+//    same ServeBatchEntry policy the two-sided transports run — zero
+//    handler involvement, zero target CPU charged.
 //
 // The rdma and ugni flavors differ only in their option envelope (modeled
 // per-op latency, fan-in guidance), matching the paper's observation that

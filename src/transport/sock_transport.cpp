@@ -77,66 +77,6 @@ constexpr int kPollSliceMs = 20;
 /// so draining N buffered frames costs one memmove, not N.
 constexpr std::size_t kCompactBytes = 256 << 10;
 
-// Append-encode helpers: the server encodes response frames straight into a
-// per-connection arena (and the client its request frames into a reusable
-// scratch), so the steady-state collect cycle reuses capacity instead of
-// allocating a vector per frame.
-
-template <typename T>
-void AppendScalar(std::vector<std::byte>& buf, T v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-void AppendU8(std::vector<std::byte>& buf, std::uint8_t v) {
-  AppendScalar(buf, v);
-}
-void AppendU16(std::vector<std::byte>& buf, std::uint16_t v) {
-  AppendScalar(buf, v);
-}
-void AppendU32(std::vector<std::byte>& buf, std::uint32_t v) {
-  AppendScalar(buf, v);
-}
-void AppendU64(std::vector<std::byte>& buf, std::uint64_t v) {
-  AppendScalar(buf, v);
-}
-
-void AppendRaw(std::vector<std::byte>& buf, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::byte*>(data);
-  buf.insert(buf.end(), p, p + n);
-}
-
-/// u32-length-prefixed byte field (ByteWriter::Bytes wire form).
-void AppendBytesField(std::vector<std::byte>& buf,
-                      std::span<const std::byte> data) {
-  AppendU32(buf, static_cast<std::uint32_t>(data.size()));
-  AppendRaw(buf, data.data(), data.size());
-}
-
-/// u16-length-prefixed string (ByteWriter::Str wire form).
-void AppendStrField(std::vector<std::byte>& buf, std::string_view s) {
-  AppendU16(buf, static_cast<std::uint16_t>(s.size()));
-  AppendRaw(buf, s.data(), s.size());
-}
-
-/// Start a frame in @p buf: header with a zero payload_len placeholder.
-/// Returns the offset of the frame for EndFrame to patch.
-std::size_t BeginFrame(std::vector<std::byte>& buf, MsgType type,
-                       std::uint64_t request_id) {
-  const std::size_t start = buf.size();
-  AppendU32(buf, 0);
-  AppendU8(buf, static_cast<std::uint8_t>(type));
-  AppendU64(buf, request_id);
-  return start;
-}
-
-/// Back-patch the payload length once the payload is fully appended.
-void EndFrame(std::vector<std::byte>& buf, std::size_t frame_start) {
-  const std::uint32_t len = static_cast<std::uint32_t>(
-      buf.size() - frame_start - kFrameHeaderSize);
-  std::memcpy(buf.data() + frame_start, &len, 4);
-}
-
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
@@ -202,9 +142,6 @@ class SockListener final : public Listener {
     /// compacted lazily, so steady state reuses its capacity.
     std::vector<std::byte> wbuf;
     std::size_t woff = 0;
-    /// Scratch for handler payloads (lookup metadata, legacy update chunks);
-    /// reused across frames so the per-response allocation disappears.
-    std::vector<std::byte> scratch;
   };
 
   void Stop() {
@@ -330,137 +267,56 @@ class SockListener final : public Listener {
     return true;
   }
 
-  // Responses are encoded straight into conn.wbuf (header placeholder first,
-  // payload appended in place, length back-patched) — no per-response vector,
-  // and batch data chunks are snapshotted directly into the frame.
+  // Responses are encoded straight into conn.wbuf by the message module's
+  // writers (header first, payload appended in place, length back-patched)
+  // — no per-response vector, and batch data chunks are snapshotted
+  // directly into the frame.
   void HandleFrame(int fd, Conn& conn, const FrameHeader& hdr,
                    std::span<const std::byte> payload) {
     const std::uint64_t t0 = NowSteadyNs();
-    std::vector<std::byte>& out = conn.wbuf;
-    const std::size_t frame_start = out.size();
+    const std::size_t frame_start = conn.wbuf.size();
+    ByteWriter out(&conn.wbuf);
+    MsgType resp_type = MsgType::kDirResp;
     switch (hdr.type) {
-      case MsgType::kDirReq: {
-        BeginFrame(out, MsgType::kDirResp, hdr.request_id);
-        AppendU8(out, 0);  // code
-        const auto instances = handler_->HandleDir();
-        AppendU32(out, static_cast<std::uint32_t>(instances.size()));
-        for (const auto& name : instances) AppendStrField(out, name);
+      case MsgType::kDirReq:
+        resp_type = MsgType::kDirResp;
+        BeginFrame(out, resp_type, hdr.request_id);
+        WriteDirResponse(out, {0, handler_->HandleDir()});
         break;
-      }
       case MsgType::kLookupReq: {
-        LookupRequest req;
-        BeginFrame(out, MsgType::kLookupResp, hdr.request_id);
-        std::uint32_t handle = kInvalidSetHandle;
-        if (!DecodeLookupRequest(payload, &req)) {
-          AppendU8(out,
-                   static_cast<std::uint8_t>(ErrorCode::kInvalidArgument));
-          AppendU32(out, 0);  // empty metadata
-        } else {
-          conn.scratch.clear();
-          Status st = handler_->HandleLookup(req.instance, &conn.scratch);
-          AppendU8(out, static_cast<std::uint8_t>(st.code()));
-          AppendBytesField(out, st.ok()
-                                    ? std::span<const std::byte>(conn.scratch)
-                                    : std::span<const std::byte>{});
-          if (st.ok()) handle = handler_->HandleAssignHandle(req.instance);
-        }
-        // Trailing extension: protocol version + the set handle the batch
-        // path addresses this set by. A legacy handler assigns no handle and
-        // the peer stays on per-set updates.
-        AppendU8(out, handle != kInvalidSetHandle ? kBatchProtocolVersion
-                                                  : std::uint8_t{0});
-        AppendU32(out, handle);
+        resp_type = MsgType::kLookupResp;
+        BeginFrame(out, resp_type, hdr.request_id);
+        WriteLookupResponse(out, AnswerLookup(payload));
         stats_.lookups.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      case MsgType::kUpdateReq: {
-        UpdateRequest req;
-        BeginFrame(out, MsgType::kUpdateResp, hdr.request_id);
-        if (!DecodeUpdateRequest(payload, &req)) {
-          AppendU8(out,
-                   static_cast<std::uint8_t>(ErrorCode::kInvalidArgument));
-          AppendU32(out, 0);
-        } else {
-          conn.scratch.clear();
-          Status st = handler_->HandleUpdate(req.instance, &conn.scratch);
-          AppendU8(out, static_cast<std::uint8_t>(st.code()));
-          AppendBytesField(out, st.ok()
-                                    ? std::span<const std::byte>(conn.scratch)
-                                    : std::span<const std::byte>{});
-        }
-        stats_.updates.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
       case MsgType::kUpdateBatchReq: {
+        resp_type = MsgType::kUpdateBatchResp;
+        BeginFrame(out, resp_type, hdr.request_id);
         UpdateBatchRequest req;
-        BeginFrame(out, MsgType::kUpdateBatchResp, hdr.request_id);
         if (!DecodeUpdateBatchRequest(payload, &req)) {
-          AppendU8(out,
-                   static_cast<std::uint8_t>(ErrorCode::kInvalidArgument));
-          AppendU32(out, 0);  // whole-request failure: no entries
+          // Whole-request failure: no entries.
+          WriteUpdateBatchResponseHeader(
+              out, static_cast<std::uint8_t>(ErrorCode::kInvalidArgument), 0);
           break;
         }
         stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
         stats_.updates.fetch_add(req.entries.size(),
                                  std::memory_order_relaxed);
-        AppendU8(out, 0);
-        AppendU32(out, static_cast<std::uint32_t>(req.entries.size()));
+        WriteUpdateBatchResponseHeader(out, 0, req.entries.size());
         for (const auto& e : req.entries) {
-          AppendU32(out, e.handle);
-          const std::size_t kind_pos = out.size();
-          MetricSetPtr set = handler_->HandleResolveHandle(e.handle);
-          if (set == nullptr) {
-            AppendU8(out, static_cast<std::uint8_t>(BatchEntryKind::kError));
-            AppendU8(out, static_cast<std::uint8_t>(ErrorCode::kNotFound));
-            continue;
-          }
-          // DGN gate: the chunk the peer already consumed — answer with the
-          // 5-byte marker instead of the data.
-          if (set->data_gn() == e.last_dgn && set->consistent()) {
-            AppendU8(out,
-                     static_cast<std::uint8_t>(BatchEntryKind::kUnchanged));
-            stats_.updates_unchanged.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          // Delta gather-encode, only for clients that declared they can
-          // decode it: the changed extents go straight from the live chunk
-          // into the connection's write buffer. Any failure (gn gap, torn
-          // snapshot, delta not smaller) rolls the entry back and falls
-          // through to the full chunk.
-          if (req.version >= kDeltaProtocolVersion) {
-            AppendU8(out, static_cast<std::uint8_t>(BatchEntryKind::kDelta));
-            const std::size_t len_pos = out.size();
-            AppendU32(out, 0);  // payload length, patched below
-            const std::size_t payload_pos = out.size();
-            ByteWriter dw(&out);
-            if (set->SnapshotDelta(e.last_dgn, dw).ok()) {
-              const auto dlen =
-                  static_cast<std::uint32_t>(out.size() - payload_pos);
-              std::memcpy(out.data() + len_pos, &dlen, 4);
-              stats_.updates_delta.fetch_add(1, std::memory_order_relaxed);
-              stats_.delta_bytes_saved.fetch_add(set->data_size() - dlen,
-                                                 std::memory_order_relaxed);
-              continue;
-            }
-            out.resize(kind_pos);
-          }
-          // Gather-encode: reserve the chunk inside the frame and snapshot
-          // the live set straight into it.
-          AppendU8(out, static_cast<std::uint8_t>(BatchEntryKind::kData));
-          const std::size_t size = set->data_size();
-          AppendU32(out, static_cast<std::uint32_t>(size));
-          const std::size_t data_pos = out.size();
-          out.resize(data_pos + size);
-          Status st = set->SnapshotData({out.data() + data_pos, size});
-          if (!st.ok()) {
-            out.resize(kind_pos);  // roll the partial entry back
-            AppendU8(out, static_cast<std::uint8_t>(BatchEntryKind::kError));
-            AppendU8(out, static_cast<std::uint8_t>(st.code()));
-          }
+          const std::size_t entry = BeginBatchEntry(out, e.handle);
+          const MetricSetPtr set = handler_->HandleResolveHandle(e.handle);
+          const ServedEntry served =
+              ServeBatchEntry(set.get(), e.last_dgn, req.accept_delta, out);
+          EndBatchEntry(out, entry, served.kind,
+                        static_cast<std::uint8_t>(served.error));
+          served.CountInto(&stats_);
         }
         break;
       }
       case MsgType::kQueryReq: {
+        resp_type = MsgType::kQueryResp;
         QueryRequest req;
         QueryResponse resp;
         if (!DecodeQueryRequest(payload, &req)) {
@@ -469,9 +325,8 @@ class SockListener final : public Listener {
         } else {
           handler_->HandleQuery(req, &resp);
         }
-        BeginFrame(out, MsgType::kQueryResp, hdr.request_id);
-        const auto body = EncodeQueryResponse(resp);
-        out.insert(out.end(), body.begin(), body.end());
+        BeginFrame(out, resp_type, hdr.request_id);
+        WriteQueryResponse(out, resp);
         break;
       }
       case MsgType::kAdvertise: {
@@ -484,12 +339,39 @@ class SockListener final : public Listener {
       default:
         return;  // unknown frame: drop
     }
-    EndFrame(out, frame_start);
+    if (!out.ok()) {
+      // An answer the writer could not encode (a string past its u16 length
+      // prefix) goes out as a lone error code instead of corrupt bytes; every
+      // response decoder rejects it, so the client fails just this request.
+      conn.wbuf.resize(frame_start);
+      ByteWriter err(&conn.wbuf);
+      BeginFrame(err, resp_type, hdr.request_id);
+      err.U8(static_cast<std::uint8_t>(ErrorCode::kInternal));
+      EndFrame(err, frame_start);
+    } else {
+      EndFrame(out, frame_start);
+    }
     stats_.server_cpu_ns.fetch_add(NowSteadyNs() - t0,
                                    std::memory_order_relaxed);
-    stats_.bytes_tx.fetch_add(out.size() - frame_start,
+    stats_.bytes_tx.fetch_add(conn.wbuf.size() - frame_start,
                               std::memory_order_relaxed);
     FlushConn(fd);
+  }
+
+  /// Answer one lookup request: the metadata plus the set's batch handle.
+  LookupResponse AnswerLookup(std::span<const std::byte> payload) {
+    LookupResponse resp;
+    LookupRequest req;
+    Status st = DecodeLookupRequest(payload, &req)
+                    ? handler_->HandleLookup(req.instance, &resp.metadata)
+                    : Status{ErrorCode::kInvalidArgument, "bad lookup"};
+    if (st.ok()) resp.handle = handler_->HandleAssignHandle(req.instance);
+    if (st.ok() && resp.handle == kInvalidSetHandle) {
+      st = {ErrorCode::kNotFound, "no such set"};
+    }
+    if (!st.ok()) resp = LookupResponse{};
+    resp.code = static_cast<std::uint8_t>(st.code());
+    return resp;
   }
 
   void FlushConn(int fd) {
@@ -542,9 +424,9 @@ class SockListener final : public Listener {
 // without waiting; a dedicated reader thread parses response frames and
 // completes requests out of order by id. Each request carries a deadline
 // (Endpoint::request_timeout); the reader expires overdue requests with
-// kTimeout so a stalled peer cannot wedge a caller forever. Synchronous
-// Dir/Lookup/UpdateRaw are thin block-on-completion wrappers, which is what
-// makes concurrent sync calls from many threads multiplex onto one socket.
+// kTimeout so a stalled peer cannot wedge a caller forever. Dir, LookupEx,
+// UpdateBatch and RemoteQuery block on their own completion, so concurrent
+// calls from many threads multiplex onto one socket.
 class SockEndpoint final : public Endpoint {
  public:
   explicit SockEndpoint(int fd) : fd_(fd) {
@@ -581,48 +463,6 @@ class SockEndpoint final : public Endpoint {
     return Status::Ok();
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
-    return WaitFor(
-        [&](AsyncHandler done) { LookupAsync(instance, std::move(done)); },
-        metadata);
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    return WaitFor(
-        [&](AsyncHandler done) { UpdateAsync(instance, std::move(done)); },
-        data);
-  }
-
-  void LookupAsync(const std::string& instance,
-                   AsyncHandler handler) override {
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    SubmitRequest(
-        MsgType::kLookupReq, EncodeLookupRequest({instance}),
-        MsgType::kLookupResp,
-        [this, handler = std::move(handler)](Status st,
-                                             std::vector<std::byte> payload) {
-          if (!st.ok()) {
-            handler(std::move(st), {});
-            return;
-          }
-          LookupResponse resp;
-          if (!DecodeLookupResponse(payload, &resp)) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({ErrorCode::kInternal, "bad lookup response"}, {});
-            return;
-          }
-          BumpPeerVersion(resp.version);
-          if (resp.code != 0) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({static_cast<ErrorCode>(resp.code), "lookup failed"}, {});
-            return;
-          }
-          handler(Status::Ok(), std::move(resp.metadata));
-        });
-  }
-
   Status LookupEx(const std::string& instance,
                   std::vector<std::byte>* metadata,
                   LookupExtra* extra) override {
@@ -641,15 +481,11 @@ class SockEndpoint final : public Endpoint {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return {ErrorCode::kInternal, "bad lookup response"};
     }
-    BumpPeerVersion(resp.version);
     if (resp.code != 0) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return {static_cast<ErrorCode>(resp.code), "lookup failed"};
     }
-    if (extra != nullptr) {
-      extra->version = resp.version;
-      extra->handle = resp.handle;
-    }
+    if (extra != nullptr) extra->handle = resp.handle;
     *metadata = std::move(resp.metadata);
     return Status::Ok();
   }
@@ -659,97 +495,38 @@ class SockEndpoint final : public Endpoint {
     const std::size_t n = specs.size();
     results->assign(n, BatchUpdateResult{});
     if (n == 0) return;
-    const bool peer_batches =
-        peer_version_.load(std::memory_order_relaxed) >=
-        kMinBatchProtocolVersion;
-    // Partition: handle-addressed specs ride in one kUpdateBatchReq frame;
-    // the rest (no handle, legacy peer, or a duplicated handle — the reply
-    // is keyed by handle, so a dup would be ambiguous) fall back to per-set
-    // update frames. Everything is corked into a single send either way.
-    std::vector<std::size_t> batch_idx;
-    std::vector<std::size_t> fallback_idx;
+    // The reply is keyed by handle, so each handle rides once; a repeat
+    // would make the server reject the whole frame, so it fails alone.
+    UpdateBatchRequest req;
+    req.accept_delta = delta_updates();
+    req.entries.reserve(n);
     std::unordered_map<std::uint32_t, std::size_t> by_handle;
-    batch_idx.reserve(n);
     by_handle.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (peer_batches && specs[i].handle != kInvalidSetHandle &&
-          by_handle.emplace(specs[i].handle, i).second) {
-        batch_idx.push_back(i);
-      } else {
-        fallback_idx.push_back(i);
-      }
-    }
-    struct Harvest {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t remaining;
-    } harvest{.remaining = fallback_idx.size() + (batch_idx.empty() ? 0 : 1)};
-    CorkWrites();
-    if (!batch_idx.empty()) {
-      UpdateBatchRequest req;
-      // Declare v2 (delta-capable) unless the knob forces full chunks; the
-      // server never sends kDelta to a lower declared revision.
-      req.version =
-          delta_updates() ? kBatchProtocolVersion : kMinBatchProtocolVersion;
-      req.entries.reserve(batch_idx.size());
-      for (const std::size_t i : batch_idx) {
+      if (by_handle.emplace(specs[i].handle, i).second) {
         req.entries.push_back({specs[i].handle, specs[i].last_dgn});
+      } else {
+        (*results)[i].status = {ErrorCode::kInvalidArgument,
+                                "handle repeated in one batch"};
       }
-      stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
-      stats_.updates.fetch_add(batch_idx.size(), std::memory_order_relaxed);
-      // &-captures are safe: UpdateBatch blocks on the harvest until every
-      // completion (reader thread or inline failure) has run.
-      SubmitRequest(
-          MsgType::kUpdateBatchReq, EncodeUpdateBatchRequest(req),
-          MsgType::kUpdateBatchResp,
-          [this, results, &harvest, &batch_idx, &by_handle](
-              Status st, std::vector<std::byte> payload) {
-            CompleteBatch(std::move(st), payload, batch_idx, by_handle,
-                          results);
-            std::lock_guard<std::mutex> lock(harvest.mu);
-            if (--harvest.remaining == 0) harvest.cv.notify_all();
-          });
     }
-    for (const std::size_t i : fallback_idx) {
-      UpdateAsync(specs[i].instance,
-                  [results, &harvest, i](Status st,
-                                         std::vector<std::byte> data) {
-                    (*results)[i].status = std::move(st);
-                    (*results)[i].data = std::move(data);
-                    std::lock_guard<std::mutex> lock(harvest.mu);
-                    if (--harvest.remaining == 0) harvest.cv.notify_all();
-                  });
-    }
-    UncorkWrites();
-    std::unique_lock<std::mutex> lock(harvest.mu);
-    harvest.cv.wait(lock, [&harvest] { return harvest.remaining == 0; });
-  }
-
-  void UpdateAsync(const std::string& instance,
-                   AsyncHandler handler) override {
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    SubmitRequest(
-        MsgType::kUpdateReq, EncodeUpdateRequest({instance}),
-        MsgType::kUpdateResp,
-        [this, handler = std::move(handler)](Status st,
-                                             std::vector<std::byte> payload) {
-          if (!st.ok()) {
-            handler(std::move(st), {});
-            return;
-          }
-          UpdateResponse resp;
-          if (!DecodeUpdateResponse(payload, &resp)) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({ErrorCode::kInternal, "bad update response"}, {});
-            return;
-          }
-          if (resp.code != 0) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({static_cast<ErrorCode>(resp.code), "update failed"}, {});
-            return;
-          }
-          handler(Status::Ok(), std::move(resp.data));
-        });
+    stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
+    stats_.updates.fetch_add(req.entries.size(), std::memory_order_relaxed);
+    // The response is decoded into the result slots on the reader thread as
+    // it arrives; the caller only waits for that to finish.
+    (void)WaitFor(
+        [&](AsyncHandler done) {
+          SubmitRequest(MsgType::kUpdateBatchReq,
+                        EncodeUpdateBatchRequest(req),
+                        MsgType::kUpdateBatchResp,
+                        [&, done = std::move(done)](
+                            Status st, std::vector<std::byte> payload) {
+                          CompleteBatch(std::move(st), payload, by_handle,
+                                        results);
+                          done(Status::Ok(), {});
+                        });
+        },
+        nullptr);
   }
 
   Status RemoteQuery(const QueryRequest& req, QueryResponse* resp) override {
@@ -772,29 +549,6 @@ class SockEndpoint final : public Endpoint {
               resp->error.empty() ? "query failed" : resp->error};
     }
     return Status::Ok();
-  }
-
-  void CorkWrites() override {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    corked_ = true;
-  }
-
-  void UncorkWrites() override {
-    Status st = Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      corked_ = false;
-      if (!cork_buf_.empty()) {
-        const DurationNs timeout = request_timeout();
-        const std::uint64_t deadline =
-            timeout > 0 ? NowSteadyNs() + timeout : 0;
-        st = SendFrame(cork_buf_.data(), cork_buf_.size(), deadline);
-        cork_buf_.clear();
-      }
-    }
-    // A failed flush leaves the stream position unknown; the connection is
-    // unusable either way. Shutdown fails the batch's pending requests.
-    if (!st.ok()) Shutdown({ErrorCode::kDisconnected, st.message()});
   }
 
   Status Advertise(const AdvertiseMsg& msg) override {
@@ -843,23 +597,14 @@ class SockEndpoint final : public Endpoint {
     return waiter.st;
   }
 
-  void BumpPeerVersion(std::uint8_t v) {
-    std::uint8_t cur = peer_version_.load(std::memory_order_relaxed);
-    while (v > cur && !peer_version_.compare_exchange_weak(
-                          cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
   /// Map a kUpdateBatchResp payload (or a whole-batch failure) back onto the
-  /// spec-indexed result slots listed in @p batch_idx.
+  /// result slot of each handle in @p by_handle.
   void CompleteBatch(Status st, std::span<const std::byte> payload,
-                     const std::vector<std::size_t>& batch_idx,
                      const std::unordered_map<std::uint32_t, std::size_t>&
                          by_handle,
                      std::vector<BatchUpdateResult>* results) {
-    for (const std::size_t i : batch_idx) (*results)[i].batched = true;
     auto fail_all = [&](const Status& why) {
-      for (const std::size_t i : batch_idx) (*results)[i].status = why;
+      for (const auto& [handle, i] : by_handle) (*results)[i].status = why;
     };
     if (!st.ok()) {
       fail_all(st);
@@ -903,7 +648,10 @@ class SockEndpoint final : public Endpoint {
           stats_.updates_delta.fetch_add(1, std::memory_order_relaxed);
           break;
         case BatchEntryKind::kError:
-          r.status = {static_cast<ErrorCode>(e.code), "batch entry failed"};
+          r.status = {static_cast<ErrorCode>(e.code),
+                      e.code == static_cast<std::uint8_t>(ErrorCode::kNotFound)
+                          ? "unknown set handle"
+                          : "batch entry failed"};
           break;
       }
     }
@@ -933,22 +681,13 @@ class SockEndpoint final : public Endpoint {
     Status st;
     {
       std::lock_guard<std::mutex> lock(write_mu_);
-      if (corked_) {
-        // Batched issue (UpdateAll/UpdateBatch): append the frame to the
-        // cork buffer; UncorkWrites flushes the whole batch as one send.
-        const std::size_t start = BeginFrame(cork_buf_, type, id);
-        AppendRaw(cork_buf_, payload.data(), payload.size());
-        EndFrame(cork_buf_, start);
-        stats_.bytes_tx.fetch_add(cork_buf_.size() - start,
-                                  std::memory_order_relaxed);
-        return;
-      }
       // Encode into the reusable scratch (capacity kept across requests) so
       // the steady-state request path does not allocate.
       frame_scratch_.clear();
-      const std::size_t start = BeginFrame(frame_scratch_, type, id);
-      AppendRaw(frame_scratch_, payload.data(), payload.size());
-      EndFrame(frame_scratch_, start);
+      ByteWriter w(&frame_scratch_);
+      const std::size_t start = BeginFrame(w, type, id);
+      w.Raw(payload.data(), payload.size());
+      EndFrame(w, start);
       stats_.bytes_tx.fetch_add(frame_scratch_.size(),
                                 std::memory_order_relaxed);
       st = SendFrame(frame_scratch_.data(), frame_scratch_.size(), deadline);
@@ -1147,16 +886,8 @@ class SockEndpoint final : public Endpoint {
   std::atomic<std::uint64_t> next_id_{1};
   std::mutex mu_;  // guards pending_ and the closed_ transition
   std::unordered_map<std::uint64_t, Pending> pending_;
-  std::mutex write_mu_;  // serializes whole-frame writes; guards cork state
-  bool corked_ = false;
-  std::vector<std::byte> cork_buf_;
+  std::mutex write_mu_;  // serializes whole-frame writes
   std::vector<std::byte> frame_scratch_;  // guarded by write_mu_
-  /// Highest batch protocol version the peer has advertised in a lookup
-  /// response. 0 until the first successful lookup (or forever, against a
-  /// legacy peer) — and UpdateBatch only emits kUpdateBatchReq at >= 1,
-  /// because an old server silently drops unknown frame types and the
-  /// request would die by timeout instead of falling back.
-  std::atomic<std::uint8_t> peer_version_{0};
   std::thread reader_;
 };
 

@@ -6,9 +6,10 @@
 // waiting, while a per-endpoint reader thread completes them out of order
 // as response frames arrive. Each request carries a deadline
 // (Endpoint::set_request_timeout) and completes with kTimeout if the peer
-// stalls; late responses are dropped by id. Synchronous calls are
-// submit-and-wait wrappers over the async path, so an aggregator can keep
-// dozens of updates in flight on one connection (see Endpoint::UpdateAll).
+// stalls; late responses are dropped by id. Every call is a submit-and-wait
+// wrapper over that path, so concurrent callers (an aggregator's collection
+// threads, query fan-outs) share one connection; an aggregator's whole
+// per-producer pull is one kUpdateBatchReq frame (Endpoint::UpdateBatch).
 //
 // Addresses are "host:port"; host is resolved as a dotted quad or
 // "localhost". For listeners, "*" or an empty host binds INADDR_ANY; for

@@ -69,38 +69,25 @@ class ServiceHandler {
   virtual Status HandleLookup(const std::string& instance,
                               std::vector<std::byte>* metadata) = 0;
 
-  /// Snapshot the data chunk for @p instance into @p data.
-  virtual Status HandleUpdate(const std::string& instance,
-                              std::vector<std::byte>* data) = 0;
-
   /// A producer announced itself and asks to be collected from via
   /// @p dialback (asymmetric-network support). Default: ignore.
   virtual void HandleAdvertise(const AdvertiseMsg& msg) { (void)msg; }
 
-  /// RDMA transports pin the set itself and read its memory directly.
-  /// Returns nullptr when the instance is unknown.
-  virtual MetricSetPtr HandleRdmaExpose(const std::string& instance) = 0;
-
-  /// Assign (or return the existing) compact handle for @p instance, used by
-  /// the batch update protocol to address sets without instance-name strings.
-  /// The default keeps legacy handlers at protocol version 0: no handle is
-  /// assigned, so clients fall back to per-set updates.
-  virtual std::uint32_t HandleAssignHandle(const std::string& instance) {
-    (void)instance;
-    return kInvalidSetHandle;
-  }
+  /// Assign (or return the existing) compact handle for @p instance, which
+  /// batch updates address the set by; kInvalidSetHandle when the instance
+  /// is unknown.
+  virtual std::uint32_t HandleAssignHandle(const std::string& instance) = 0;
 
   /// Resolve a handle previously returned by HandleAssignHandle back to the
   /// live set. Returns nullptr for unknown/stale handles (e.g. the set was
-  /// removed); batch serving turns that into a per-entry kNotFound.
-  virtual MetricSetPtr HandleResolveHandle(std::uint32_t handle) {
-    (void)handle;
-    return nullptr;
-  }
+  /// removed); batch serving turns that into a per-entry kNotFound. RDMA
+  /// transports resolve once at lookup and pin the set, so their pulls never
+  /// come back here.
+  virtual MetricSetPtr HandleResolveHandle(std::uint32_t handle) = 0;
 
   /// Run a tsdb predicate against this daemon's local store (tree-sharded
-  /// query fan-out). The default keeps legacy handlers honest: the whole
-  /// request fails with kUnsupported, which a fanning-out root counts as a
+  /// query fan-out). The default, for handlers without a store, fails the
+  /// whole request with kUnsupported, which a fanning-out root counts as a
   /// failed leaf rather than a transport error.
   virtual void HandleQuery(const QueryRequest& req, QueryResponse* resp) {
     (void)req;
@@ -115,14 +102,14 @@ class ServiceHandler {
 constexpr DurationNs kDefaultRequestTimeoutNs = 5 * kNsPerSec;
 
 /// Completion of an async request: the status plus the decoded response
-/// body — serialized metadata for lookups, the raw data chunk for updates
-/// (empty on failure). Handlers run on the transport's completion context
-/// (the sock endpoint's reader thread; inline for transports without an
-/// async engine), so they must be quick and must not block waiting for
-/// further completions from the same endpoint.
+/// body (empty on failure). Handlers run on the transport's completion
+/// context, so they must be quick and must not block waiting for further
+/// completions from the same endpoint.
 using AsyncHandler = std::function<void(Status, std::vector<std::byte>)>;
 
-/// Client side of a connection to one peer.
+/// Client side of a connection to one peer. Data moves one way only: look a
+/// set up once (LookupEx: metadata plus the handle the peer assigned), then
+/// pull every set of the peer each interval with one UpdateBatch.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -133,43 +120,19 @@ class Endpoint {
   /// Set discovery (flow preceding lookup).
   virtual Status Dir(std::vector<std::string>* instances) = 0;
 
-  /// Fetch serialized metadata for @p instance (Figure 2 flows {a}-{b}).
-  virtual Status Lookup(const std::string& instance,
-                        std::vector<std::byte>* metadata) = 0;
-
-  /// Pull the raw data chunk for @p instance without applying it anywhere
-  /// (flows {e}-{g}). Implementations must only move the data chunk, never
-  /// the metadata.
-  virtual Status UpdateRaw(const std::string& instance,
-                           std::vector<std::byte>* data) = 0;
-
-  /// Pull the current data chunk for @p instance into @p mirror: UpdateRaw
-  /// plus MetricSet::ApplyData.
-  Status Update(const std::string& instance, MetricSet& mirror);
-
-  /// Async metadata fetch. The base implementation completes inline via the
-  /// synchronous path; pipelined transports (sock) override it.
-  virtual void LookupAsync(const std::string& instance, AsyncHandler handler);
-
-  /// Async data pull; delivers the raw data chunk, the caller applies it.
-  /// Base implementation completes inline via UpdateRaw.
-  virtual void UpdateAsync(const std::string& instance, AsyncHandler handler);
-
-  /// Extra fields carried in the trailing bytes of a lookup response.
+  /// Extra fields carried in a lookup response besides the metadata.
   struct LookupExtra {
-    std::uint8_t version = 0;  // peer's batch protocol version (0 = legacy)
     std::uint32_t handle = kInvalidSetHandle;
   };
 
-  /// Lookup that also surfaces the peer's protocol version and the compact
-  /// set handle it assigned. The base implementation delegates to Lookup()
-  /// and reports a legacy peer (version 0, no handle).
+  /// Fetch serialized metadata for @p instance and the handle the peer
+  /// assigned to it (Figure 2 flows {a}-{b}). @p extra may be null.
   virtual Status LookupEx(const std::string& instance,
-                          std::vector<std::byte>* metadata, LookupExtra* extra);
+                          std::vector<std::byte>* metadata,
+                          LookupExtra* extra) = 0;
 
   /// One set's slot in a batched pull.
   struct BatchUpdateSpec {
-    std::string instance;  // fallback addressing for legacy peers
     std::uint32_t handle = kInvalidSetHandle;
     std::uint64_t last_dgn = 0;  // DGN the caller last consumed
   };
@@ -178,29 +141,21 @@ class Endpoint {
   struct BatchUpdateResult {
     Status status;
     bool unchanged = false;  // peer answered with the 5-byte DGN-gate marker
-    bool batched = false;    // travelled in a kUpdateBatchReq frame
     /// data holds a delta payload (apply with MetricSet::ApplyDelta) rather
     /// than a full data chunk.
     bool delta = false;
     std::vector<std::byte> data;  // data chunk; empty if unchanged or failed
   };
 
-  /// Pull every spec in as few wire round-trips as the transport allows.
-  /// Batch-capable transports put all handle-addressed specs in one
-  /// kUpdateBatchReq frame (when the peer negotiated version >= 1) and fall
-  /// back to per-set UpdateAsync for the rest; the base implementation is
-  /// that fallback alone. Synchronous: returns once every result is filled,
+  /// Pull every spec in one kUpdateBatchReq round trip (flows {e}-{g}): per
+  /// handle the peer answers unchanged, a delta, the full data chunk, or a
+  /// per-entry error (kNotFound for an unknown handle), as ServeBatchEntry
+  /// decides. Handles must be distinct within one call, because the wire
+  /// response is keyed by handle; sock fails a repeated handle alone with
+  /// kInvalidArgument. Synchronous: returns once every result is filled,
   /// in spec order.
   virtual void UpdateBatch(const std::vector<BatchUpdateSpec>& specs,
-                           std::vector<BatchUpdateResult>* results);
-
-  /// Batch helper: pull every instances[i] and apply it into *mirrors[i]
-  /// (a null mirror skips the apply). Built on UpdateBatch, so transports
-  /// with a batch path use it automatically; returns per-instance statuses
-  /// in input order. An "unchanged" batch answer maps to Ok with the mirror
-  /// left untouched (its DGN already matches).
-  std::vector<Status> UpdateAll(const std::vector<std::string>& instances,
-                                const std::vector<MetricSet*>& mirrors);
+                           std::vector<BatchUpdateResult>* results) = 0;
 
   /// Fire-and-forget advertise (producer-initiated connection setup).
   virtual Status Advertise(const AdvertiseMsg& msg) = 0;
@@ -210,18 +165,25 @@ class Endpoint {
   /// kQueryReq frames (sock, local) override it.
   virtual Status RemoteQuery(const QueryRequest& req, QueryResponse* resp);
 
-  /// Write corking, used by UpdateAll: between Cork and Uncork a wire
-  /// transport may buffer outgoing request frames and flush them as one
-  /// send, cutting per-request syscalls on batch issues. Defaults are
-  /// no-ops; in-process transports complete inline anyway. Calls must be
-  /// paired, on the same thread.
+  // The calls below stay virtual only because the pipeline benchmark's
+  // tracing decorator (perfbench/src/decorators.cpp) overrides them, and the
+  // benchmark is changed only together with its baseline. No transport
+  // overrides them and nothing in the daemon calls them: Lookup is LookupEx
+  // without extras, the async pair completes inline, UpdateRaw (the retired
+  // per-set pull) reports kUnsupported, and the write cork is a no-op.
+  virtual Status Lookup(const std::string& instance,
+                        std::vector<std::byte>* metadata);
+  virtual void LookupAsync(const std::string& instance, AsyncHandler handler);
+  virtual Status UpdateRaw(const std::string& instance,
+                           std::vector<std::byte>* data);
+  virtual void UpdateAsync(const std::string& instance, AsyncHandler handler);
   virtual void CorkWrites() {}
   virtual void UncorkWrites() {}
 
-  /// Whether this client asks peers for delta-encoded batch entries
-  /// (declared in the batch request's trailing version byte). On by
-  /// default; tests and ablation benches turn it off to force the
-  /// full-chunk path on an otherwise identical schedule.
+  /// Whether this client accepts delta-encoded batch entries (declared in
+  /// the batch request's revision byte). On by default; tests and ablation
+  /// benches turn it off to force the full-chunk path on an otherwise
+  /// identical schedule.
   void set_delta_updates(bool enabled) {
     delta_updates_.store(enabled, std::memory_order_relaxed);
   }
@@ -247,17 +209,29 @@ class Endpoint {
   std::atomic<bool> delta_updates_{true};
 };
 
-/// Server-side batch service logic shared by the in-process transports (the
-/// sock listener gather-encodes the same semantics straight into its write
-/// buffer): resolve each handle, DGN-gate, then — when the client declared
-/// protocol version >= kDeltaProtocolVersion and the set advanced exactly
-/// one transaction — answer with a changed-extents kDelta entry, else a
-/// full-chunk snapshot. Unknown handles become per-entry kNotFound errors; a
-/// torn snapshot becomes kInconsistent. @p stats (optional) receives
-/// updates/updates_unchanged/updates_delta/delta_bytes_saved/update_batches
-/// accounting.
-void ServeUpdateBatch(ServiceHandler& handler, const UpdateBatchRequest& req,
-                      UpdateBatchResponse* resp, TransportStats* stats);
+/// How ServeBatchEntry answered one entry.
+struct ServedEntry {
+  BatchEntryKind kind = BatchEntryKind::kError;
+  ErrorCode error = ErrorCode::kOk;  // kError entries
+  /// kDelta entries: full chunk size minus the delta payload size.
+  std::uint64_t bytes_saved = 0;
+
+  /// Count this answer into @p stats (updates_unchanged, updates_delta,
+  /// delta_bytes_saved); a null @p stats is ignored.
+  void CountInto(TransportStats* stats) const;
+};
+
+/// The batch serving policy, the same for every transport. For @p set (null
+/// = unknown handle: kError/kNotFound), given the @p last_dgn the client
+/// holds: the DGN gate answers kUnchanged when the client already has the
+/// current consistent chunk; else, when @p accept_delta and the set advanced
+/// exactly one transaction past last_dgn with a delta smaller than the chunk,
+/// kDelta; else the full chunk (kData), or kError when the snapshot stayed
+/// torn. The kData/kDelta payload is appended to @p out, which sock points at
+/// its connection buffer (the chunk lands in the frame with no copy) and
+/// local/rdma at the result's data; nothing is appended otherwise.
+ServedEntry ServeBatchEntry(const MetricSet* set, std::uint64_t last_dgn,
+                            bool accept_delta, ByteWriter& out);
 
 /// Server side: alive while in scope; dispatches requests to the handler.
 class Listener {

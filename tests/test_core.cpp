@@ -648,6 +648,37 @@ TEST(MetricSetOomTest, PoolExhaustionSurfaced) {
   EXPECT_EQ(tiny.bytes_in_use(), 0u) << "partial allocation leaked";
 }
 
+TEST(MetricSetCreateTest, NameTooLongForMetadataRejected) {
+  // The metadata stores each name behind a u16 length. A longer name (a
+  // sampler's instance= or producer= config value) must fail Create rather
+  // than yield a set whose metadata no mirror can parse.
+  MemManager mem(1 << 20);
+  Schema schema("s");
+  schema.AddMetric("v", MetricType::kU64);
+  const std::string huge(70000, 'n');
+  for (int field = 0; field < 2; ++field) {
+    Status st;
+    auto set = MetricSet::Create(mem, schema, field == 0 ? huge : "x/s",
+                                 field == 1 ? huge : "x", 0, &st);
+    EXPECT_EQ(set, nullptr) << "field " << field;
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << "field " << field;
+    EXPECT_EQ(mem.bytes_in_use(), 0u) << "allocated before refusing";
+  }
+  Schema long_schema(huge);
+  long_schema.AddMetric("v", MetricType::kU64);
+  Status st;
+  EXPECT_EQ(MetricSet::Create(mem, long_schema, "x/s", "x", 0, &st), nullptr);
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+
+  // The longest name that fits still round-trips through a mirror.
+  const std::string max_name(0xffff, 'm');
+  auto set = MetricSet::Create(mem, schema, max_name, "x", 0, &st);
+  ASSERT_NE(set, nullptr) << st.ToString();
+  auto mirror = MetricSet::CreateMirror(mem, set->metadata_bytes(), &st);
+  ASSERT_NE(mirror, nullptr) << st.ToString();
+  EXPECT_EQ(mirror->instance_name(), max_name);
+}
+
 // Property test: round-trip through serialize/mirror for many random
 // schema shapes preserves every metric name, type, offset, and value.
 class MetricSetRoundTripTest : public ::testing::TestWithParam<int> {};

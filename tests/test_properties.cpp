@@ -1,5 +1,5 @@
 // Property-based suites: wire-protocol robustness under fuzzed/truncated
-// input, ByteWriter/ByteReader round trips, SOS time-range query counts,
+// input, ByteWriter/ByteReader round trips, tsdb time-range query counts,
 // scheduler firing-count arithmetic, and MetricSet seqlock snapshot
 // integrity under a concurrent writer.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "core/wire.hpp"
 #include "daemon/scheduler.hpp"
 #include "daemon/topology.hpp"
-#include "store/sos_store.hpp"
+#include "store/tsdb/tsdb_store.hpp"
 #include "transport/message.hpp"
 #include "util/rng.hpp"
 
@@ -49,10 +49,10 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashDecoders) {
     (void)DecodeLookupRequest(junk, &lreq);
     LookupResponse lresp;
     (void)DecodeLookupResponse(junk, &lresp);
-    UpdateRequest ureq;
-    (void)DecodeUpdateRequest(junk, &ureq);
-    UpdateResponse uresp;
-    (void)DecodeUpdateResponse(junk, &uresp);
+    UpdateBatchRequest breq;
+    (void)DecodeUpdateBatchRequest(junk, &breq);
+    UpdateBatchResponse bresp;
+    (void)DecodeUpdateBatchResponse(junk, &bresp);
     AdvertiseMsg adv;
     (void)DecodeAdvertise(junk, &adv);
 
@@ -70,23 +70,80 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashDecoders) {
   }
 }
 
-TEST_P(WireFuzzTest, StrictPrefixOfUpdateResponseRejected) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  UpdateResponse msg;
-  msg.code = 0;
-  msg.data.resize(1 + rng.NextBelow(256));
-  for (auto& b : msg.data) b = static_cast<std::byte>(rng.Next() & 0xff);
-  const auto encoded = EncodeUpdateResponse(msg);
+std::vector<std::byte> RandomBytes(Rng& rng, std::size_t max_len) {
+  std::vector<std::byte> bytes(1 + rng.NextBelow(max_len));
+  for (auto& b : bytes) b = static_cast<std::byte>(rng.Next() & 0xff);
+  return bytes;
+}
 
-  UpdateResponse out;
-  ASSERT_TRUE(DecodeUpdateResponse(encoded, &out));
-  EXPECT_EQ(out.data, msg.data);
+/// The full frame decodes; every strict prefix of it is rejected.
+template <typename Msg>
+void ExpectOnlyWholeFrameDecodes(
+    const std::vector<std::byte>& encoded,
+    bool (*decode)(std::span<const std::byte>, Msg*)) {
+  Msg whole;
+  ASSERT_TRUE(decode(encoded, &whole));
   for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
-    UpdateResponse partial;
-    EXPECT_FALSE(DecodeUpdateResponse(
-        std::span<const std::byte>(encoded).subspan(0, cut), &partial))
-        << "prefix of length " << cut << " decoded";
+    Msg partial;
+    EXPECT_FALSE(decode(std::span<const std::byte>(encoded).subspan(0, cut),
+                        &partial))
+        << "prefix of length " << cut << " of " << encoded.size()
+        << " decoded";
   }
+}
+
+TEST_P(WireFuzzTest, StrictPrefixOfLookupResponseRejected) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  LookupResponse msg;
+  msg.metadata = RandomBytes(rng, 256);
+  msg.handle = static_cast<std::uint32_t>(rng.Next());
+  const auto encoded = EncodeLookupResponse(msg);
+  LookupResponse out;
+  ASSERT_TRUE(DecodeLookupResponse(encoded, &out));
+  EXPECT_EQ(out.metadata, msg.metadata);
+  EXPECT_EQ(out.handle, msg.handle);
+  ExpectOnlyWholeFrameDecodes(encoded, DecodeLookupResponse);
+}
+
+TEST_P(WireFuzzTest, StrictPrefixOfBatchResponseRejected) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863 + 11);
+  // One entry of each kind, in a seed-dependent order.
+  UpdateBatchResponse msg;
+  msg.entries.resize(4);
+  msg.entries[0].kind = BatchEntryKind::kUnchanged;
+  msg.entries[1].kind = BatchEntryKind::kData;
+  msg.entries[1].data = RandomBytes(rng, 256);
+  msg.entries[2].kind = BatchEntryKind::kError;
+  msg.entries[2].code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
+  // A structurally valid delta: one extent of eight value bytes.
+  msg.entries[3].kind = BatchEntryKind::kDelta;
+  ByteWriter delta(&msg.entries[3].data);
+  delta.U32(0x1234);  // meta_gn
+  delta.U64(5);       // base_dgn
+  delta.U64(6);       // new_dgn
+  delta.U32(1);       // ts_sec
+  delta.U32(2);       // ts_usec
+  delta.U16(1);       // extent count
+  delta.U32(8 * static_cast<std::uint32_t>(rng.NextBelow(16)));
+  delta.U32(8);
+  delta.U64(rng.Next());
+  for (std::size_t i = 0; i < msg.entries.size(); ++i) {
+    std::swap(msg.entries[i], msg.entries[rng.NextBelow(i + 1)]);
+  }
+  for (std::size_t i = 0; i < msg.entries.size(); ++i) {
+    msg.entries[i].handle = static_cast<std::uint32_t>(100 + i);
+  }
+  const auto encoded = EncodeUpdateBatchResponse(msg);
+  UpdateBatchResponse out;
+  ASSERT_TRUE(DecodeUpdateBatchResponse(encoded, &out));
+  ASSERT_EQ(out.entries.size(), msg.entries.size());
+  for (std::size_t i = 0; i < msg.entries.size(); ++i) {
+    EXPECT_EQ(out.entries[i].handle, msg.entries[i].handle);
+    EXPECT_EQ(out.entries[i].kind, msg.entries[i].kind);
+    EXPECT_EQ(out.entries[i].code, msg.entries[i].code);
+    EXPECT_EQ(out.entries[i].data, msg.entries[i].data);
+  }
+  ExpectOnlyWholeFrameDecodes(encoded, DecodeUpdateBatchResponse);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest, ::testing::Range(0, 8));
@@ -134,17 +191,17 @@ TEST(ByteRwTest, RandomSequenceRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// SOS query counts
+// tsdb query counts
 // ---------------------------------------------------------------------------
 
-class SosQueryPropertyTest : public ::testing::TestWithParam<int> {};
+class TsdbQueryPropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SosQueryPropertyTest, VisitedCountMatchesTimestampFilter) {
+TEST_P(TsdbQueryPropertyTest, RowCountMatchesTimestampFilter) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 31337 + 5);
   const auto dir = std::filesystem::temp_directory_path() /
-                   ("ldmsxx_sosq_" + std::to_string(::getpid()) + "_" +
+                   ("ldmsxx_tsdbq_" + std::to_string(::getpid()) + "_" +
                     std::to_string(GetParam()));
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
 
   MemManager mem(1 << 20);
   Schema schema("q");
@@ -153,7 +210,10 @@ TEST_P(SosQueryPropertyTest, VisitedCountMatchesTimestampFilter) {
   auto set = MetricSet::Create(mem, schema, "n/q", "n", 1, &st);
   ASSERT_TRUE(st.ok());
 
-  SosStore store({dir.string()});
+  TsdbOptions opts;
+  opts.root_path = dir.string();
+  opts.segment_rows = 16;  // many sealed segments for the index to prune
+  TsdbStore store(opts);
   // Strictly increasing but irregular timestamps.
   std::vector<TimeNs> stamps;
   TimeNs t = 0;
@@ -167,30 +227,29 @@ TEST_P(SosQueryPropertyTest, VisitedCountMatchesTimestampFilter) {
     ASSERT_TRUE(store.StoreSet(*set).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
-  const std::string path = store.FilePath("q");
 
   for (int probe = 0; probe < 20; ++probe) {
-    TimeNs lo = rng.NextBelow(t + kNsPerSec);
-    TimeNs hi = rng.NextBelow(t + kNsPerSec);
-    if (lo > hi) std::swap(lo, hi);
+    TsdbQuery q;
+    q.table = "q";
+    q.t0 = rng.NextBelow(t + kNsPerSec);
+    q.t1 = rng.NextBelow(t + kNsPerSec);
+    if (q.t0 > q.t1) std::swap(q.t0, q.t1);
     std::size_t expected = 0;
     for (TimeNs s : stamps) {
-      if (s >= lo && s < hi) ++expected;
+      if (s >= q.t0 && s <= q.t1) ++expected;
     }
-    std::size_t prev = 0;
-    bool ordered = true;
-    const std::size_t visited =
-        SosStore::Query(path, lo, hi, [&](const SosRecord& rec) {
-          if (rec.timestamp < prev) ordered = false;
-          prev = rec.timestamp;
-        });
-    EXPECT_EQ(visited, expected) << "range [" << lo << "," << hi << ")";
-    EXPECT_TRUE(ordered);
+    TsdbQueryResult result;
+    ASSERT_TRUE(store.Query(q, &result).ok());
+    EXPECT_EQ(result.rows.size(), expected)
+        << "range [" << q.t0 << "," << q.t1 << "]";
+    for (std::size_t i = 1; i < result.rows.size(); ++i) {
+      EXPECT_LT(result.rows[i - 1].ts, result.rows[i].ts);
+    }
   }
   std::filesystem::remove_all(dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SosQueryPropertyTest, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, TsdbQueryPropertyTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
 // Scheduler firing arithmetic

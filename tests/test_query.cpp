@@ -11,9 +11,9 @@
 //                structurally invalid encodings, and the compression wins
 //                the seal path counts on;
 //   3. segment — seal/read round-trips, footer-index contents, CRC
-//                rejection of corrupted footers and column bodies, v2
-//                codec bookkeeping, and read-compat with a committed
-//                format-v1 fixture;
+//                rejection of corrupted footers and column bodies and of
+//                foreign (including retired format-v1) trailers, and v2
+//                codec bookkeeping;
 //   4. store   — indexed Query vs QueryFullScan equivalence, footer-based
 //                segment pruning, rollup bucket math, restart-resume
 //                (segments re-attached from disk, corrupt files skipped),
@@ -477,6 +477,22 @@ TEST(SegmentTest, CorruptionIsRejectedByCrc) {
   fs::resize_file(trunc_path, fs::file_size(trunc_path) / 2);
   SegmentFooter trunc;
   EXPECT_FALSE(ReadSegmentFooter(trunc_path, &trunc).ok());
+
+  // A file ending in the retired format-v1 trailer magic ("LSGF") is a
+  // foreign file now, however intact the rest of it is.
+  const std::string v1_path = dir + "/v1.seg";
+  ASSERT_TRUE(WriteSegmentFile(v1_path, builder).ok());
+  {
+    std::fstream f(v1_path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(-4, std::ios::end);
+    f.write("LSGF", 4);
+  }
+  SegmentFooter v1;
+  const Status v1_st = ReadSegmentFooter(v1_path, &v1);
+  EXPECT_FALSE(v1_st.ok());
+  EXPECT_NE(v1_st.message().find("bad trailer magic"), std::string::npos)
+      << v1_st.ToString();
 }
 
 TEST(SegmentTest, V2FooterRecordsCodecsAndCompressionShrinksFiles) {
@@ -501,8 +517,6 @@ TEST(SegmentTest, V2FooterRecordsCodecsAndCompressionShrinksFiles) {
   SegmentFooter comp, raw;
   ASSERT_TRUE(ReadSegmentFooter(comp_path, &comp).ok());
   ASSERT_TRUE(ReadSegmentFooter(raw_path, &raw).ok());
-  EXPECT_EQ(comp.version, 2);
-  EXPECT_EQ(raw.version, 2);  // compress=0 is still format v2, all-raw
   EXPECT_EQ(comp.codecs[SegmentFooter::kTsCol],
             static_cast<std::uint8_t>(ColumnCodec::kDeltaOfDelta));
   EXPECT_EQ(comp.codecs[SegmentFooter::kNodeCol],
@@ -523,53 +537,6 @@ TEST(SegmentTest, V2FooterRecordsCodecsAndCompressionShrinksFiles) {
     ASSERT_TRUE(ReadSegmentColumn(comp_path, comp, c, &a).ok()) << c;
     ASSERT_TRUE(ReadSegmentColumn(raw_path, raw, c, &b).ok()) << c;
     EXPECT_EQ(a, b) << "column " << c;
-  }
-}
-
-TEST(SegmentTest, FormatV1FixtureStillReadable) {
-  // tests/data/v1_fixture.seg was sealed by the pre-compression serializer
-  // and committed; a v2 reader must keep serving it byte-for-byte. This is
-  // the mixed-directory restart guarantee in fixture form.
-  const std::string path = std::string(LDMSXX_TEST_DATA_DIR) +
-                           "/v1_fixture.seg";
-  SegmentFooter footer;
-  ASSERT_TRUE(ReadSegmentFooter(path, &footer).ok())
-      << "fixture missing or unreadable: " << path;
-  EXPECT_EQ(footer.version, 1);
-  EXPECT_EQ(footer.table, "fixture");
-  EXPECT_EQ(footer.row_count, 7u);
-  EXPECT_EQ(footer.min_ts, 1000000000ull);
-  EXPECT_EQ(footer.max_ts, 2500000000ull);
-  EXPECT_EQ(footer.nodes, (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_EQ(footer.producers,
-            (std::vector<std::string>{"nodeA", "nodeB"}));
-  ASSERT_EQ(footer.columns.size(), 2u);
-  EXPECT_EQ(footer.columns[0].name, "cnt");
-  EXPECT_EQ(footer.columns[1].name, "load");
-  // v1 parses into the uniform footer arrays: every column raw, 8 bytes a
-  // slot, so the v2 read path needs no special casing downstream.
-  ASSERT_EQ(footer.codecs.size(), 5u);
-  for (std::size_t c = 0; c < footer.codecs.size(); ++c) {
-    EXPECT_EQ(footer.codecs[c], static_cast<std::uint8_t>(ColumnCodec::kRaw));
-    EXPECT_EQ(footer.enc_lens[c], 7u * 8);
-  }
-
-  std::vector<std::uint64_t> ts, nodes, prods, cnt, load;
-  ASSERT_TRUE(ReadSegmentColumn(path, footer, SegmentFooter::kTsCol, &ts).ok());
-  ASSERT_TRUE(
-      ReadSegmentColumn(path, footer, SegmentFooter::kNodeCol, &nodes).ok());
-  ASSERT_TRUE(
-      ReadSegmentColumn(path, footer, SegmentFooter::kProdCol, &prods).ok());
-  ASSERT_TRUE(
-      ReadSegmentColumn(path, footer, SegmentFooter::DataCol(0), &cnt).ok());
-  ASSERT_TRUE(
-      ReadSegmentColumn(path, footer, SegmentFooter::DataCol(1), &load).ok());
-  for (std::uint64_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(ts[i], 1000000000ull + i * 250000000ull);
-    EXPECT_EQ(nodes[i], i % 3);
-    EXPECT_EQ(footer.producers[prods[i]], i % 2 == 0 ? "nodeA" : "nodeB");
-    EXPECT_EQ(cnt[i], 100 + i * 3);
-    EXPECT_EQ(load[i], SlotFromDouble(0.25 * static_cast<double>(i)));
   }
 }
 
@@ -1037,7 +1004,6 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
   EXPECT_EQ(req2.nodes, req.nodes);
   EXPECT_EQ(req2.metrics, req.metrics);
   EXPECT_EQ(req2.limit, req.limit);
-  EXPECT_EQ(req2.version, 0);
 
   QueryResponse resp;
   resp.code = 0;
@@ -1071,32 +1037,6 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
   EXPECT_EQ(resp2.error, err.error);
 }
 
-TEST(QueryWireCodecTest, ToleratesMissingAndExtraTrailingVersionBytes) {
-  // Forward/backward compat contract: a v0 peer's frame (no trailing
-  // version byte) decodes as version 0, and bytes a future version appends
-  // past the byte we know are ignored, like the kUpdateBatch codec.
-  QueryRequest req;
-  req.strgp = "s";
-  req.version = 3;
-  std::vector<std::byte> enc = EncodeQueryRequest(req);
-  QueryRequest out;
-  ASSERT_TRUE(DecodeQueryRequest(enc, &out));
-  EXPECT_EQ(out.version, 3);
-  enc.pop_back();  // a v0 encoder stops at limit
-  ASSERT_TRUE(DecodeQueryRequest(enc, &out));
-  EXPECT_EQ(out.version, 0);
-
-  QueryResponse resp;
-  resp.version = 5;
-  std::vector<std::byte> renc = EncodeQueryResponse(resp);
-  QueryResponse rout;
-  ASSERT_TRUE(DecodeQueryResponse(renc, &rout));
-  EXPECT_EQ(rout.version, 5);
-  renc.pop_back();
-  ASSERT_TRUE(DecodeQueryResponse(renc, &rout));
-  EXPECT_EQ(rout.version, 0);
-}
-
 TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
   QueryRequest req;
   req.strgp = "tsdb";
@@ -1105,8 +1045,9 @@ TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
   req.metrics = {"free"};
   const std::vector<std::byte> enc = EncodeQueryRequest(req);
   QueryRequest out;
-  // Every truncation beyond the optional version byte fails; none crash.
-  for (std::size_t len = 0; len + 1 < enc.size(); ++len) {
+  // The full frame decodes; every strict prefix fails and none crash.
+  ASSERT_TRUE(DecodeQueryRequest(enc, &out));
+  for (std::size_t len = 0; len < enc.size(); ++len) {
     EXPECT_FALSE(DecodeQueryRequest({enc.data(), len}, &out)) << len;
   }
 
@@ -1125,7 +1066,8 @@ TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
   resp.rows = {{1, 1, {1.0}}};
   const std::vector<std::byte> renc = EncodeQueryResponse(resp);
   QueryResponse rout;
-  for (std::size_t len = 0; len + 1 < renc.size(); ++len) {
+  ASSERT_TRUE(DecodeQueryResponse(renc, &rout));
+  for (std::size_t len = 0; len < renc.size(); ++len) {
     EXPECT_FALSE(DecodeQueryResponse({renc.data(), len}, &rout)) << len;
   }
   ByteWriter rw;

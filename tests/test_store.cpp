@@ -1,6 +1,6 @@
 // Storage plugin tests: CSV (row shape, separate header), flat file (one
-// file per metric), SOS (binary container, schema round trip, time-range
-// query with binary search), memory store.
+// file per metric), memory store. The columnar store_tsdb has its own suite
+// in test_query.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,7 +13,6 @@
 #include "store/csv_store.hpp"
 #include "store/flatfile_store.hpp"
 #include "store/memory_store.hpp"
-#include "store/sos_store.hpp"
 
 namespace ldmsxx {
 namespace {
@@ -108,54 +107,6 @@ TEST_F(StoreTest, FlatFileStoreOneFilePerMetric) {
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "2.000000 11 100");
-}
-
-TEST_F(StoreTest, SosStoreRoundTripAndQuery) {
-  SosStore store({dir_.string()});
-  for (int i = 0; i < 100; ++i) {
-    WriteSample(static_cast<std::uint64_t>(1000 + i), 500, 0.1 * i,
-                static_cast<TimeNs>(i) * kNsPerSec);
-    ASSERT_TRUE(store.StoreSet(*set_).ok());
-  }
-  ASSERT_TRUE(store.Flush().ok());
-
-  const std::string path = store.FilePath("memtest");
-  auto schema_info = SosStore::ReadSchema(path);
-  ASSERT_TRUE(schema_info.has_value());
-  EXPECT_EQ(schema_info->schema_name, "memtest");
-  ASSERT_EQ(schema_info->metric_names.size(), 3u);
-  EXPECT_EQ(schema_info->metric_names[0], "Active");
-  EXPECT_EQ(schema_info->metric_types[2], MetricType::kD64);
-
-  // Time-range query [10s, 20s): exactly 10 records, in order.
-  std::vector<SosRecord> got;
-  const std::size_t visited = SosStore::Query(
-      path, 10 * kNsPerSec, 20 * kNsPerSec,
-      [&](const SosRecord& rec) { got.push_back(rec); });
-  EXPECT_EQ(visited, 10u);
-  ASSERT_EQ(got.size(), 10u);
-  EXPECT_EQ(got[0].timestamp, 10 * kNsPerSec);
-  EXPECT_EQ(got[0].component_id, 11u);
-  EXPECT_DOUBLE_EQ(got[0].SlotAsDouble(0, MetricType::kU64), 1010.0);
-  EXPECT_NEAR(got[9].SlotAsDouble(2, MetricType::kD64), 1.9, 1e-9);
-
-  // Empty and full ranges.
-  EXPECT_EQ(SosStore::Query(path, 200 * kNsPerSec, 300 * kNsPerSec,
-                            [](const SosRecord&) {}),
-            0u);
-  EXPECT_EQ(SosStore::Query(path, 0, ~TimeNs{0}, [](const SosRecord&) {}),
-            100u);
-}
-
-TEST_F(StoreTest, SosQueryOnMissingOrCorruptFile) {
-  EXPECT_EQ(SosStore::Query((dir_ / "nope.sos").string(), 0, 100,
-                            [](const SosRecord&) {}),
-            0u);
-  EXPECT_FALSE(SosStore::ReadSchema((dir_ / "nope.sos").string()).has_value());
-  // Corrupt file: bad magic.
-  const auto bad = dir_ / "bad.sos";
-  std::ofstream(bad) << "this is not a sos container";
-  EXPECT_FALSE(SosStore::ReadSchema(bad.string()).has_value());
 }
 
 TEST_F(StoreTest, MemoryStoreRowsAndSchemas) {

@@ -23,7 +23,6 @@
 #include "store/fault_store.hpp"
 #include "store/flatfile_store.hpp"
 #include "store/memory_store.hpp"
-#include "store/sos_store.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ldmsxx {
@@ -463,35 +462,34 @@ class FileStoreErrorTest : public StoreOverloadTest {
   }
   void TearDown() override { fs::remove_all(base_); }
 
+  /// A failed write is reported; once the "disk" is repaired (the blocker
+  /// file becomes the directory it should be) the store reopens its file on
+  /// the next write instead of caching the failure forever (required for
+  /// breaker half-open probes to succeed).
+  template <typename FileStore>
+  void ExpectFailsThenRecovers(FileStore& store) {
+    EXPECT_FALSE(store.StoreSet(*Sample(1)).ok());
+    EXPECT_EQ(store.rows_written(), 0u);
+    EXPECT_GE(store.rows_failed(), 1u);
+    fs::remove(base_ / "blocker");
+    fs::create_directories(base_ / "blocker");
+    EXPECT_TRUE(store.StoreSet(*Sample(2)).ok());
+    EXPECT_EQ(store.rows_written(), 1u);
+    EXPECT_TRUE(store.Flush().ok());
+  }
+
   fs::path base_;
   std::string bad_root_;
 };
 
 TEST_F(FileStoreErrorTest, CsvStoreReportsFailedWrites) {
   CsvStore store({bad_root_, false});
-  EXPECT_FALSE(store.StoreSet(*Sample(1)).ok());
-  EXPECT_EQ(store.rows_written(), 0u);
-  EXPECT_GE(store.rows_failed(), 1u);
+  ExpectFailsThenRecovers(store);
 }
 
 TEST_F(FileStoreErrorTest, FlatFileStoreReportsFailedWrites) {
   FlatFileStore store({bad_root_});
-  EXPECT_FALSE(store.StoreSet(*Sample(1)).ok());
-  EXPECT_EQ(store.rows_written(), 0u);
-  EXPECT_GE(store.rows_failed(), 1u);
-}
-
-TEST_F(FileStoreErrorTest, SosStoreReportsFailedWritesAndRecovers) {
-  SosStore store({bad_root_});
-  EXPECT_FALSE(store.StoreSet(*Sample(1)).ok());
-  EXPECT_GE(store.rows_failed(), 1u);
-  // "Disk" repaired: the store retries the container open instead of caching
-  // the failure forever (required for breaker half-open probes to succeed).
-  fs::remove(base_ / "blocker");
-  fs::create_directories(base_ / "blocker");
-  EXPECT_TRUE(store.StoreSet(*Sample(2)).ok());
-  EXPECT_EQ(store.rows_written(), 1u);
-  EXPECT_TRUE(store.Flush().ok());
+  ExpectFailsThenRecovers(store);
 }
 
 // --- fault schedule determinism ---------------------------------------------

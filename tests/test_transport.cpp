@@ -1,7 +1,7 @@
 // Transport tests: wire-protocol round trips, fabric lifetime semantics,
-// local/sock/rdma endpoints, one-sided RDMA CPU accounting, disconnects,
-// and the sock client's pipelined request multiplexing (timeouts,
-// out-of-order completion, protocol-violating peers).
+// local/sock/rdma endpoints answering the batch pull alike, one-sided RDMA
+// CPU accounting, disconnects, and the sock client's request multiplexing
+// (timeouts, out-of-order completion, protocol-violating peers).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -33,12 +33,23 @@ namespace {
 
 TEST(MessageTest, FrameHeaderRoundTrip) {
   std::vector<std::byte> payload{std::byte{1}, std::byte{2}, std::byte{3}};
-  auto frame = EncodeFrame(MsgType::kUpdateReq, 77, payload);
+  auto frame = EncodeFrame(MsgType::kUpdateBatchReq, 77, payload);
   ASSERT_EQ(frame.size(), kFrameHeaderSize + 3);
   const FrameHeader hdr = DecodeFrameHeader(frame);
   EXPECT_EQ(hdr.payload_len, 3u);
-  EXPECT_EQ(hdr.type, MsgType::kUpdateReq);
+  EXPECT_EQ(hdr.type, MsgType::kUpdateBatchReq);
   EXPECT_EQ(hdr.request_id, 77u);
+}
+
+TEST(MessageTest, FrameTypeNumbersAreStable) {
+  // Retiring the per-set update frames (5, 6) renumbered nothing else.
+  EXPECT_EQ(static_cast<int>(MsgType::kDirReq), 1);
+  EXPECT_EQ(static_cast<int>(MsgType::kLookupResp), 4);
+  EXPECT_EQ(static_cast<int>(MsgType::kAdvertise), 7);
+  EXPECT_EQ(static_cast<int>(MsgType::kUpdateBatchReq), 8);
+  EXPECT_EQ(static_cast<int>(MsgType::kUpdateBatchResp), 9);
+  EXPECT_EQ(static_cast<int>(MsgType::kQueryReq), 10);
+  EXPECT_EQ(static_cast<int>(MsgType::kQueryResp), 11);
 }
 
 TEST(MessageTest, AllPayloadsRoundTrip) {
@@ -60,18 +71,12 @@ TEST(MessageTest, AllPayloadsRoundTrip) {
     LookupResponse in;
     in.code = 3;
     in.metadata = {std::byte{9}, std::byte{8}};
+    in.handle = 41;
     LookupResponse out;
     ASSERT_TRUE(DecodeLookupResponse(EncodeLookupResponse(in), &out));
     EXPECT_EQ(out.code, 3);
     EXPECT_EQ(out.metadata, in.metadata);
-  }
-  {
-    UpdateResponse in;
-    in.code = 0;
-    in.data.assign(100, std::byte{0x5a});
-    UpdateResponse out;
-    ASSERT_TRUE(DecodeUpdateResponse(EncodeUpdateResponse(in), &out));
-    EXPECT_EQ(out.data, in.data);
+    EXPECT_EQ(out.handle, 41u);
   }
   {
     AdvertiseMsg in{"nid1", "fabric/nid1", "local"};
@@ -96,19 +101,33 @@ TEST(MessageTest, TruncatedPayloadRejected) {
 // Shared harness: a minimal ServiceHandler over one metric set
 // ---------------------------------------------------------------------------
 
+/// Serves one set under one handle. Counts the calls pulls make into the
+/// handler, which is what separates two-sided from one-sided transports.
 class TestHandler : public ServiceHandler {
  public:
-  TestHandler() : mem_(1 << 20) {
+  explicit TestHandler(std::size_t metrics = 1) : mem_(1 << 20) {
     Schema schema("tset");
-    schema.AddMetric("value", MetricType::kU64);
+    for (std::size_t i = 0; i < metrics; ++i) {
+      schema.AddMetric(metrics == 1 ? "value" : "m" + std::to_string(i),
+                       MetricType::kU64);
+    }
     Status st;
     set_ = MetricSet::Create(mem_, schema, "host/tset", "host", 1, &st);
-    Update(1);
   }
 
+  /// One transaction writing every metric.
   void Update(std::uint64_t v) {
     set_->BeginTransaction();
-    set_->SetU64(0, v);
+    for (std::size_t i = 0; i < set_->schema().metric_count(); ++i) {
+      set_->SetU64(i, v);
+    }
+    set_->EndTransaction(v * kNsPerSec);
+  }
+
+  /// One transaction writing only metric @p idx.
+  void Touch(std::size_t idx, std::uint64_t v) {
+    set_->BeginTransaction();
+    set_->SetU64(idx, v);
     set_->EndTransaction(v * kNsPerSec);
   }
 
@@ -123,14 +142,6 @@ class TestHandler : public ServiceHandler {
     return Status::Ok();
   }
 
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override {
-    if (instance != "host/tset") return {ErrorCode::kNotFound, instance};
-    data->resize(set_->data_size());
-    ++updates;
-    return set_->SnapshotData(*data);
-  }
-
   void HandleAdvertise(const AdvertiseMsg& msg) override {
     // Arrives on the sock reactor thread; tests poll advertised().
     std::lock_guard<std::mutex> lock(advertised_mu_);
@@ -142,19 +153,36 @@ class TestHandler : public ServiceHandler {
     return advertised_;
   }
 
-  MetricSetPtr HandleRdmaExpose(const std::string& instance) override {
-    return instance == "host/tset" ? set_ : nullptr;
+  std::uint32_t HandleAssignHandle(const std::string& instance) override {
+    return instance == "host/tset" ? kHandle : kInvalidSetHandle;
   }
+
+  MetricSetPtr HandleResolveHandle(std::uint32_t handle) override {
+    resolves.fetch_add(1);
+    return handle == kHandle ? set_ : nullptr;
+  }
+
+  static constexpr std::uint32_t kHandle = 17;
 
   MemManager mem_;
   MetricSetPtr set_;
   int lookups = 0;
-  int updates = 0;
+  std::atomic<int> resolves{0};
 
  private:
   mutable std::mutex advertised_mu_;
   std::string advertised_;
 };
+
+/// Pull @p mirror's set with a one-entry batch and apply the answer.
+Status Pull(Endpoint& ep, std::uint32_t handle, MetricSet& mirror) {
+  std::vector<Endpoint::BatchUpdateResult> results;
+  ep.UpdateBatch({{handle, mirror.data_gn()}}, &results);
+  if (results.size() != 1) return {ErrorCode::kInternal, "no result"};
+  Endpoint::BatchUpdateResult& r = results[0];
+  if (!r.status.ok() || r.unchanged) return r.status;
+  return r.delta ? mirror.ApplyDelta(r.data) : mirror.ApplyData(r.data);
+}
 
 struct TransportCase {
   const char* name;
@@ -188,23 +216,31 @@ TEST_P(TransportSuite, FullClientFlow) {
   EXPECT_EQ(instances[0], "host/tset");
 
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
+  EXPECT_EQ(extra.handle, TestHandler::kHandle);
   MemManager local_mem(1 << 20);
   Status st;
   auto mirror = MetricSet::CreateMirror(local_mem, metadata, &st);
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   handler.Update(42);
-  ASSERT_TRUE(ep->Update("host/tset", *mirror).ok());
+  ASSERT_TRUE(Pull(*ep, extra.handle, *mirror).ok());
   EXPECT_EQ(mirror->GetU64(0), 42u);
 
   handler.Update(43);
-  ASSERT_TRUE(ep->Update("host/tset", *mirror).ok());
+  ASSERT_TRUE(Pull(*ep, extra.handle, *mirror).ok());
   EXPECT_EQ(mirror->GetU64(0), 43u);
 
-  // Unknown instances fail cleanly.
+  // Unknown instances fail cleanly, and carry no handle; Lookup is LookupEx
+  // without the extras.
   std::vector<std::byte> junk;
-  EXPECT_FALSE(ep->Lookup("missing/set", &junk).ok());
+  extra.handle = 5;
+  EXPECT_EQ(ep->LookupEx("missing/set", &junk, &extra).code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(extra.handle, kInvalidSetHandle);
+  EXPECT_TRUE(ep->Lookup("host/tset", &junk).ok());
+  EXPECT_EQ(junk, metadata);
 
   // Advertise reaches the handler.
   ASSERT_TRUE(ep->Advertise({"nid9", "addr9", "local"}).ok());
@@ -241,53 +277,15 @@ TEST_P(TransportSuite, DeadListenerMeansDisconnected) {
   ASSERT_TRUE(transport->Connect(connect_addr, &ep).ok());
 
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
   MemManager mem(1 << 20);
   Status st;
   auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
   ASSERT_TRUE(st.ok());
 
   listener.reset();  // peer dies
-  Status update_st = ep->Update("host/tset", *mirror);
-  EXPECT_FALSE(update_st.ok());
-}
-
-TEST(RdmaSemanticsTest, UpdateConsumesNoServerCpu) {
-  // Figure 2, flow {f}: RDMA data fetches bypass the sampler's CPU. The
-  // local transport (two-sided) must charge server CPU; rdma must not.
-  auto rdma = TransportRegistry::Default().Get("rdma");
-  auto local = TransportRegistry::Default().Get("local");
-  TestHandler handler;
-
-  std::unique_ptr<Listener> rdma_listener;
-  std::unique_ptr<Listener> local_listener;
-  ASSERT_TRUE(rdma->Listen("sem/rdma", &handler, &rdma_listener).ok());
-  ASSERT_TRUE(local->Listen("sem/local", &handler, &local_listener).ok());
-
-  MemManager mem(1 << 20);
-  auto pull = [&](Transport& transport, const std::string& addr,
-                  int n) -> std::pair<int, std::uint64_t> {
-    std::unique_ptr<Endpoint> ep;
-    EXPECT_TRUE(transport.Connect(addr, &ep).ok());
-    std::vector<std::byte> metadata;
-    EXPECT_TRUE(ep->Lookup("host/tset", &metadata).ok());
-    Status st;
-    auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
-    const int before = handler.updates;
-    for (int i = 0; i < n; ++i) {
-      handler.Update(static_cast<std::uint64_t>(i + 100));
-      EXPECT_TRUE(ep->Update("host/tset", *mirror).ok());
-    }
-    return {handler.updates - before, ep->stats().bytes_rx.load()};
-  };
-
-  auto [rdma_handler_calls, rdma_bytes] = pull(*rdma, "sem/rdma", 50);
-  EXPECT_EQ(rdma_handler_calls, 0) << "one-sided read went through handler";
-  EXPECT_GT(rdma_bytes, 0u);
-
-  auto [local_handler_calls, local_bytes] = pull(*local, "sem/local", 50);
-  EXPECT_EQ(local_handler_calls, 50);
-  EXPECT_GT(local_bytes, 0u);
+  EXPECT_FALSE(Pull(*ep, extra.handle, *mirror).ok());
 }
 
 TEST(FabricTest, FailedRegistrationDoesNotEvictOwner) {
@@ -517,27 +515,45 @@ TEST(SockTransportTest, OutOfOrderResponsesRouteById) {
   std::unique_ptr<Endpoint> ep;
   ASSERT_TRUE(sock.Connect(peer.address(), &ep).ok());
 
-  struct Done {
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining = 2;
-    std::string first, second;
-  } done;
-  auto record = [&done](std::string* slot) {
-    return [&done, slot](Status st, std::vector<std::byte> bytes) {
-      EXPECT_TRUE(st.ok()) << st.ToString();
-      std::lock_guard<std::mutex> lock(done.mu);
-      slot->assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-      if (--done.remaining == 0) done.cv.notify_all();
-    };
+  // Two callers share the connection; the peer holds the first answer until
+  // the second request has arrived.
+  auto lookup = [&ep](const std::string& instance, std::string* echoed) {
+    std::vector<std::byte> bytes;
+    const Status st = ep->Lookup(instance, &bytes);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    echoed->assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   };
-  ep->LookupAsync("alpha/set", record(&done.first));
-  ep->LookupAsync("beta/set", record(&done.second));
-  std::unique_lock<std::mutex> lock(done.mu);
-  ASSERT_TRUE(done.cv.wait_for(lock, std::chrono::seconds(5),
-                               [&done] { return done.remaining == 0; }));
-  EXPECT_EQ(done.first, "alpha/set");
-  EXPECT_EQ(done.second, "beta/set");
+  std::string first, second;
+  std::thread alpha(lookup, "alpha/set", &first);
+  std::thread beta(lookup, "beta/set", &second);
+  alpha.join();
+  beta.join();
+  EXPECT_EQ(first, "alpha/set");
+  EXPECT_EQ(second, "beta/set");
+}
+
+TEST(SockTransportTest, UnencodableAnswerFailsRequestNotConnection) {
+  // A set name longer than the u16 length prefix cannot be encoded. The
+  // listener must not send a frame with a wrapped length (which decodes as a
+  // silently truncated name); the request fails and the connection lives.
+  class LongNameHandler : public TestHandler {
+   public:
+    std::vector<std::string> HandleDir() override {
+      return {std::string(0x10000 + 7, 'n')};
+    }
+  };
+  SockTransport sock;
+  LongNameHandler handler;
+  std::unique_ptr<Listener> listener;
+  ASSERT_TRUE(sock.Listen("127.0.0.1:0", &handler, &listener).ok());
+  std::unique_ptr<Endpoint> ep;
+  ASSERT_TRUE(sock.Connect(listener->address(), &ep).ok());
+  std::vector<std::string> instances;
+  EXPECT_EQ(ep->Dir(&instances).code(), ErrorCode::kInternal);
+  EXPECT_TRUE(instances.empty());
+  std::vector<std::byte> metadata;
+  EXPECT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  EXPECT_TRUE(ep->connected());
 }
 
 TEST(SockTransportTest, ConcurrentRoundTripsMultiplexOnOneSocket) {
@@ -570,42 +586,110 @@ TEST(SockTransportTest, ConcurrentRoundTripsMultiplexOnOneSocket) {
   EXPECT_EQ(ep->stats().outstanding.load(), 0u);
 }
 
-TEST_P(TransportSuite, UpdateAllAppliesEveryMirror) {
+// One 194-metric set through every state a pull can meet. Each answer must
+// match what the set itself yields (SnapshotData for a full chunk,
+// SnapshotDelta for a delta) byte for byte, so all four transports give the
+// same answers; and the mirror must hold the set's values after applying it.
+// An unknown handle is kNotFound everywhere, one-sided reads included.
+// Two-sided transports resolve the handle in the handler on every pull and
+// charge the server CPU; one-sided ones do neither (Figure 2, flow {f}).
+TEST_P(TransportSuite, EveryStateAnswersAsTheSetDictates) {
   auto transport = GetTransport();
-  TestHandler handler;
+  TestHandler handler(194);  // never sampled yet
+  MetricSet& set = *handler.set_;
+  const bool sock = std::string(GetParam().name) == "sock";
+  const std::string base_addr = std::string("txstates/") + GetParam().name;
   std::unique_ptr<Listener> listener;
-  const std::string base_addr = std::string("txbatch/") + GetParam().name;
-  const std::string listen_addr =
-      std::string(GetParam().name) == "sock" ? "127.0.0.1:0" : base_addr;
-  ASSERT_TRUE(transport->Listen(listen_addr, &handler, &listener).ok());
-  const std::string connect_addr = std::string(GetParam().name) == "sock"
-                                       ? listener->address()
-                                       : base_addr;
+  ASSERT_TRUE(
+      transport->Listen(sock ? "127.0.0.1:0" : base_addr, &handler, &listener)
+          .ok());
   std::unique_ptr<Endpoint> ep;
-  ASSERT_TRUE(transport->Connect(connect_addr, &ep).ok());
+  ASSERT_TRUE(
+      transport->Connect(sock ? listener->address() : base_addr, &ep).ok());
 
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
+  ASSERT_EQ(extra.handle, TestHandler::kHandle);
   MemManager mem(1 << 20);
   Status st;
-  auto m1 = MetricSet::CreateMirror(mem, metadata, &st);
-  ASSERT_TRUE(st.ok());
-  auto m2 = MetricSet::CreateMirror(mem, metadata, &st);
-  ASSERT_TRUE(st.ok());
+  auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
-  handler.Update(77);
-  auto statuses = ep->UpdateAll({"host/tset", "host/tset", "missing/set"},
-                                {m1.get(), m2.get(), nullptr});
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
-  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
-  EXPECT_FALSE(statuses[2].ok());
-  EXPECT_EQ(m1->GetU64(0), 77u);
-  EXPECT_EQ(m2->GetU64(0), 77u);
+  const int resolves_before = handler.resolves.load();
+  const std::uint64_t cpu_before = listener->stats().server_cpu_ns.load();
+  enum class Want { kData, kUnchanged, kDelta, kNotFound, kInconsistent };
+  int pulls = 0;
+  auto pull = [&](const char* state, Want want, std::uint32_t handle) {
+    SCOPED_TRACE(state);
+    ++pulls;
+    const std::uint64_t last_dgn = mirror->data_gn();
+    std::vector<std::byte> expected;
+    if (want == Want::kData) {
+      expected.resize(set.data_size());
+      ASSERT_TRUE(set.SnapshotData(expected).ok());
+    } else if (want == Want::kDelta) {
+      ByteWriter w(&expected);
+      ASSERT_TRUE(set.SnapshotDelta(last_dgn, w).ok());
+    }
+    std::vector<Endpoint::BatchUpdateResult> results;
+    ep->UpdateBatch({{handle, last_dgn}}, &results);
+    ASSERT_EQ(results.size(), 1u);
+    const Endpoint::BatchUpdateResult& r = results[0];
+    if (want == Want::kNotFound || want == Want::kInconsistent) {
+      EXPECT_EQ(r.status.code(), want == Want::kNotFound
+                                     ? ErrorCode::kNotFound
+                                     : ErrorCode::kInconsistent);
+      EXPECT_TRUE(r.data.empty());
+      return;
+    }
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.unchanged, want == Want::kUnchanged);
+    EXPECT_EQ(r.delta, want == Want::kDelta);
+    EXPECT_EQ(r.data, expected);
+    if (!r.unchanged) {
+      ASSERT_TRUE((r.delta ? mirror->ApplyDelta(r.data)
+                           : mirror->ApplyData(r.data))
+                      .ok());
+    }
+    EXPECT_EQ(mirror->data_gn(), set.data_gn());
+    for (std::size_t m = 0; m < set.schema().metric_count(); ++m) {
+      ASSERT_EQ(mirror->GetU64(m), set.GetU64(m)) << "metric " << m;
+    }
+  };
+
+  // A set that never completed a transaction has no consistent chunk.
+  pull("set never sampled", Want::kInconsistent, extra.handle);
+  handler.Update(1);
+  pull("mirror never pulled", Want::kData, extra.handle);
+  pull("no change", Want::kUnchanged, extra.handle);
+  handler.Touch(7, 2);
+  pull("one sparse transaction", Want::kDelta, extra.handle);
+  handler.Touch(8, 3);
+  handler.Touch(9, 4);
+  pull("two transactions since the last pull", Want::kData, extra.handle);
+  ep->set_delta_updates(false);
+  handler.Touch(10, 5);
+  pull("one sparse transaction, deltas off", Want::kData, extra.handle);
+  pull("unknown handle", Want::kNotFound, 0xbadbad);
+
+  const int resolves = handler.resolves.load() - resolves_before;
+  const std::uint64_t cpu = listener->stats().server_cpu_ns.load() - cpu_before;
+  const std::string name = GetParam().name;
+  if (name == "rdma" || name == "ugni") {
+    EXPECT_EQ(resolves, 0) << "one-sided pull went through the handler";
+    EXPECT_EQ(cpu, 0u) << "one-sided pull charged server CPU";
+  } else {
+    EXPECT_EQ(resolves, pulls);
+    if (name == "local") {
+      EXPECT_GT(cpu, 0u);
+    }
+  }
+  EXPECT_GT(ep->stats().bytes_rx.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Batch update protocol: codecs, version negotiation, and interop
+// Batch update protocol: codecs and the sock client/server
 // ---------------------------------------------------------------------------
 
 TEST(BatchCodecTest, RequestRoundTrip) {
@@ -709,117 +793,48 @@ TEST(BatchCodecTest, UnknownEntryKindRejected) {
   EXPECT_FALSE(DecodeUpdateBatchResponse(w.buffer(), &out));
 }
 
-TEST(BatchCodecTest, LookupResponseVersionNegotiation) {
-  // New encoder + new decoder: version and handle survive the round trip.
+TEST(BatchCodecTest, LookupResponseHandleIsMandatory) {
   LookupResponse in;
   in.metadata.assign(16, std::byte{3});
-  in.version = kBatchProtocolVersion;
   in.handle = 99;
   auto bytes = EncodeLookupResponse(in);
   LookupResponse out;
   ASSERT_TRUE(DecodeLookupResponse(bytes, &out));
-  EXPECT_EQ(out.version, kBatchProtocolVersion);
   EXPECT_EQ(out.handle, 99u);
-
-  // A legacy peer's response carries no trailing bytes; the new decoder must
-  // land on version 0 / no handle rather than misparse.
-  bytes.resize(bytes.size() - 5);
-  LookupResponse legacy;
-  ASSERT_TRUE(DecodeLookupResponse(bytes, &legacy));
-  EXPECT_EQ(legacy.metadata, in.metadata);
-  EXPECT_EQ(legacy.version, 0);
-  EXPECT_EQ(legacy.handle, kInvalidSetHandle);
+  // A response that stops after the metadata is malformed, not a
+  // handle-less peer.
+  bytes.resize(bytes.size() - 4);
+  EXPECT_FALSE(DecodeLookupResponse(bytes, &out));
 }
 
-// TestHandler plus handle assignment: a batch-capable (version >= 1) server.
-class BatchHandler : public TestHandler {
- public:
-  std::uint32_t HandleAssignHandle(const std::string& instance) override {
-    return instance == "host/tset" ? kHandle : kInvalidSetHandle;
+TEST(BatchCodecTest, ModeledSizesMatchEncoders) {
+  // local charges these sizes instead of encoding the frames; they must be
+  // what sock puts on the wire.
+  LookupResponse lookup;
+  lookup.metadata.assign(37, std::byte{1});
+  EXPECT_EQ(LookupResponseSize(37), EncodeLookupResponse(lookup).size());
+  UpdateBatchRequest req;
+  req.entries = {{1, 10}, {2, 20}, {3, 30}};
+  EXPECT_EQ(UpdateBatchRequestSize(3), EncodeUpdateBatchRequest(req).size());
+  UpdateBatchResponse resp;
+  resp.entries.resize(4);
+  resp.entries[0].kind = BatchEntryKind::kUnchanged;
+  resp.entries[1].kind = BatchEntryKind::kError;
+  resp.entries[2].kind = BatchEntryKind::kData;
+  resp.entries[2].data.assign(48, std::byte{2});
+  resp.entries[3].kind = BatchEntryKind::kDelta;
+  resp.entries[3].data.assign(21, std::byte{3});
+  std::size_t modeled = UpdateBatchResponseHeaderSize();
+  for (const auto& e : resp.entries) {
+    modeled += BatchEntrySize(e.kind, e.data.size());
   }
-  MetricSetPtr HandleResolveHandle(std::uint32_t handle) override {
-    return handle == kHandle ? set_ : nullptr;
-  }
-  static constexpr std::uint32_t kHandle = 17;
-};
+  EXPECT_EQ(modeled, EncodeUpdateBatchResponse(resp).size());
+  EXPECT_EQ(BatchEntrySize(BatchEntryKind::kUnchanged, 0), 5u);
+  EXPECT_EQ(BatchEntrySize(BatchEntryKind::kError, 0), 6u);
+  EXPECT_EQ(BatchEntrySize(BatchEntryKind::kData, 48), 9u + 48u);
+}
 
 TEST(BatchProtocolTest, SockBatchDataUnchangedAndUnknownHandle) {
-  auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
-  std::unique_ptr<Listener> listener;
-  ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
-  std::unique_ptr<Endpoint> ep;
-  ASSERT_TRUE(transport->Connect(listener->address(), &ep).ok());
-
-  std::vector<std::byte> metadata;
-  Endpoint::LookupExtra extra;
-  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
-  EXPECT_EQ(extra.version, kBatchProtocolVersion);
-  EXPECT_EQ(extra.handle, BatchHandler::kHandle);
-
-  handler.Update(5);
-  const std::uint64_t live_gn = handler.set_->data_gn();
-
-  // Entry 0 is stale (gets data), entry 1 is current (unchanged marker),
-  // entry 2 is a handle the server never issued (per-entry kNotFound).
-  std::vector<Endpoint::BatchUpdateSpec> specs(3);
-  specs[0] = {"host/tset", BatchHandler::kHandle, 0};
-  specs[1] = {"host/tset", BatchHandler::kHandle, live_gn};
-  specs[2] = {"host/tset", 0xbadbad, 0};
-  // Entries 0 and 1 collide on the handle; the dedup in UpdateBatch must
-  // route one through the batch frame and the other down the legacy path
-  // rather than send a duplicate the server would reject. Run them
-  // separately so each outcome is unambiguous.
-  std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({specs[0], specs[2]}, &results);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].batched);
-  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_FALSE(results[0].unchanged);
-  EXPECT_EQ(results[0].data.size(), handler.set_->data_size());
-  EXPECT_TRUE(results[1].batched);
-  EXPECT_EQ(results[1].status.code(), ErrorCode::kNotFound);
-
-  ep->UpdateBatch({specs[1]}, &results);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].batched);
-  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_TRUE(results[0].unchanged);
-  EXPECT_TRUE(results[0].data.empty());
-
-  EXPECT_GE(ep->stats().update_batches.load(), 2u);
-  EXPECT_GE(ep->stats().updates_unchanged.load(), 1u);
-}
-
-TEST(BatchProtocolTest, DuplicateHandlesInOneBatchBothSucceed) {
-  auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
-  std::unique_ptr<Listener> listener;
-  ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
-  std::unique_ptr<Endpoint> ep;
-  ASSERT_TRUE(transport->Connect(listener->address(), &ep).ok());
-  std::vector<std::byte> metadata;
-  Endpoint::LookupExtra extra;
-  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
-
-  handler.Update(6);
-  std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/tset", BatchHandler::kHandle, 0},
-                   {"host/tset", BatchHandler::kHandle, 0}},
-                  &results);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_TRUE(results[1].status.ok()) << results[1].status.ToString();
-  // One rides the batch frame, the duplicate falls back to a per-set update.
-  EXPECT_NE(results[0].batched, results[1].batched);
-  EXPECT_FALSE(results[0].data.empty());
-  EXPECT_FALSE(results[1].data.empty());
-}
-
-TEST(BatchProtocolTest, NewClientAgainstLegacyServerFallsBack) {
-  // TestHandler never assigns handles: it models a pre-batch peer. The
-  // client must see version 0 and route every set through per-set updates
-  // without ever emitting a kUpdateBatchReq frame.
   auto transport = TransportRegistry::Default().Get("sock");
   TestHandler handler;
   std::unique_ptr<Listener> listener;
@@ -830,40 +845,56 @@ TEST(BatchProtocolTest, NewClientAgainstLegacyServerFallsBack) {
   std::vector<std::byte> metadata;
   Endpoint::LookupExtra extra;
   ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
-  EXPECT_EQ(extra.version, 0);
-  EXPECT_EQ(extra.handle, kInvalidSetHandle);
+  EXPECT_EQ(extra.handle, TestHandler::kHandle);
 
-  handler.Update(9);
+  handler.Update(5);
+  const std::uint64_t live_gn = handler.set_->data_gn();
+
+  // Entry 0 is stale (gets data), entry 1 is a handle the server never
+  // issued (per-entry kNotFound).
   std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/tset", extra.handle, 0}}, &results);
+  ep->UpdateBatch({{TestHandler::kHandle, 0}, {0xbadbad, 0}}, &results);
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_FALSE(results[0].unchanged);
+  EXPECT_EQ(results[0].data.size(), handler.set_->data_size());
+  EXPECT_EQ(results[1].status.code(), ErrorCode::kNotFound);
+
+  // Current: the unchanged marker.
+  ep->UpdateBatch({{TestHandler::kHandle, live_gn}}, &results);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_FALSE(results[0].batched);
-  EXPECT_FALSE(results[0].data.empty());
-  EXPECT_EQ(ep->stats().update_batches.load(), 0u);
-  EXPECT_EQ(handler.updates, 1);
+  EXPECT_TRUE(results[0].unchanged);
+  EXPECT_TRUE(results[0].data.empty());
+
+  EXPECT_EQ(ep->stats().update_batches.load(), 2u);
+  EXPECT_EQ(ep->stats().updates_unchanged.load(), 1u);
+  EXPECT_EQ(listener->stats().updates_unchanged.load(), 1u);
 }
 
-TEST(BatchProtocolTest, LegacyClientAgainstBatchServerStillWorks) {
-  // An old aggregator speaks plain Lookup/Update to a batch-capable server:
-  // the trailing lookup bytes are ignored and per-set updates behave as
-  // before.
+TEST(BatchProtocolTest, RepeatedHandleInOneBatchFailsOnlyTheRepeat) {
+  // The response is keyed by handle, so a handle rides once per frame: the
+  // repeat fails alone, and the first occurrence is served.
   auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
+  TestHandler handler;
   std::unique_ptr<Listener> listener;
   ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
   std::unique_ptr<Endpoint> ep;
   ASSERT_TRUE(transport->Connect(listener->address(), &ep).ok());
-
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
-  MemManager mem(1 << 20);
-  Status st;
-  auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  handler.Update(31);
-  ASSERT_TRUE(ep->Update("host/tset", *mirror).ok());
-  EXPECT_EQ(mirror->GetU64(0), 31u);
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
+
+  handler.Update(6);
+  std::vector<Endpoint::BatchUpdateResult> results;
+  ep->UpdateBatch({{TestHandler::kHandle, 0}, {TestHandler::kHandle, 0}},
+                  &results);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_FALSE(results[0].data.empty());
+  EXPECT_EQ(results[1].status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(results[1].data.empty());
+  EXPECT_EQ(ep->stats().update_batches.load(), 1u);
 }
 
 TEST(BatchProtocolTest, MalformedBatchFrameGetsErrorResponse) {
@@ -871,7 +902,7 @@ TEST(BatchProtocolTest, MalformedBatchFrameGetsErrorResponse) {
   // check it answers with a top-level error instead of dropping the
   // connection or crashing.
   auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
+  TestHandler handler;
   std::unique_ptr<Listener> listener;
   ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
 
@@ -1122,26 +1153,33 @@ TEST(BatchCodecTest, MalformedDeltaEntriesRejected) {
   }
 }
 
-TEST(BatchCodecTest, RequestCarriesClientVersionWithLegacyFallback) {
+TEST(BatchCodecTest, RequestRevisionByteIsMandatory) {
+  EXPECT_EQ(kBatchRevisionDelta, 2);
+  EXPECT_EQ(kBatchRevisionFull, 1);
   UpdateBatchRequest in;
   in.entries = {{7, 100}};
-  in.version = kBatchProtocolVersion;
-  auto bytes = EncodeUpdateBatchRequest(in);
-  UpdateBatchRequest out;
-  ASSERT_TRUE(DecodeUpdateBatchRequest(bytes, &out));
-  EXPECT_EQ(out.version, kBatchProtocolVersion);
-  // A v1 encoder emits no trailing version byte; the decoder must land on
-  // version 1 (batch-capable, not delta-capable) rather than misparse.
-  bytes.pop_back();
-  UpdateBatchRequest legacy;
-  ASSERT_TRUE(DecodeUpdateBatchRequest(bytes, &legacy));
-  EXPECT_EQ(legacy.version, 1);
-  ASSERT_EQ(legacy.entries.size(), 1u);
-  EXPECT_EQ(legacy.entries[0].handle, 7u);
+  for (const bool delta : {true, false}) {
+    in.accept_delta = delta;
+    auto bytes = EncodeUpdateBatchRequest(in);
+    // The trailing byte keeps its wire values: 2 accepts deltas, 1 does not.
+    EXPECT_EQ(bytes.back(), std::byte{delta ? kBatchRevisionDelta
+                                            : kBatchRevisionFull});
+    UpdateBatchRequest out;
+    ASSERT_TRUE(DecodeUpdateBatchRequest(bytes, &out));
+    EXPECT_EQ(out.accept_delta, delta);
+    ASSERT_EQ(out.entries.size(), 1u);
+    EXPECT_EQ(out.entries[0].handle, 7u);
+    // Without the revision byte, or with one no client sends, the request is
+    // malformed.
+    bytes.back() = std::byte{3};
+    EXPECT_FALSE(DecodeUpdateBatchRequest(bytes, &out));
+    bytes.pop_back();
+    EXPECT_FALSE(DecodeUpdateBatchRequest(bytes, &out));
+  }
 }
 
-// A batch-capable server over a 32-metric set: wide enough that a sparse
-// change produces a delta comfortably smaller than the full chunk.
+// A server over a 32-metric set: wide enough that a sparse change produces
+// a delta comfortably smaller than the full chunk.
 class WideHandler : public ServiceHandler {
  public:
   WideHandler() : mem_(1 << 20) {
@@ -1174,16 +1212,7 @@ class WideHandler : public ServiceHandler {
     metadata->assign(bytes.begin(), bytes.end());
     return Status::Ok();
   }
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override {
-    if (instance != "host/wide") return {ErrorCode::kNotFound, instance};
-    data->resize(set_->data_size());
-    return set_->SnapshotData(*data);
-  }
   void HandleAdvertise(const AdvertiseMsg&) override {}
-  MetricSetPtr HandleRdmaExpose(const std::string& instance) override {
-    return instance == "host/wide" ? set_ : nullptr;
-  }
   std::uint32_t HandleAssignHandle(const std::string& instance) override {
     return instance == "host/wide" ? kHandle : kInvalidSetHandle;
   }
@@ -1217,7 +1246,7 @@ TEST(BatchProtocolTest, SockDeltaRoundTripAndFullChunkFallback) {
   // First pull: every metric changed in the base sample, so the delta would
   // be no smaller than the chunk — the server must fall back to kData.
   std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/wide", WideHandler::kHandle, 0}}, &results);
+  ep->UpdateBatch({{WideHandler::kHandle, 0}}, &results);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
   EXPECT_FALSE(results[0].delta);
@@ -1227,7 +1256,7 @@ TEST(BatchProtocolTest, SockDeltaRoundTripAndFullChunkFallback) {
   // Sparse change: one metric out of 32. The pull must come back as a delta
   // far smaller than the chunk and decode straight into the mirror.
   handler.Touch(3, 42);
-  ep->UpdateBatch({{"host/wide", WideHandler::kHandle, mirror->data_gn()}},
+  ep->UpdateBatch({{WideHandler::kHandle, mirror->data_gn()}},
                   &results);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
@@ -1239,11 +1268,11 @@ TEST(BatchProtocolTest, SockDeltaRoundTripAndFullChunkFallback) {
   EXPECT_EQ(mirror->data_gn(), handler.set_->data_gn());
   EXPECT_GE(ep->stats().updates_delta.load(), 1u);
 
-  // Knob off: the client declares v1, so the same sparse change arrives as
-  // a full chunk on the next pull.
+  // Knob off: the client's revision byte refuses deltas, so the same sparse
+  // change arrives as a full chunk on the next pull.
   ep->set_delta_updates(false);
   handler.Touch(4, 43);
-  ep->UpdateBatch({{"host/wide", WideHandler::kHandle, mirror->data_gn()}},
+  ep->UpdateBatch({{WideHandler::kHandle, mirror->data_gn()}},
                   &results);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
@@ -1271,7 +1300,7 @@ TEST(BatchProtocolTest, StaleMirrorDeltaRejectedThenFullChunkRecovers) {
   ASSERT_TRUE(st.ok());
 
   std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/wide", WideHandler::kHandle, 0}}, &results);
+  ep->UpdateBatch({{WideHandler::kHandle, 0}}, &results);
   ASSERT_TRUE(results[0].status.ok());
   ASSERT_TRUE(mirror->ApplyData(results[0].data).ok());
   const std::uint64_t held = mirror->data_gn();
@@ -1281,7 +1310,7 @@ TEST(BatchProtocolTest, StaleMirrorDeltaRejectedThenFullChunkRecovers) {
   // come back as a full chunk (no delta chains across gaps).
   handler.Touch(5, 50);
   handler.Touch(6, 60);
-  ep->UpdateBatch({{"host/wide", WideHandler::kHandle, held}}, &results);
+  ep->UpdateBatch({{WideHandler::kHandle, held}}, &results);
   ASSERT_TRUE(results[0].status.ok());
   EXPECT_FALSE(results[0].delta);
   ASSERT_EQ(results[0].data.size(), handler.set_->data_size());
@@ -1293,7 +1322,7 @@ TEST(BatchProtocolTest, StaleMirrorDeltaRejectedThenFullChunkRecovers) {
   // A delta pulled for the current transition must still be refused by a
   // mirror that never caught up (base mismatch), leaving it untouched.
   handler.Touch(7, 70);
-  ep->UpdateBatch({{"host/wide", WideHandler::kHandle, mirror->data_gn()}},
+  ep->UpdateBatch({{WideHandler::kHandle, mirror->data_gn()}},
                   &results);
   ASSERT_TRUE(results[0].status.ok());
   ASSERT_TRUE(results[0].delta);
@@ -1314,12 +1343,11 @@ TEST(SockTransportTest, MalformedDeltaFromPeerFailsEntryNotConnection) {
   RawPeer peer([](int fd) {
     FrameHeader hdr;
     std::vector<std::byte> payload;
-    // Frame 1: LookupEx. Answer with junk metadata + batch version/handle.
+    // Frame 1: LookupEx. Answer with junk metadata and a handle.
     if (!ReadFrame(fd, &hdr, &payload)) return;
     LookupResponse lr;
     lr.code = 0;
     lr.metadata.assign(16, std::byte{9});
-    lr.version = kBatchProtocolVersion;
     lr.handle = 7;
     auto f1 = EncodeFrame(MsgType::kLookupResp, hdr.request_id,
                           EncodeLookupResponse(lr));
@@ -1366,7 +1394,7 @@ TEST(SockTransportTest, MalformedDeltaFromPeerFailsEntryNotConnection) {
   ASSERT_EQ(extra.handle, 7u);
 
   std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/x", 7, 0}}, &results);
+  ep->UpdateBatch({{7, 0}}, &results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status.code(), ErrorCode::kInternal)
       << results[0].status.ToString();
