@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "daemon/config.hpp"
 #include "daemon/ldmsd.hpp"
 #include "daemon/plugin_registry.hpp"
 #include "daemon/registry.hpp"
@@ -32,44 +33,34 @@
 namespace ldmsxx::bench {
 namespace {
 
-/// A realistic aggregator snapshot: N producers with freshness metadata,
-/// two store policies, and the aggregation tree the daemon roots.
+/// A realistic aggregator registry: N producers, two store policies, and
+/// the aggregation tree the daemon roots, as the records a daemon writes.
 RegistrySnapshot MakeSnapshot(int producers) {
   RegistrySnapshot snap;
-  snap.daemon_name = "restart-bench";
-  snap.saved_tick = 86400ull * kNsPerSec;
-  snap.producers.reserve(static_cast<std::size_t>(producers));
+  TreeOptions tree;
+  tree.seed = 2014;
   for (int i = 0; i < producers; ++i) {
     const std::string node = "node" + std::to_string(i);
-    ProducerRecord p;
+    ProducerConfig p;
     p.name = node;
     p.transport = "local";
     p.address = node + "/listen";
     p.interval = kNsPerSec;
     p.set_instances = {node + "/meminfo", node + "/vmstat"};
-    p.auth_key_id = 1;
-    p.last_seen = snap.saved_tick - static_cast<TimeNs>(i % 7) * kNsPerMs;
-    p.schema_digests = {{"meminfo", 0x9e3779b97f4a7c15ull + i},
-                        {"vmstat", 0xc2b2ae3d27d4eb4full + i}};
-    snap.producers.push_back(std::move(p));
+    snap.producers[node] = PrdcrAddArgs(p);
+    tree.samplers.push_back({node, static_cast<std::uint64_t>(i)});
   }
-  StoreRecord primary;
+  StorePolicy primary;
   primary.name = "primary";
   primary.plugin = "store_mem";
-  snap.stores.push_back(primary);
-  StoreRecord secondary = primary;
+  snap.stores["primary"] = StrgpAddArgs(primary);
+  StorePolicy secondary = primary;
   secondary.name = "secondary";
-  snap.stores.push_back(secondary);
-  snap.tree.present = true;
-  snap.tree.role = "root";
-  snap.tree.seed = 2014;
-  for (int i = 0; i < producers; ++i) {
-    snap.tree.samplers.push_back(
-        {"node" + std::to_string(i), static_cast<std::uint64_t>(i)});
-  }
+  snap.stores["secondary"] = StrgpAddArgs(secondary);
   for (int j = 0; j < producers / 250; ++j) {
-    snap.tree.leaves.push_back("leaf" + std::to_string(j));
+    tree.leaves.push_back("leaf" + std::to_string(j));
   }
+  snap.tree = TreeArgs(tree, {});
   return snap;
 }
 
@@ -92,10 +83,9 @@ ScaleResult MeasureScale(const std::string& dir, int producers, int reps) {
   // Leg 1: eager-save cost (serialize + tmp + fsync + rename).
   {
     ClusterRegistry reg(path);
-    for (const auto& p : snap.producers) reg.UpsertProducer(p);
-    for (const auto& s : snap.stores) reg.UpsertStore(s);
-    reg.SetTree(snap.tree);
-    reg.SetMeta(snap.daemon_name, snap.saved_tick);
+    for (const auto& [name, args] : snap.producers) reg.UpsertProducer(args);
+    for (const auto& [name, args] : snap.stores) reg.UpsertStore(args);
+    reg.SetTree(*snap.tree);
     double total = 0.0;
     for (int r = 0; r < reps; ++r) {
       total += TimeSeconds([&] { (void)reg.Save(); });
@@ -132,12 +122,11 @@ ScaleResult MeasureScale(const std::string& dir, int producers, int reps) {
     opts.clock = &clock;
     opts.transports = &transports;
     opts.registry_path = path;
-    opts.registry_snapshot_interval = 0;
     Ldmsd daemon(opts);
     Status st;
     result.restore_ms = TimeSeconds([&] {
                           st = daemon.RestoreFromRegistry(
-                              &PluginRegistry::Instance());
+                              PluginRegistry::Instance());
                         }) *
                         1e3;
     if (!st.ok()) {

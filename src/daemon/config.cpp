@@ -1,5 +1,7 @@
 #include "daemon/config.hpp"
 
+#include <limits>
+
 #include "daemon/decomp/decomp.hpp"
 #include "daemon/topology.hpp"
 #include "store/tsdb/tsdb_store.hpp"
@@ -18,13 +20,40 @@ PluginParams ToParams(
   return params;
 }
 
-std::optional<DurationNs> IntervalUsParam(const PluginParams& args,
-                                          const std::string& key) {
+/// Read the optional microsecond argument @p key into @p out, in ns; an
+/// absent key leaves @p out as it is. A value that does not parse, or whose
+/// ns value overflows, fails the verb naming the argument.
+Status UsArg(const PluginParams& args, const char* key, DurationNs* out) {
   auto it = args.find(key);
-  if (it == args.end()) return std::nullopt;
+  if (it == args.end()) return Status::Ok();
   auto us = ParseU64(it->second);
-  if (!us) return std::nullopt;
-  return *us * kNsPerUs;
+  if (!us || *us > std::numeric_limits<DurationNs>::max() / kNsPerUs) {
+    return {ErrorCode::kInvalidArgument,
+            std::string("bad ") + key + "=" + it->second};
+  }
+  *out = *us * kNsPerUs;
+  return Status::Ok();
+}
+
+Status UsArgs(const PluginParams& args,
+              std::initializer_list<std::pair<const char*, DurationNs*>> keys) {
+  for (const auto& [key, out] : keys) {
+    Status st = UsArg(args, key, out);
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
+std::string UsText(DurationNs ns) { return std::to_string(ns / kNsPerUs); }
+
+const char* FlagText(bool on) { return on ? "1" : "0"; }
+
+/// strgp_add's own keys; every other argument belongs to the store plugin.
+bool IsStrgpPolicyKey(const std::string& key) {
+  return key == "name" || key == "plugin" || key == "schema" ||
+         key == "producer" || key == "queue" || key == "shed" ||
+         key == "breaker_k" || key == "breaker_min" ||
+         key == "breaker_max" || key == "decomp";
 }
 
 }  // namespace
@@ -36,6 +65,137 @@ bool IsMutatingControlVerb(std::string_view verb) {
            verb == "prdcr_status" || verb == "tree_status" ||
            verb == "registry_status" || verb == "auth_status" ||
            verb == "query");
+}
+
+Status ParsePrdcrAdd(const PluginParams& args, ProducerConfig* config) {
+  *config = ProducerConfig{};
+  if (auto it = args.find("name"); it != args.end()) {
+    config->name = it->second;
+  } else {
+    return {ErrorCode::kInvalidArgument, "prdcr_add requires name="};
+  }
+  if (auto it = args.find("xprt"); it != args.end())
+    config->transport = it->second;
+  if (auto it = args.find("host"); it != args.end())
+    config->address = it->second;
+  Status st = UsArgs(args, {{"interval", &config->interval},
+                            {"offset", &config->offset},
+                            {"timeout", &config->request_timeout},
+                            {"reconnect_min", &config->reconnect_min_backoff},
+                            {"reconnect_max", &config->reconnect_max_backoff},
+                            {"rediscover", &config->rediscover_interval}});
+  if (!st.ok()) return st;
+  if (auto it = args.find("sync"); it != args.end())
+    config->synchronous = it->second == "1";
+  if (auto it = args.find("sets"); it != args.end()) {
+    for (auto inst : Split(it->second, ',')) {
+      if (!inst.empty()) config->set_instances.emplace_back(inst);
+    }
+  }
+  if (auto it = args.find("delta"); it != args.end())
+    config->delta_updates = it->second == "1";
+  if (auto it = args.find("standby"); it != args.end())
+    config->standby = it->second == "1";
+  if (auto it = args.find("standby_for"); it != args.end())
+    config->standby_for = it->second;
+  return Status::Ok();
+}
+
+PluginParams PrdcrAddArgs(const ProducerConfig& config) {
+  std::string sets;
+  for (const auto& instance : config.set_instances) {
+    if (!sets.empty()) sets.push_back(',');
+    sets += instance;
+  }
+  return {{"name", config.name},
+          {"xprt", config.transport},
+          {"host", config.address},
+          {"interval", UsText(config.interval)},
+          {"offset", UsText(config.offset)},
+          {"sync", FlagText(config.synchronous)},
+          {"timeout", UsText(config.request_timeout)},
+          {"reconnect_min", UsText(config.reconnect_min_backoff)},
+          {"reconnect_max", UsText(config.reconnect_max_backoff)},
+          {"sets", sets},
+          {"rediscover", UsText(config.rediscover_interval)},
+          {"delta", FlagText(config.delta_updates)},
+          {"standby", FlagText(config.standby)},
+          {"standby_for", config.standby_for}};
+}
+
+Status ParseStrgpAdd(const PluginParams& args, StorePolicy* policy) {
+  *policy = StorePolicy{};
+  if (auto it = args.find("plugin"); it != args.end()) {
+    policy->plugin = it->second;
+  } else {
+    return {ErrorCode::kInvalidArgument, "strgp_add requires plugin="};
+  }
+  for (const auto& [key, value] : args) {
+    if (!IsStrgpPolicyKey(key)) policy->plugin_params[key] = value;
+  }
+  if (auto it = args.find("name"); it != args.end()) policy->name = it->second;
+  if (auto it = args.find("schema"); it != args.end())
+    policy->schema_filter = it->second;
+  if (auto it = args.find("producer"); it != args.end())
+    policy->producer_filter = it->second;
+  if (auto it = args.find("queue"); it != args.end()) {
+    auto n = ParseU64(it->second);
+    if (!n) return {ErrorCode::kInvalidArgument, "bad queue=" + it->second};
+    policy->queue_capacity = static_cast<std::size_t>(*n);
+  }
+  if (auto it = args.find("shed"); it != args.end()) {
+    if (!ParseShedPolicy(it->second, &policy->shed_policy)) {
+      return {ErrorCode::kInvalidArgument, "bad shed=" + it->second};
+    }
+  }
+  if (auto it = args.find("breaker_k"); it != args.end()) {
+    auto n = ParseU64(it->second);
+    if (!n) {
+      return {ErrorCode::kInvalidArgument, "bad breaker_k=" + it->second};
+    }
+    policy->breaker_threshold = *n;
+  }
+  Status st = UsArgs(args, {{"breaker_min", &policy->breaker_min_backoff},
+                            {"breaker_max", &policy->breaker_max_backoff}});
+  if (!st.ok()) return st;
+  if (auto it = args.find("decomp"); it != args.end()) {
+    // Validate the spec here so a typo fails the command, not (silently)
+    // the first stored sample. Metric resolution against the schema still
+    // happens lazily at first sample — config does not know schemas.
+    DecompSpec spec;
+    st = ParseDecompSpec(it->second, &spec);
+    if (!st.ok()) return st;
+    policy->decomp = it->second;
+  }
+  return Status::Ok();
+}
+
+Status MakeStrgpStore(const PluginRegistry& plugins, StorePolicy* policy) {
+  policy->store = plugins.MakeStore(policy->plugin, policy->plugin_params);
+  if (policy->store == nullptr) {
+    return {ErrorCode::kNotFound, "unknown store plugin: " + policy->plugin};
+  }
+  if (!policy->decomp.empty() && !policy->store->row_capable()) {
+    return {ErrorCode::kUnsupported,
+            "decomp= requires a row-capable store plugin (" + policy->plugin +
+                " stores whole sets)"};
+  }
+  return Status::Ok();
+}
+
+PluginParams StrgpAddArgs(const StorePolicy& policy) {
+  PluginParams args = policy.plugin_params;
+  args["name"] = policy.name;
+  args["plugin"] = policy.plugin;
+  args["schema"] = policy.schema_filter;
+  args["producer"] = policy.producer_filter;
+  args["queue"] = std::to_string(policy.queue_capacity);
+  args["shed"] = ShedPolicyName(policy.shed_policy);
+  args["breaker_k"] = std::to_string(policy.breaker_threshold);
+  args["breaker_min"] = UsText(policy.breaker_min_backoff);
+  args["breaker_max"] = UsText(policy.breaker_max_backoff);
+  if (!policy.decomp.empty()) args["decomp"] = policy.decomp;
+  return args;
 }
 
 ConfigProcessor::ConfigProcessor(Ldmsd& daemon, PluginRegistry* registry)
@@ -143,12 +303,12 @@ Status ConfigProcessor::CmdStart(const PluginParams& args) {
   }
   SamplerConfig config;
   config.params = pending->second;
-  if (auto interval = IntervalUsParam(args, "interval")) {
-    config.interval = *interval;
-  } else {
+  if (!args.contains("interval")) {
     return {ErrorCode::kInvalidArgument, "start requires interval=<usec>"};
   }
-  if (auto offset = IntervalUsParam(args, "offset")) config.offset = *offset;
+  Status st = UsArgs(args, {{"interval", &config.interval},
+                            {"offset", &config.offset}});
+  if (!st.ok()) return st;
   if (auto sync = args.find("sync"); sync != args.end()) {
     config.synchronous = sync->second == "1";
   }
@@ -156,7 +316,7 @@ Status ConfigProcessor::CmdStart(const PluginParams& args) {
   if (plugin == nullptr) {
     return {ErrorCode::kNotFound, "unknown sampler plugin: " + it->second};
   }
-  Status st = daemon_.AddSampler(std::move(plugin), config);
+  st = daemon_.AddSampler(std::move(plugin), config);
   if (st.ok()) pending_.erase(pending);
   return st;
 }
@@ -171,54 +331,20 @@ Status ConfigProcessor::CmdStop(const PluginParams& args) {
 
 Status ConfigProcessor::CmdInterval(const PluginParams& args) {
   auto it = args.find("name");
-  auto interval = IntervalUsParam(args, "interval");
-  if (it == args.end() || !interval) {
+  if (it == args.end() || !args.contains("interval")) {
     return {ErrorCode::kInvalidArgument,
             "interval requires name= and interval=<usec>"};
   }
-  return daemon_.SetSamplingInterval(it->second, *interval);
+  DurationNs interval = 0;
+  Status st = UsArg(args, "interval", &interval);
+  if (!st.ok()) return st;
+  return daemon_.SetSamplingInterval(it->second, interval);
 }
 
 Status ConfigProcessor::CmdPrdcrAdd(const PluginParams& args) {
   ProducerConfig config;
-  if (auto it = args.find("name"); it != args.end()) {
-    config.name = it->second;
-  } else {
-    return {ErrorCode::kInvalidArgument, "prdcr_add requires name="};
-  }
-  if (auto it = args.find("xprt"); it != args.end())
-    config.transport = it->second;
-  if (auto it = args.find("host"); it != args.end())
-    config.address = it->second;
-  if (auto interval = IntervalUsParam(args, "interval")) {
-    config.interval = *interval;
-  }
-  if (auto offset = IntervalUsParam(args, "offset")) config.offset = *offset;
-  if (auto it = args.find("sync"); it != args.end())
-    config.synchronous = it->second == "1";
-  if (auto timeout = IntervalUsParam(args, "timeout")) {
-    config.request_timeout = *timeout;
-  }
-  if (auto min_backoff = IntervalUsParam(args, "reconnect_min")) {
-    config.reconnect_min_backoff = *min_backoff;
-  }
-  if (auto max_backoff = IntervalUsParam(args, "reconnect_max")) {
-    config.reconnect_max_backoff = *max_backoff;
-  }
-  if (auto it = args.find("sets"); it != args.end()) {
-    for (auto inst : Split(it->second, ',')) {
-      if (!inst.empty()) config.set_instances.emplace_back(inst);
-    }
-  }
-  if (auto rediscover = IntervalUsParam(args, "rediscover")) {
-    config.rediscover_interval = *rediscover;
-  }
-  if (auto it = args.find("delta"); it != args.end())
-    config.delta_updates = it->second == "1";
-  if (auto it = args.find("standby"); it != args.end())
-    config.standby = it->second == "1";
-  if (auto it = args.find("standby_for"); it != args.end())
-    config.standby_for = it->second;
+  Status st = ParsePrdcrAdd(args, &config);
+  if (!st.ok()) return st;
   return daemon_.AddProducer(config);
 }
 
@@ -231,63 +357,10 @@ Status ConfigProcessor::CmdPrdcrDel(const PluginParams& args) {
 }
 
 Status ConfigProcessor::CmdStrgpAdd(const PluginParams& args) {
-  auto plugin_it = args.find("plugin");
-  if (plugin_it == args.end()) {
-    return {ErrorCode::kInvalidArgument, "strgp_add requires plugin="};
-  }
-  auto store = registry_->MakeStore(plugin_it->second, args);
-  if (store == nullptr) {
-    return {ErrorCode::kNotFound,
-            "unknown store plugin: " + plugin_it->second};
-  }
   StorePolicy policy;
-  policy.store = std::move(store);
-  // Provenance for restart-resume: the cluster registry records the plugin
-  // name + args so a restarted daemon can re-make this store.
-  policy.plugin = plugin_it->second;
-  policy.plugin_params = args;
-  if (auto it = args.find("name"); it != args.end()) policy.name = it->second;
-  if (auto it = args.find("schema"); it != args.end())
-    policy.schema_filter = it->second;
-  if (auto it = args.find("producer"); it != args.end())
-    policy.producer_filter = it->second;
-  if (auto it = args.find("queue"); it != args.end()) {
-    auto n = ParseU64(it->second);
-    if (!n) return {ErrorCode::kInvalidArgument, "bad queue=" + it->second};
-    policy.queue_capacity = static_cast<std::size_t>(*n);
-  }
-  if (auto it = args.find("shed"); it != args.end()) {
-    if (!ParseShedPolicy(it->second, &policy.shed_policy)) {
-      return {ErrorCode::kInvalidArgument, "bad shed=" + it->second};
-    }
-  }
-  if (auto it = args.find("breaker_k"); it != args.end()) {
-    auto n = ParseU64(it->second);
-    if (!n) {
-      return {ErrorCode::kInvalidArgument, "bad breaker_k=" + it->second};
-    }
-    policy.breaker_threshold = *n;
-  }
-  if (auto min_backoff = IntervalUsParam(args, "breaker_min")) {
-    policy.breaker_min_backoff = *min_backoff;
-  }
-  if (auto max_backoff = IntervalUsParam(args, "breaker_max")) {
-    policy.breaker_max_backoff = *max_backoff;
-  }
-  if (auto it = args.find("decomp"); it != args.end()) {
-    // Validate the spec here so a typo fails the command, not (silently)
-    // the first stored sample. Metric resolution against the schema still
-    // happens lazily at first sample — config does not know schemas.
-    DecompSpec spec;
-    Status st = ParseDecompSpec(it->second, &spec);
-    if (!st.ok()) return st;
-    if (!policy.store->row_capable()) {
-      return {ErrorCode::kUnsupported,
-              "decomp= requires a row-capable store plugin (" +
-                  policy.plugin + " stores whole sets)"};
-    }
-    policy.decomp = it->second;
-  }
+  Status st = ParseStrgpAdd(args, &policy);
+  if (st.ok()) st = MakeStrgpStore(*registry_, &policy);
+  if (!st.ok()) return st;
   return daemon_.AddStorePolicy(std::move(policy));
 }
 
@@ -468,8 +541,8 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
   } else {
     return {ErrorCode::kInvalidArgument, "query requires table="};
   }
-  if (auto t0 = IntervalUsParam(args, "t0_us")) q.t0 = *t0;
-  if (auto t1 = IntervalUsParam(args, "t1_us")) q.t1 = *t1;
+  Status st = UsArgs(args, {{"t0_us", &q.t0}, {"t1_us", &q.t1}});
+  if (!st.ok()) return st;
   if (auto it = args.find("nodes"); it != args.end()) {
     for (auto node_sv : Split(it->second, ',')) {
       auto node = ParseU64(node_sv);
@@ -494,7 +567,7 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
 
   if (mode == "rollup") {
     std::vector<TsdbRollupRow> rollups;
-    Status st = tsdb->QueryRollup(q, &rollups);
+    st = tsdb->QueryRollup(q, &rollups);
     if (!st.ok()) return st;
     *output = "buckets=" + std::to_string(rollups.size());
     std::size_t emitted = 0;
@@ -519,7 +592,7 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
     req.metrics = q.metrics;
     req.limit = static_cast<std::uint32_t>(limit);
     Ldmsd::FanoutResult fanout;
-    Status st = daemon_.FanoutQuery(req, &fanout);
+    st = daemon_.FanoutQuery(req, &fanout);
     if (!st.ok()) return st;
     const QueryResponse& merged = fanout.merged;
     std::string columns;
@@ -550,7 +623,7 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
     return {ErrorCode::kInvalidArgument, "bad mode=" + mode};
   }
   TsdbQueryResult result;
-  Status st = tsdb->Query(q, &result);
+  st = tsdb->Query(q, &result);
   if (!st.ok()) return st;
   std::string columns;
   for (const auto& column : result.columns) {

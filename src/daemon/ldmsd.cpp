@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 
+#include "daemon/config.hpp"
 #include "daemon/plugin_registry.hpp"
 #include "daemon/topology.hpp"
 #include "store/tsdb/tsdb_store.hpp"
@@ -27,55 +28,6 @@ std::uint64_t HashName(const std::string& name) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// FNV-1a over a metadata chunk — the schema digest the registry keeps per
-/// (producer, schema) so a restart can detect schema drift while down.
-std::uint64_t HashBytes(const std::vector<std::byte>& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-ProducerRecord RecordFromConfig(const ProducerConfig& config) {
-  ProducerRecord record;
-  record.name = config.name;
-  record.transport = config.transport;
-  record.address = config.address;
-  record.interval = config.interval;
-  record.offset = config.offset;
-  record.synchronous = config.synchronous;
-  record.request_timeout = config.request_timeout;
-  record.reconnect_min_backoff = config.reconnect_min_backoff;
-  record.reconnect_max_backoff = config.reconnect_max_backoff;
-  record.set_instances = config.set_instances;
-  record.rediscover_interval = config.rediscover_interval;
-  record.delta_updates = config.delta_updates;
-  record.standby = config.standby;
-  record.standby_for = config.standby_for;
-  return record;
-}
-
-ProducerConfig ConfigFromRecord(const ProducerRecord& record) {
-  ProducerConfig config;
-  config.name = record.name;
-  config.transport = record.transport;
-  config.address = record.address;
-  config.interval = record.interval;
-  config.offset = record.offset;
-  config.synchronous = record.synchronous;
-  config.request_timeout = record.request_timeout;
-  config.reconnect_min_backoff = record.reconnect_min_backoff;
-  config.reconnect_max_backoff = record.reconnect_max_backoff;
-  config.set_instances = record.set_instances;
-  config.rediscover_interval = record.rediscover_interval;
-  config.delta_updates = record.delta_updates;
-  config.standby = record.standby;
-  config.standby_for = record.standby_for;
-  return config;
 }
 
 }  // namespace
@@ -106,11 +58,6 @@ Ldmsd::Ldmsd(LdmsdOptions options)
   log_.set_level(options_.log_level);
   if (!options_.registry_path.empty()) {
     registry_ = std::make_unique<ClusterRegistry>(options_.registry_path);
-    if (options_.registry_snapshot_interval > 0) {
-      TimerScheduler::TaskOptions topts;
-      topts.interval = options_.registry_snapshot_interval;
-      scheduler_.Schedule([this] { SnapshotRegistry(); }, topts);
-    }
   }
 }
 
@@ -155,15 +102,6 @@ void Ldmsd::Stop() {
     if (!st.ok()) {
       log_.Error("flush of strgp ", runtime->name(), " failed: ",
                  st.ToString());
-    }
-  }
-  // Clean-shutdown snapshot: stamp the tick and flush freshness-only
-  // changes so the registry on disk is exactly the state we died with.
-  if (registry_ != nullptr) {
-    registry_->SetMeta(options_.name, clock_->Now());
-    Status st = registry_->Save();
-    if (!st.ok()) {
-      log_.Error("registry save at shutdown failed: ", st.ToString());
     }
   }
 }
@@ -279,7 +217,10 @@ Status Ldmsd::AddProducer(const ProducerConfig& config) {
       topts);
   log_.Info("producer ", config.name, " added (", config.transport, "://",
             config.address, config.standby ? ", standby)" : ")");
-  RecordProducer(config);
+  if (registry_ != nullptr) {
+    registry_->UpsertProducer(PrdcrAddArgs(config));
+    SaveRegistry();
+  }
   return Status::Ok();
 }
 
@@ -305,10 +246,8 @@ Status Ldmsd::RemoveProducer(const std::string& producer_name) {
     producer->connected = false;
     producer->active = false;
   }
-  if (registry_ != nullptr && registry_->RemoveProducer(producer_name) &&
-      !restoring_.load(std::memory_order_relaxed)) {
-    Status st = registry_->Save();
-    if (!st.ok()) log_.Warn("registry save failed: ", st.ToString());
+  if (registry_ != nullptr && registry_->RemoveProducer(producer_name)) {
+    SaveRegistry();
   }
   log_.Info("producer ", producer_name, " removed");
   return Status::Ok();
@@ -386,25 +325,10 @@ Status Ldmsd::AddStorePolicy(StorePolicy policy) {
   auto next = std::make_shared<PolicyList>(*store_policies_);
   next->push_back(runtime);
   store_policies_ = std::move(next);
-  if (registry_ != nullptr) {
-    const StorePolicy& final_policy = runtime->policy();
-    StoreRecord record;
-    record.name = final_policy.name;
-    record.plugin = final_policy.plugin;
-    record.params = final_policy.plugin_params;
-    record.schema_filter = final_policy.schema_filter;
-    record.producer_filter = final_policy.producer_filter;
-    record.decomp = final_policy.decomp;
-    record.queue_capacity = final_policy.queue_capacity;
-    record.shed_policy = ShedPolicyName(final_policy.shed_policy);
-    record.breaker_threshold = final_policy.breaker_threshold;
-    record.breaker_min_backoff = final_policy.breaker_min_backoff;
-    record.breaker_max_backoff = final_policy.breaker_max_backoff;
-    registry_->UpsertStore(record);
-    if (!restoring_.load(std::memory_order_relaxed)) {
-      Status st = registry_->Save();
-      if (!st.ok()) log_.Warn("registry save failed: ", st.ToString());
-    }
+  // A hand-built store (no plugin) cannot be re-made, so it is not recorded.
+  if (registry_ != nullptr && !runtime->policy().plugin.empty()) {
+    registry_->UpsertStore(StrgpAddArgs(runtime->policy()));
+    SaveRegistry();
   }
   return Status::Ok();
 }
@@ -435,6 +359,15 @@ std::vector<std::string> Ldmsd::store_policy_names() const {
   names.reserve(snapshot->size());
   for (const auto& runtime : *snapshot) names.push_back(runtime->name());
   return names;
+}
+
+std::optional<StorePolicy> Ldmsd::store_policy(
+    const std::string& policy_name) const {
+  auto snapshot = policies();
+  for (const auto& runtime : *snapshot) {
+    if (runtime->name() == policy_name) return runtime->policy();
+  }
+  return std::nullopt;
 }
 
 Ldmsd::ProducerStatus Ldmsd::producer_status(
@@ -469,6 +402,14 @@ std::vector<std::string> Ldmsd::producer_names() const {
   names.reserve(producers_.size());
   for (const auto& [name, producer] : producers_) names.push_back(name);
   return names;
+}
+
+std::optional<ProducerConfig> Ldmsd::producer_config(
+    const std::string& producer_name) const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  auto it = producers_.find(producer_name);
+  if (it == producers_.end()) return std::nullopt;
+  return it->second->config;  // immutable once added
 }
 
 void Ldmsd::ScheduleReconnect(Producer& producer) {
@@ -549,11 +490,6 @@ Status Ldmsd::LookupSets(Producer& producer) {
     auto existing = producer.mirrors.find(instance);
     if (existing != producer.mirrors.end()) {
       existing->second.handle = extra.handle;  // mirror retained
-      if (registry_ != nullptr) {
-        registry_->RecordSchemaDigest(producer.config.name,
-                                      existing->second.set->schema().name(),
-                                      HashBytes(metadata));
-      }
       continue;
     }
     Status mirror_st;
@@ -563,20 +499,12 @@ Status Ldmsd::LookupSets(Producer& producer) {
                  mirror_st.ToString());
       continue;
     }
-    if (registry_ != nullptr) {
-      registry_->RecordSchemaDigest(producer.config.name,
-                                    mirror->schema().name(),
-                                    HashBytes(metadata));
-    }
     MirrorEntry entry;
     entry.set = mirror;
     entry.handle = extra.handle;
     producer.mirrors.emplace(instance, std::move(entry));
     // Re-export for higher-level aggregators (daisy chaining).
     (void)sets_.Add(mirror);
-  }
-  if (registry_ != nullptr) {
-    registry_->TouchProducer(producer.config.name, clock_->Now());
   }
   return Status::Ok();
 }
@@ -759,11 +687,6 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   }
   producer.consecutive_failures =
       any_failure ? producer.consecutive_failures + 1 : 0;
-  // Freshness for the cluster registry: a fully clean pull cycle counts as
-  // "seen". Dirty-mark only — the periodic snapshot flushes it to disk.
-  if (registry_ != nullptr && n > 0 && !any_failure) {
-    registry_->TouchProducer(producer.config.name, clock_->Now());
-  }
   counters_.update_ns.fetch_add(NowSteadyNs() - t0, std::memory_order_relaxed);
 }
 
@@ -1052,44 +975,19 @@ void Ldmsd::AdoptTree(std::unique_ptr<TreeManager> tree) {
   RecordTreeState();
 }
 
-void Ldmsd::RecordProducer(const ProducerConfig& config) {
-  if (registry_ == nullptr) return;
-  ProducerRecord record = RecordFromConfig(config);
-  record.auth_key_id = keys_ != nullptr ? keys_->current().id : 0;
-  registry_->UpsertProducer(record);
-  if (!restoring_.load(std::memory_order_relaxed)) {
-    Status st = registry_->Save();
-    if (!st.ok()) log_.Warn("registry save failed: ", st.ToString());
-  }
-}
-
 void Ldmsd::RecordTreeState() {
   if (registry_ == nullptr || tree_ == nullptr) return;
-  TreeRecord record;
-  record.present = true;
-  record.role = "root";
-  TreeOptions topts = tree_->options();
-  record.samplers = std::move(topts.samplers);
-  record.leaves = std::move(topts.leaves);
-  record.root_name = std::move(topts.root_name);
-  record.spare_name = std::move(topts.spare_name);
-  record.seed = topts.seed;
-  record.down_leaves = tree_->down_leaves();
-  registry_->SetTree(record);
-  if (!restoring_.load(std::memory_order_relaxed)) {
-    Status st = registry_->Save();
-    if (!st.ok()) log_.Warn("registry save failed: ", st.ToString());
-  }
+  registry_->SetTree(TreeArgs(tree_->options(), tree_->down_leaves()));
+  SaveRegistry();
 }
 
-void Ldmsd::SnapshotRegistry() {
-  if (registry_ == nullptr || !registry_->dirty()) return;
-  registry_->SetMeta(options_.name, clock_->Now());
-  Status st = registry_->SaveIfDirty();
-  if (!st.ok()) log_.Warn("registry snapshot failed: ", st.ToString());
+void Ldmsd::SaveRegistry() {
+  if (restoring_.load(std::memory_order_relaxed)) return;
+  Status st = registry_->Save();
+  if (!st.ok()) log_.Warn("registry save failed: ", st.ToString());
 }
 
-Status Ldmsd::RestoreFromRegistry(PluginRegistry* plugins) {
+Status Ldmsd::RestoreFromRegistry(const PluginRegistry& plugins) {
   if (registry_ == nullptr) {
     return {ErrorCode::kUnsupported, "no registry configured"};
   }
@@ -1103,72 +1001,46 @@ Status Ldmsd::RestoreFromRegistry(PluginRegistry* plugins) {
   restoring_.store(true, std::memory_order_relaxed);
   // Tree first, so producers resume against the same placement context the
   // old incarnation persisted (and announces placed before the crash stay
-  // placed — the sampler list is part of the options).
-  if (snap.tree.present && snap.tree.role == "root") {
+  // placed — the sampler list is part of the options). Load already ran
+  // every record through its parser, so these parses succeed.
+  if (snap.tree) {
     TreeOptions topts;
-    topts.samplers = snap.tree.samplers;
-    topts.leaves = snap.tree.leaves;
-    topts.root_name = snap.tree.root_name;
-    topts.spare_name = snap.tree.spare_name;
-    topts.seed = snap.tree.seed;
+    std::vector<std::size_t> down;
+    (void)ParseTreeArgs(*snap.tree, &topts, &down);
     auto tree = std::make_unique<TreeManager>(std::move(topts));
-    tree->RestoreDownLeaves(snap.tree.down_leaves);
+    tree->RestoreDownLeaves(down);
     AdoptTree(std::move(tree));
   }
   std::size_t restored = 0;
   std::size_t skipped = 0;
-  for (const auto& record : snap.stores) {
-    if (record.plugin.empty()) {
-      log_.Warn("strgp ", record.name,
-                " has no plugin provenance; not restored");
-      ++skipped;
-      continue;
-    }
-    std::shared_ptr<Store> store =
-        plugins != nullptr ? plugins->MakeStore(record.plugin, record.params)
-                           : nullptr;
-    if (store == nullptr) {
-      log_.Warn("strgp ", record.name, ": plugin ", record.plugin,
-                " unavailable; not restored");
-      ++skipped;
-      continue;
-    }
-    StorePolicy policy(std::move(store), record.schema_filter,
-                       record.producer_filter);
-    policy.name = record.name;
-    policy.plugin = record.plugin;
-    policy.plugin_params = record.params;
-    policy.decomp = record.decomp;
-    policy.queue_capacity = record.queue_capacity;
-    (void)ParseShedPolicy(record.shed_policy, &policy.shed_policy);
-    policy.breaker_threshold = record.breaker_threshold;
-    policy.breaker_min_backoff = record.breaker_min_backoff;
-    policy.breaker_max_backoff = record.breaker_max_backoff;
-    Status pst = AddStorePolicy(std::move(policy));
-    if (pst.ok()) {
+  auto count = [&](const char* verb, const std::string& name,
+                   const Status& rst) {
+    if (rst.ok()) {
       ++restored;
     } else {
-      log_.Warn("strgp ", record.name, " restore failed: ", pst.ToString());
+      log_.Warn(verb, " ", name, " not restored: ", rst.ToString());
       ++skipped;
     }
+  };
+  for (const auto& [name, args] : snap.stores) {
+    StorePolicy policy;
+    Status rst = ParseStrgpAdd(args, &policy);
+    if (rst.ok()) rst = MakeStrgpStore(plugins, &policy);
+    if (rst.ok()) rst = AddStorePolicy(std::move(policy));
+    count("strgp_add", name, rst);
   }
-  for (const auto& record : snap.producers) {
+  for (const auto& [name, args] : snap.producers) {
     // Reconnect + dir/lookup re-validation rides the normal collect-cycle
-    // machinery (with its backoff); schema drift while we were down is
-    // caught by the usual metadata-generation check against the persisted
-    // digests' sets.
-    Status pst = AddProducer(ConfigFromRecord(record));
-    if (pst.ok()) {
-      ++restored;
-    } else {
-      log_.Warn("prdcr ", record.name, " restore failed: ", pst.ToString());
-      ++skipped;
-    }
+    // machinery (with its backoff); a schema that changed while we were
+    // down is caught by the usual metadata-generation check.
+    ProducerConfig config;
+    Status rst = ParsePrdcrAdd(args, &config);
+    if (rst.ok()) rst = AddProducer(config);
+    count("prdcr_add", name, rst);
   }
   restoring_.store(false, std::memory_order_relaxed);
   log_.Info("registry restore: ", restored, " records restored, ", skipped,
             " skipped from ", registry_->path());
-  registry_->SetMeta(options_.name, clock_->Now());
   return registry_->Save();
 }
 

@@ -21,12 +21,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/mem_manager.hpp"
 #include "core/set_registry.hpp"
-#include "daemon/keys.hpp"
 #include "daemon/plugin.hpp"
 #include "daemon/registry.hpp"
 #include "daemon/scheduler.hpp"
@@ -70,10 +70,6 @@ struct LdmsdOptions {
   /// and RestoreFromRegistry() can resume the whole configuration with no
   /// config script.
   std::string registry_path;
-  /// Cadence of the periodic snapshot that flushes freshness-only registry
-  /// changes (last-seen ticks, schema digests); topology mutations save
-  /// eagerly regardless. 0 = only eager saves and the clean-shutdown save.
-  DurationNs registry_snapshot_interval = 10 * kNsPerSec;
 };
 
 /// Per-sampler schedule (the `start name=X interval=...` command).
@@ -238,11 +234,17 @@ class Ldmsd final : public ServiceHandler {
 
   ProducerStatus producer_status(const std::string& producer_name) const;
   std::vector<std::string> producer_names() const;
+  /// The configuration a producer was added with; nullopt when unknown.
+  std::optional<ProducerConfig> producer_config(
+      const std::string& producer_name) const;
 
   /// Point-in-time view of one store policy; status.known is false for an
   /// unknown name.
   StorePolicyStatus store_policy_status(const std::string& policy_name) const;
   std::vector<std::string> store_policy_names() const;
+  /// A registered policy as configured (store included); nullopt when
+  /// unknown.
+  std::optional<StorePolicy> store_policy(const std::string& policy_name) const;
 
   // --- simulation drive ---------------------------------------------------
 
@@ -335,17 +337,15 @@ class Ldmsd final : public ServiceHandler {
 
   /// The attached registry; nullptr when options.registry_path is empty.
   ClusterRegistry* registry() const { return registry_.get(); }
-  /// Load the registry file and reconstitute producers, store policies
-  /// (re-made through @p plugins), and the owned aggregation tree — no
-  /// config script. Reconnection/lookup re-validation rides the existing
-  /// collect-cycle backoff machinery. kUnsupported without a registry.
-  Status RestoreFromRegistry(PluginRegistry* plugins);
+  /// Load the registry file and reconstitute the owned aggregation tree,
+  /// then store policies (re-made through @p plugins), then producers — no
+  /// config script. Each record goes through its verb's own parser.
+  /// Reconnection/lookup re-validation rides the existing collect-cycle
+  /// backoff machinery. kUnsupported without a registry.
+  Status RestoreFromRegistry(const PluginRegistry& plugins);
   /// Re-snapshot the attached tree (options + down leaves) into the
   /// registry and save. Call after applying repairs (MarkLeafDown/Up).
   void RecordTreeState();
-  /// Key manager whose current key id is stamped on registry records (not
-  /// owned; typically shared with the control server). nullptr = id 0.
-  void set_key_manager(KeyManager* keys) { keys_ = keys; }
   /// Invoked when an announce-flagged advertise is placed into the tree:
   /// (message, assigned leaf index). The wiring layer (harness/operator
   /// tooling) uses it to add the producer on the assigned leaf daemon.
@@ -416,11 +416,9 @@ class Ldmsd final : public ServiceHandler {
   using PolicyList = std::vector<std::shared_ptr<StorePolicyRuntime>>;
 
   void SampleOnce(SamplerEntry& entry);
-  /// Record @p config into the registry (with the current key id) and save,
-  /// unless restoring. No-op without a registry.
-  void RecordProducer(const ProducerConfig& config);
-  /// Flush freshness-only registry changes (periodic snapshot task).
-  void SnapshotRegistry();
+  /// Save the registry after a mutation, unless restoring (restore saves
+  /// once at the end). Caller checked registry_ != nullptr.
+  void SaveRegistry();
   Status AdvertiseInternal(const std::string& transport,
                            const std::string& address, bool announce,
                            std::uint64_t node_id);
@@ -465,7 +463,6 @@ class Ldmsd final : public ServiceHandler {
   /// Set only by AdoptTree (restart-resume); tree_ aliases it then.
   std::unique_ptr<TreeManager> owned_tree_;
   std::unique_ptr<ClusterRegistry> registry_;  // null without registry_path
-  KeyManager* keys_ = nullptr;                 // not owned
   AnnounceHook announce_hook_;
   /// Suppresses per-record eager saves while RestoreFromRegistry replays
   /// the snapshot (one save at the end instead of one per record).

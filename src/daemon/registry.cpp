@@ -1,10 +1,9 @@
 #include "daemon/registry.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
+#include "daemon/config.hpp"
 #include "util/atomic_file.hpp"
 #include "util/strings.hpp"
 
@@ -22,14 +21,17 @@ std::uint64_t Fnv1a(std::string_view s) {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
+/// ',' and ':' stay literal: they separate items inside the verbs' own
+/// values (sets=a,b samplers=n:1), which the verb parser splits after
+/// decoding, so escaping them would only lengthen the record.
 bool Unreserved(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '-' || c == '.' || c == '_' ||
-         c == '/' || c == '@';
+         c == '/' || c == '@' || c == ',' || c == ':';
 }
 
-/// Percent-encode so a value is a single whitespace-free token that cannot
-/// contain the '=' ',' ':' separators the record grammar uses.
+/// Percent-encode so a key or value is a single whitespace-free token with
+/// no '='.
 std::string Encode(std::string_view value) {
   std::string out;
   out.reserve(value.size());
@@ -45,10 +47,10 @@ std::string Encode(std::string_view value) {
   return out;
 }
 
+/// Lowercase only, the writer's form: no second spelling of a byte passes.
 bool HexVal(char c, int* v) {
   if (c >= '0' && c <= '9') *v = c - '0';
   else if (c >= 'a' && c <= 'f') *v = c - 'a' + 10;
-  else if (c >= 'A' && c <= 'F') *v = c - 'A' + 10;
   else return false;
   return true;
 }
@@ -83,7 +85,7 @@ std::string HexU64(std::uint64_t v) {
 }
 
 std::optional<std::uint64_t> ParseHexU64(std::string_view text) {
-  if (text.empty() || text.size() > 16) return std::nullopt;
+  if (text.size() != 16) return std::nullopt;
   std::uint64_t v = 0;
   for (const char c : text) {
     int nibble = 0;
@@ -93,281 +95,164 @@ std::optional<std::uint64_t> ParseHexU64(std::string_view text) {
   return v;
 }
 
-/// key=value fields of one record line, as a lookup map. Record grammar is
-/// whitespace-separated tokens, so encoded values never split.
-std::map<std::string, std::string> FieldsOf(std::string_view line) {
-  std::map<std::string, std::string> out;
-  for (const auto& [key, value] : ParseKeyValues(line)) out[key] = value;
-  return out;
-}
-
-class FieldReader {
- public:
-  explicit FieldReader(std::string_view line) : fields_(FieldsOf(line)) {}
-
-  bool ok() const { return ok_; }
-
-  std::string Str(const std::string& key, std::string fallback = "") {
-    auto it = fields_.find(key);
-    if (it == fields_.end()) return fallback;
-    std::string decoded;
-    if (!Decode(it->second, &decoded)) ok_ = false;
-    return decoded;
-  }
-
-  std::uint64_t U64(const std::string& key, std::uint64_t fallback = 0) {
-    auto it = fields_.find(key);
-    if (it == fields_.end()) return fallback;
-    const auto v = ParseU64(it->second);
-    if (!v) ok_ = false;
-    return v.value_or(fallback);
-  }
-
-  bool Flag(const std::string& key, bool fallback = false) {
-    return U64(key, fallback ? 1 : 0) != 0;
-  }
-
-  /// Comma-separated encoded items; an absent key or empty value is an
-  /// empty list.
-  std::vector<std::string> List(const std::string& key) {
-    std::vector<std::string> out;
-    auto it = fields_.find(key);
-    if (it == fields_.end() || it->second.empty()) return out;
-    for (const auto item : Split(it->second, ',')) {
-      std::string decoded;
-      if (!Decode(item, &decoded)) ok_ = false;
-      out.push_back(std::move(decoded));
+/// Decode one record's `key=value` tokens. False on a token without '=', a
+/// bad escape, or a repeated key.
+bool DecodeArgs(std::string_view text, PluginParams* args) {
+  for (const std::string_view token : SplitWhitespace(text)) {
+    const std::size_t eq = token.find('=');
+    std::string key;
+    std::string value;
+    if (eq == std::string_view::npos || !Decode(token.substr(0, eq), &key) ||
+        !Decode(token.substr(eq + 1), &value) ||
+        !args->emplace(std::move(key), std::move(value)).second) {
+      return false;
     }
-    return out;
   }
-
-  /// Comma-separated "encoded_key:encoded_value" pairs.
-  std::map<std::string, std::string> PairMap(const std::string& key) {
-    std::map<std::string, std::string> out;
-    auto it = fields_.find(key);
-    if (it == fields_.end() || it->second.empty()) return out;
-    for (const auto item : Split(it->second, ',')) {
-      const std::size_t colon = item.find(':');
-      if (colon == std::string_view::npos) {
-        ok_ = false;
-        continue;
-      }
-      std::string k;
-      std::string v;
-      if (!Decode(item.substr(0, colon), &k) ||
-          !Decode(item.substr(colon + 1), &v)) {
-        ok_ = false;
-        continue;
-      }
-      out[std::move(k)] = std::move(v);
-    }
-    return out;
-  }
-
- private:
-  std::map<std::string, std::string> fields_;
-  bool ok_ = true;
-};
-
-void AppendField(std::string* line, const char* key, std::string_view value) {
-  line->push_back(' ');
-  line->append(key);
-  line->push_back('=');
-  line->append(Encode(value));
+  return true;
 }
 
-void AppendU64(std::string* line, const char* key, std::uint64_t value) {
-  line->push_back(' ');
-  line->append(key);
-  line->push_back('=');
-  line->append(std::to_string(value));
+void AppendRecord(std::string* body, std::string_view kind,
+                  const PluginParams& args) {
+  body->append(kind);
+  for (const auto& [key, value] : args) {
+    body->push_back(' ');
+    body->append(Encode(key)).push_back('=');
+    body->append(Encode(value));
+  }
+  body->push_back('\n');
 }
 
-std::string SerializeProducer(const ProducerRecord& p) {
-  std::string line = "prdcr";
-  AppendField(&line, "name", p.name);
-  AppendField(&line, "transport", p.transport);
-  AppendField(&line, "address", p.address);
-  AppendU64(&line, "interval", static_cast<std::uint64_t>(p.interval));
-  AppendU64(&line, "offset", static_cast<std::uint64_t>(p.offset));
-  AppendU64(&line, "sync", p.synchronous ? 1 : 0);
-  AppendU64(&line, "request_timeout",
-            static_cast<std::uint64_t>(p.request_timeout));
-  AppendU64(&line, "min_backoff",
-            static_cast<std::uint64_t>(p.reconnect_min_backoff));
-  AppendU64(&line, "max_backoff",
-            static_cast<std::uint64_t>(p.reconnect_max_backoff));
-  AppendU64(&line, "rediscover",
-            static_cast<std::uint64_t>(p.rediscover_interval));
-  AppendU64(&line, "delta", p.delta_updates ? 1 : 0);
-  AppendU64(&line, "standby", p.standby ? 1 : 0);
-  AppendField(&line, "standby_for", p.standby_for);
-  AppendU64(&line, "key_id", p.auth_key_id);
-  AppendU64(&line, "last_seen", static_cast<std::uint64_t>(p.last_seen));
-  std::string sets;
-  for (const auto& s : p.set_instances) {
-    if (!sets.empty()) sets.push_back(',');
-    sets.append(Encode(s));
-  }
-  line.append(" sets=").append(sets);
-  std::string digests;
-  for (const auto& [schema, digest] : p.schema_digests) {
-    if (!digests.empty()) digests.push_back(',');
-    digests.append(Encode(schema)).push_back(':');
-    digests.append(HexU64(digest));
-  }
-  line.append(" digests=").append(digests);
-  return line;
+std::string NameOf(const PluginParams& args) {
+  auto it = args.find("name");
+  return it != args.end() ? it->second : std::string();
 }
 
-bool ParseProducer(std::string_view line, ProducerRecord* out) {
-  FieldReader r(line);
-  out->name = r.Str("name");
-  out->transport = r.Str("transport", "local");
-  out->address = r.Str("address");
-  out->interval = static_cast<DurationNs>(r.U64("interval", kNsPerSec));
-  out->offset = static_cast<DurationNs>(r.U64("offset"));
-  out->synchronous = r.Flag("sync");
-  out->request_timeout = static_cast<DurationNs>(r.U64("request_timeout"));
-  out->reconnect_min_backoff =
-      static_cast<DurationNs>(r.U64("min_backoff", 50 * kNsPerMs));
-  out->reconnect_max_backoff =
-      static_cast<DurationNs>(r.U64("max_backoff", 2 * kNsPerSec));
-  out->rediscover_interval = static_cast<DurationNs>(r.U64("rediscover"));
-  out->delta_updates = r.Flag("delta", true);
-  out->standby = r.Flag("standby");
-  out->standby_for = r.Str("standby_for");
-  out->auth_key_id = static_cast<std::uint32_t>(r.U64("key_id"));
-  out->last_seen = static_cast<TimeNs>(r.U64("last_seen"));
-  out->set_instances = r.List("sets");
-  out->schema_digests.clear();
-  for (const auto& [schema, hex] : r.PairMap("digests")) {
-    const auto digest = ParseHexU64(hex);
-    if (!digest) return false;
-    out->schema_digests[schema] = *digest;
-  }
-  return r.ok() && !out->name.empty();
-}
-
-std::string SerializeStore(const StoreRecord& s) {
-  std::string line = "strgp";
-  AppendField(&line, "name", s.name);
-  AppendField(&line, "plugin", s.plugin);
-  AppendField(&line, "schema", s.schema_filter);
-  AppendField(&line, "producer", s.producer_filter);
-  AppendField(&line, "decomp", s.decomp);
-  AppendU64(&line, "queue", s.queue_capacity);
-  AppendField(&line, "shed", s.shed_policy);
-  AppendU64(&line, "breaker", s.breaker_threshold);
-  AppendU64(&line, "bmin", static_cast<std::uint64_t>(s.breaker_min_backoff));
-  AppendU64(&line, "bmax", static_cast<std::uint64_t>(s.breaker_max_backoff));
-  std::string params;
-  for (const auto& [k, v] : s.params) {
-    if (!params.empty()) params.push_back(',');
-    params.append(Encode(k)).push_back(':');
-    params.append(Encode(v));
-  }
-  line.append(" params=").append(params);
-  return line;
-}
-
-bool ParseStore(std::string_view line, StoreRecord* out) {
-  FieldReader r(line);
-  out->name = r.Str("name");
-  out->plugin = r.Str("plugin");
-  out->schema_filter = r.Str("schema");
-  out->producer_filter = r.Str("producer");
-  out->decomp = r.Str("decomp");  // absent in pre-decomp registries
-  out->queue_capacity = static_cast<std::size_t>(r.U64("queue", 1024));
-  out->shed_policy = r.Str("shed", "drop_oldest");
-  out->breaker_threshold = r.U64("breaker", 5);
-  out->breaker_min_backoff =
-      static_cast<DurationNs>(r.U64("bmin", 100 * kNsPerMs));
-  out->breaker_max_backoff =
-      static_cast<DurationNs>(r.U64("bmax", 10 * kNsPerSec));
-  out->params = r.PairMap("params");
-  return r.ok() && !out->name.empty() && !out->plugin.empty();
-}
-
-std::string SerializeTree(const TreeRecord& t) {
-  std::string line = "tree";
-  AppendField(&line, "role", t.role);
-  AppendField(&line, "root", t.root_name);
-  AppendField(&line, "spare", t.spare_name);
-  AppendU64(&line, "seed", t.seed);
-  std::string leaves;
-  for (const auto& leaf : t.leaves) {
-    if (!leaves.empty()) leaves.push_back(',');
-    leaves.append(Encode(leaf));
-  }
-  line.append(" leaves=").append(leaves);
-  std::string samplers;
-  for (const auto& s : t.samplers) {
-    if (!samplers.empty()) samplers.push_back(',');
-    samplers.append(Encode(s.name)).push_back(':');
-    samplers.append(std::to_string(s.node_id));
-  }
-  line.append(" samplers=").append(samplers);
-  std::string down;
-  for (const std::size_t leaf : t.down_leaves) {
-    if (!down.empty()) down.push_back(',');
-    down.append(std::to_string(leaf));
-  }
-  line.append(" down=").append(down);
-  return line;
-}
-
-bool ParseTree(std::string_view line, TreeRecord* out) {
-  FieldReader r(line);
-  out->present = true;
-  out->role = r.Str("role", "root");
-  out->root_name = r.Str("root", "root");
-  out->spare_name = r.Str("spare");
-  out->seed = r.U64("seed", 1);
-  out->leaves = r.List("leaves");
-  out->samplers.clear();
-  for (const auto& [name, node_id] : r.PairMap("samplers")) {
-    const auto id = ParseU64(node_id);
-    if (!id) return false;
-    out->samplers.push_back(TreeSamplerId{name, *id});
-  }
-  out->down_leaves.clear();
-  for (const auto& idx : r.List("down")) {
-    const auto v = ParseU64(idx);
-    if (!v) return false;
-    out->down_leaves.push_back(static_cast<std::size_t>(*v));
-  }
-  return r.ok();
-}
-
-constexpr std::string_view kHeaderTag = "#ldmsxx-registry v1";
-
-std::string SerializeBody(const RegistrySnapshot& snapshot) {
-  std::string body = "meta";
-  AppendField(&body, "name", snapshot.daemon_name);
-  AppendU64(&body, "saved_tick", static_cast<std::uint64_t>(snapshot.saved_tick));
-  body.push_back('\n');
-  for (const auto& p : snapshot.producers) {
-    body.append(SerializeProducer(p)).push_back('\n');
-  }
-  for (const auto& s : snapshot.stores) {
-    body.append(SerializeStore(s)).push_back('\n');
-  }
-  if (snapshot.tree.present) {
-    body.append(SerializeTree(snapshot.tree)).push_back('\n');
-  }
-  return body;
-}
+constexpr std::string_view kHeaderTag = "#ldmsxx-registry v2";
 
 std::size_t CountEntries(const RegistrySnapshot& snapshot) {
-  return 1 /* meta */ + snapshot.producers.size() + snapshot.stores.size() +
-         (snapshot.tree.present ? 1 : 0);
+  return snapshot.producers.size() + snapshot.stores.size() +
+         (snapshot.tree ? 1 : 0);
+}
+
+/// Validate one decoded record through its verb's parser and file it.
+Status AddRecord(std::string_view kind, PluginParams args,
+                 RegistrySnapshot* out) {
+  Status st;
+  bool unique = true;
+  if (kind == "prdcr_add") {
+    ProducerConfig config;
+    st = ParsePrdcrAdd(args, &config);
+    if (st.ok()) {
+      unique = out->producers.emplace(config.name, std::move(args)).second;
+    }
+  } else if (kind == "strgp_add") {
+    StorePolicy policy;
+    st = ParseStrgpAdd(args, &policy);
+    if (st.ok() && !args.contains("name")) {
+      st = {ErrorCode::kInvalidArgument, "no name="};
+    }
+    if (st.ok()) {
+      unique = out->stores.emplace(policy.name, std::move(args)).second;
+    }
+  } else if (kind == "tree") {
+    TreeOptions options;
+    std::vector<std::size_t> down;
+    st = ParseTreeArgs(args, &options, &down);
+    unique = !out->tree;
+    if (st.ok() && unique) out->tree = std::move(args);
+  } else {
+    st = {ErrorCode::kInvalidArgument, "unknown record kind"};
+  }
+  if (st.ok() && !unique) st = {ErrorCode::kInvalidArgument, "repeated"};
+  if (st.ok()) return st;
+  return {ErrorCode::kInvalidArgument,
+          "registry: " + std::string(kind) + " record: " + st.message()};
 }
 
 }  // namespace
 
+PluginParams TreeArgs(const TreeOptions& options,
+                      const std::vector<std::size_t>& down_leaves) {
+  std::string leaves;
+  for (const auto& leaf : options.leaves) {
+    if (!leaves.empty()) leaves.push_back(',');
+    leaves += leaf;
+  }
+  std::string samplers;
+  for (const auto& s : options.samplers) {
+    if (!samplers.empty()) samplers.push_back(',');
+    samplers += s.name + ":" + std::to_string(s.node_id);
+  }
+  std::string down;
+  for (const std::size_t leaf : down_leaves) {
+    if (!down.empty()) down.push_back(',');
+    down += std::to_string(leaf);
+  }
+  return {{"seed", std::to_string(options.seed)},
+          {"root", options.root_name},
+          {"spare", options.spare_name},
+          {"leaves", leaves},
+          {"samplers", samplers},
+          {"down", down}};
+}
+
+Status ParseTreeArgs(const PluginParams& args, TreeOptions* options,
+                     std::vector<std::size_t>* down_leaves) {
+  *options = TreeOptions{};
+  down_leaves->clear();
+  auto items = [&args](const char* key) {
+    std::vector<std::string_view> out;
+    auto it = args.find(key);
+    if (it == args.end()) return out;
+    for (const auto item : Split(it->second, ',')) {
+      if (!item.empty()) out.push_back(item);
+    }
+    return out;
+  };
+  if (auto it = args.find("seed"); it != args.end()) {
+    const auto seed = ParseU64(it->second);
+    if (!seed) return {ErrorCode::kInvalidArgument, "bad seed=" + it->second};
+    options->seed = *seed;
+  }
+  if (auto it = args.find("root"); it != args.end())
+    options->root_name = it->second;
+  if (auto it = args.find("spare"); it != args.end())
+    options->spare_name = it->second;
+  for (const auto leaf : items("leaves")) options->leaves.emplace_back(leaf);
+  for (const auto item : items("samplers")) {
+    // Split at the last ':' — sampler names may contain ':' themselves.
+    const std::size_t colon = item.rfind(':');
+    const auto id = colon == std::string_view::npos
+                        ? std::nullopt
+                        : ParseU64(item.substr(colon + 1));
+    if (!id) {
+      return {ErrorCode::kInvalidArgument,
+              "bad samplers item '" + std::string(item) + "'"};
+    }
+    options->samplers.push_back(
+        TreeSamplerId{std::string(item.substr(0, colon)), *id});
+  }
+  for (const auto item : items("down")) {
+    const auto leaf = ParseU64(item);
+    if (!leaf) {
+      return {ErrorCode::kInvalidArgument,
+              "bad down item '" + std::string(item) + "'"};
+    }
+    down_leaves->push_back(static_cast<std::size_t>(*leaf));
+  }
+  return Status::Ok();
+}
+
 std::string SerializeRegistry(const RegistrySnapshot& snapshot) {
-  const std::string body = SerializeBody(snapshot);
+  // Restore order: the tree, then store policies, then producers.
+  std::string body;
+  if (snapshot.tree) AppendRecord(&body, "tree", *snapshot.tree);
+  for (const auto& [name, args] : snapshot.stores) {
+    AppendRecord(&body, "strgp_add", args);
+  }
+  for (const auto& [name, args] : snapshot.producers) {
+    AppendRecord(&body, "prdcr_add", args);
+  }
   std::string out(kHeaderTag);
   out.append(" crc=").append(HexU64(Fnv1a(body)));
   out.append(" entries=").append(std::to_string(CountEntries(snapshot)));
@@ -387,11 +272,16 @@ Status ParseRegistry(std::string_view text, RegistrySnapshot* out) {
   if (!StartsWith(header, kHeaderTag)) {
     return {ErrorCode::kInconsistent, "registry: bad magic/version"};
   }
-  FieldReader h(header.substr(kHeaderTag.size()));
-  const std::string crc_hex = h.Str("crc");
-  const std::uint64_t want_entries = h.U64("entries");
-  const auto want_crc = ParseHexU64(crc_hex);
-  if (!h.ok() || !want_crc) {
+  PluginParams fields;
+  std::optional<std::uint64_t> want_crc;
+  std::optional<std::uint64_t> want_entries;
+  if (DecodeArgs(header.substr(kHeaderTag.size()), &fields) &&
+      fields.size() == 2 && fields.contains("crc") &&
+      fields.contains("entries")) {
+    want_crc = ParseHexU64(fields["crc"]);
+    want_entries = ParseU64(fields["entries"]);
+  }
+  if (!want_crc || !want_entries) {
     return {ErrorCode::kInconsistent, "registry: malformed header"};
   }
   if (Fnv1a(body) != *want_crc) {
@@ -399,49 +289,22 @@ Status ParseRegistry(std::string_view text, RegistrySnapshot* out) {
   }
 
   std::uint64_t entries = 0;
-  bool have_meta = false;
   for (const auto raw_line : Split(body, '\n')) {
     const std::string_view line = Trim(raw_line);
     if (line.empty()) continue;
     ++entries;
     const std::size_t space = line.find(' ');
     const std::string_view kind = line.substr(0, space);
-    const std::string_view rest =
-        space == std::string_view::npos ? std::string_view{}
-                                        : line.substr(space + 1);
-    if (kind == "meta") {
-      FieldReader r(rest);
-      out->daemon_name = r.Str("name");
-      out->saved_tick = static_cast<TimeNs>(r.U64("saved_tick"));
-      if (!r.ok()) {
-        return {ErrorCode::kInvalidArgument, "registry: malformed meta line"};
-      }
-      have_meta = true;
-    } else if (kind == "prdcr") {
-      ProducerRecord record;
-      if (!ParseProducer(rest, &record)) {
-        return {ErrorCode::kInvalidArgument, "registry: malformed prdcr line"};
-      }
-      out->producers.push_back(std::move(record));
-    } else if (kind == "strgp") {
-      StoreRecord record;
-      if (!ParseStore(rest, &record)) {
-        return {ErrorCode::kInvalidArgument, "registry: malformed strgp line"};
-      }
-      out->stores.push_back(std::move(record));
-    } else if (kind == "tree") {
-      if (!ParseTree(rest, &out->tree)) {
-        return {ErrorCode::kInvalidArgument, "registry: malformed tree line"};
-      }
-    } else {
+    PluginParams args;
+    if (space != std::string_view::npos &&
+        !DecodeArgs(line.substr(space + 1), &args)) {
       return {ErrorCode::kInvalidArgument,
-              "registry: unknown record kind '" + std::string(kind) + "'"};
+              "registry: malformed " + std::string(kind) + " record"};
     }
+    Status st = AddRecord(kind, std::move(args), out);
+    if (!st.ok()) return st;
   }
-  if (!have_meta) {
-    return {ErrorCode::kInconsistent, "registry: missing meta line"};
-  }
-  if (entries != want_entries) {
+  if (entries != *want_entries) {
     return {ErrorCode::kInconsistent, "registry: entry count mismatch"};
   }
   return Status::Ok();
@@ -469,14 +332,12 @@ void ClusterRegistry::QuarantineLocked() {
 Status ClusterRegistry::Load() {
   std::lock_guard<std::mutex> lock(mu_);
   last_load_quarantined_ = false;
+  ++stats_.loads;
+  stats_.last_load_records = 0;
+  state_ = RegistrySnapshot{};
   std::string text;
   Status st = ReadFileToString(path_, &text);
-  if (st.code() == ErrorCode::kNotFound) {
-    state_ = RegistrySnapshot{};
-    ++stats_.loads;
-    stats_.last_load_records = 0;
-    return Status::Ok();
-  }
+  if (st.code() == ErrorCode::kNotFound) return Status::Ok();
   if (!st.ok()) return st;
   RegistrySnapshot parsed;
   st = ParseRegistry(text, &parsed);
@@ -484,16 +345,10 @@ Status ClusterRegistry::Load() {
     // The recovery ladder's last rung: move the torn file aside and rebuild
     // from live traffic rather than refuse to start or trust bad data.
     QuarantineLocked();
-    state_ = RegistrySnapshot{};
     last_load_quarantined_ = true;
-    dirty_ = true;  // the (empty) truth is not on disk any more
-    ++stats_.loads;
-    stats_.last_load_records = 0;
     return Status::Ok();
   }
   state_ = std::move(parsed);
-  dirty_ = false;
-  ++stats_.loads;
   stats_.last_load_records = CountEntries(state_);
   return Status::Ok();
 }
@@ -505,7 +360,6 @@ Status ClusterRegistry::SaveLocked() {
     return st;
   }
   ++stats_.saves;
-  dirty_ = false;
   return Status::Ok();
 }
 
@@ -514,108 +368,29 @@ Status ClusterRegistry::Save() {
   return SaveLocked();
 }
 
-Status ClusterRegistry::SaveIfDirty() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!dirty_) return Status::Ok();
-  return SaveLocked();
-}
-
-bool ClusterRegistry::dirty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dirty_;
-}
-
 bool ClusterRegistry::last_load_quarantined() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_load_quarantined_;
 }
 
-void ClusterRegistry::SetMeta(const std::string& daemon_name,
-                              TimeNs saved_tick) {
+void ClusterRegistry::UpsertProducer(PluginParams args) {
   std::lock_guard<std::mutex> lock(mu_);
-  state_.daemon_name = daemon_name;
-  state_.saved_tick = saved_tick;
-  dirty_ = true;
-}
-
-void ClusterRegistry::UpsertProducer(const ProducerRecord& record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& existing : state_.producers) {
-    if (existing.name == record.name) {
-      // Keep freshness metadata the caller did not re-derive.
-      ProducerRecord merged = record;
-      if (merged.last_seen == 0) merged.last_seen = existing.last_seen;
-      if (merged.schema_digests.empty()) {
-        merged.schema_digests = existing.schema_digests;
-      }
-      existing = std::move(merged);
-      dirty_ = true;
-      return;
-    }
-  }
-  state_.producers.push_back(record);
-  dirty_ = true;
+  state_.producers[NameOf(args)] = std::move(args);
 }
 
 bool ClusterRegistry::RemoveProducer(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = state_.producers.begin(); it != state_.producers.end(); ++it) {
-    if (it->name == name) {
-      state_.producers.erase(it);
-      dirty_ = true;
-      return true;
-    }
-  }
-  return false;
+  return state_.producers.erase(name) > 0;
 }
 
-void ClusterRegistry::UpsertStore(const StoreRecord& record) {
+void ClusterRegistry::UpsertStore(PluginParams args) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& existing : state_.stores) {
-    if (existing.name == record.name) {
-      existing = record;
-      dirty_ = true;
-      return;
-    }
-  }
-  state_.stores.push_back(record);
-  dirty_ = true;
+  state_.stores[NameOf(args)] = std::move(args);
 }
 
-void ClusterRegistry::SetTree(const TreeRecord& record) {
+void ClusterRegistry::SetTree(PluginParams args) {
   std::lock_guard<std::mutex> lock(mu_);
-  state_.tree = record;
-  dirty_ = true;
-}
-
-void ClusterRegistry::TouchProducer(const std::string& name,
-                                    TimeNs last_seen) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& p : state_.producers) {
-    if (p.name == name) {
-      if (p.last_seen != last_seen) {
-        p.last_seen = last_seen;
-        dirty_ = true;
-      }
-      return;
-    }
-  }
-}
-
-void ClusterRegistry::RecordSchemaDigest(const std::string& producer,
-                                         const std::string& schema,
-                                         std::uint64_t digest) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& p : state_.producers) {
-    if (p.name == producer) {
-      auto it = p.schema_digests.find(schema);
-      if (it == p.schema_digests.end() || it->second != digest) {
-        p.schema_digests[schema] = digest;
-        dirty_ = true;
-      }
-      return;
-    }
-  }
+  state_.tree = std::move(args);
 }
 
 RegistrySnapshot ClusterRegistry::snapshot() const {
@@ -642,7 +417,6 @@ Status ClusterRegistry::ImportFrom(const std::string& import_path) {
   if (!st.ok()) return st;
   std::lock_guard<std::mutex> lock(mu_);
   state_ = std::move(parsed);
-  dirty_ = true;
   return SaveLocked();
 }
 
@@ -651,9 +425,8 @@ std::string ClusterRegistry::StatusString() const {
   std::ostringstream out;
   out << "path=" << path_ << " producers=" << state_.producers.size()
       << " stores=" << state_.stores.size()
-      << " tree=" << (state_.tree.present ? 1 : 0)
-      << " saved_tick=" << state_.saved_tick << " dirty=" << (dirty_ ? 1 : 0)
-      << " loads=" << stats_.loads << " saves=" << stats_.saves
+      << " tree=" << (state_.tree ? 1 : 0) << " loads=" << stats_.loads
+      << " saves=" << stats_.saves
       << " save_failures=" << stats_.save_failures
       << " quarantines=" << stats_.quarantines
       << " last_load_records=" << stats_.last_load_records

@@ -1,117 +1,57 @@
-// Crash-safe cluster registry (ISSUE 8 tentpole, the lokinet nodedb
-// pattern). An aggregator's working knowledge of its cluster — which
-// producers it pulls, which store policies it runs, which tree shard it
-// serves — historically lived only in the configuration script that built
-// it. This registry persists that knowledge to one on-disk file so a
-// restarted daemon can resume the whole topology with no operator action:
+// Crash-safe cluster registry (the lokinet nodedb pattern). An aggregator's
+// working knowledge of its cluster — which producers it pulls, which store
+// policies it runs, which tree shard it serves — historically lived only in
+// the configuration script that built it. This registry persists that
+// knowledge to one on-disk file, as the configuration commands that rebuild
+// it, so a restarted daemon can resume the whole topology with no operator
+// action:
 //
-//   #ldmsxx-registry v1 crc=<16 hex> entries=<n>
-//   meta name=<daemon> saved_tick=<ns>
-//   prdcr name=... transport=... address=... interval=... ...
-//   strgp name=... plugin=... params=... ...
-//   tree role=root leaves=... samplers=... down=...
+//   #ldmsxx-registry v2 crc=<16 hex> entries=<n>
+//   tree seed=... root=... spare=... leaves=... samplers=... down=...
+//   strgp_add name=... plugin=... schema=... queue=... ...
+//   prdcr_add name=... xprt=... host=... interval=... ...
 //
-// Line-oriented key=value text (the configuration command shape), one
-// record per line, values percent-encoded so names may contain any byte.
-// The crc in the header is FNV-1a over everything after the header line;
-// entries is the record-line count. Both must match on load.
+// A prdcr_add or strgp_add record is exactly the argument map its verb
+// parses (daemon/config.hpp: same keys, durations in microseconds), and a
+// record the verb's parser rejects fails the load. The tree record holds the
+// TreeOptions a root persists (TreeArgs). One record per line, keys and
+// values percent-encoded so names may contain any byte. The crc in the
+// header is FNV-1a over everything after the header line; entries is the
+// record-line count. Both must match on load.
 //
 // Durability ladder:
 //   1. every Save() goes through AtomicWriteFile (tmp + fsync + rename +
-//      parent fsync) — a crash mid-save leaves the previous snapshot intact;
-//   2. a load that fails version/crc/entries validation quarantines the file
-//      to <path>.corrupt.<n> and starts empty — the daemon rebuilds the
-//      registry from live traffic instead of trusting a torn file;
+//      parent fsync) — a crash mid-save leaves the previous file intact;
+//   2. a load that fails version/crc/entries/record validation quarantines
+//      the file to <path>.corrupt.<n> and starts empty — the daemon rebuilds
+//      the registry from live traffic instead of trusting a torn file;
 //   3. a missing file is a clean first boot, not an error.
 //
-// Topology mutations (producer add/remove, store add, tree change) save
-// eagerly; cheap freshness updates (last-seen ticks, schema digests) only
-// mark the registry dirty and ride the periodic snapshot / clean shutdown.
+// The daemon saves after every mutation (producer add/remove, store add,
+// tree change); nothing else is persisted.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "daemon/plugin.hpp"
 #include "daemon/topology.hpp"
-#include "util/clock.hpp"
 #include "util/status.hpp"
 
 namespace ldmsxx {
 
-/// One persisted producer: the full ProducerConfig shape plus the freshness
-/// metadata the restart path uses (last-seen tick, per-schema metadata
-/// digests, the control key id in force when it was recorded).
-struct ProducerRecord {
-  std::string name;
-  std::string transport = "local";
-  std::string address;
-  DurationNs interval = kNsPerSec;
-  DurationNs offset = 0;
-  bool synchronous = false;
-  DurationNs request_timeout = 0;
-  DurationNs reconnect_min_backoff = 50 * kNsPerMs;
-  DurationNs reconnect_max_backoff = 2 * kNsPerSec;
-  std::vector<std::string> set_instances;
-  DurationNs rediscover_interval = 0;
-  bool delta_updates = true;
-  bool standby = false;
-  std::string standby_for;
-  /// Control key id current when this record was last written (audit trail
-  /// for rotation: a record signed under key 3 predates rotation 4).
-  std::uint32_t auth_key_id = 0;
-  /// Daemon tick of the last successful dir/lookup/update on this producer.
-  TimeNs last_seen = 0;
-  /// schema name -> FNV-1a of the serialized metadata chunk, recorded at
-  /// lookup. A digest mismatch after restart means the producer's schema
-  /// changed while we were down, so the mirror must be re-looked-up (the
-  /// existing relookup path already handles that).
-  std::map<std::string, std::uint64_t> schema_digests;
-};
-
-/// One persisted store policy. Holds the plugin name + params the policy
-/// was built from (not the constructed Store), so restart can re-make the
-/// store through the PluginRegistry.
-struct StoreRecord {
-  std::string name;
-  std::string plugin;
-  std::map<std::string, std::string> params;
-  std::string schema_filter;
-  std::string producer_filter;
-  /// Row-decomposition spec (strgp_add decomp=...); empty = whole sets.
-  std::string decomp;
-  std::size_t queue_capacity = 1024;
-  std::string shed_policy = "drop_oldest";
-  std::uint64_t breaker_threshold = 5;
-  DurationNs breaker_min_backoff = 100 * kNsPerMs;
-  DurationNs breaker_max_backoff = 10 * kNsPerSec;
-};
-
-/// The aggregation-tree view this daemon roots, if any: the full TreeOptions
-/// (so TreeManager can be reconstructed bit-identically — rendezvous
-/// placement is a pure function of these) plus which leaves were down.
-struct TreeRecord {
-  bool present = false;
-  std::string role;  // "root" today; leaves persist only producers
-  std::vector<TreeSamplerId> samplers;
-  std::vector<std::string> leaves;
-  std::string root_name = "root";
-  std::string spare_name;
-  std::uint64_t seed = 1;
-  std::vector<std::size_t> down_leaves;
-};
-
 /// Full registry contents, as loaded/saved in one shot.
 struct RegistrySnapshot {
-  std::string daemon_name;
-  /// Clock reading at the time of the save (provenance, and the restart
-  /// drill's measure of how stale the snapshot was).
-  TimeNs saved_tick = 0;
-  std::vector<ProducerRecord> producers;
-  std::vector<StoreRecord> stores;
-  TreeRecord tree;
+  /// Producer name -> its prdcr_add arguments.
+  std::map<std::string, PluginParams> producers;
+  /// Store policy name -> its strgp_add arguments.
+  std::map<std::string, PluginParams> stores;
+  /// The tree record's arguments (TreeArgs); nullopt = no tree rooted here.
+  std::optional<PluginParams> tree;
 };
 
 struct RegistryStats {
@@ -124,11 +64,20 @@ struct RegistryStats {
   std::uint64_t last_load_records = 0;
 };
 
+/// The tree record for a root: @p options plus the leaves marked down.
+/// Leaf names and sampler names must not contain ','.
+PluginParams TreeArgs(const TreeOptions& options,
+                      const std::vector<std::size_t>& down_leaves);
+/// Inverse of TreeArgs; kInvalidArgument on a malformed record.
+Status ParseTreeArgs(const PluginParams& args, TreeOptions* options,
+                     std::vector<std::size_t>* down_leaves);
+
 /// Serialize a snapshot to the full file text, header included.
 std::string SerializeRegistry(const RegistrySnapshot& snapshot);
 
-/// Strict parse: header version, crc, and entry count must all check out.
-/// kInconsistent on any mismatch, kInvalidArgument on malformed records.
+/// Strict parse: header version, crc, and entry count must all check out
+/// (kInconsistent otherwise), and every record must pass its verb's parser
+/// (kInvalidArgument otherwise).
 Status ParseRegistry(std::string_view text, RegistrySnapshot* out);
 
 /// Thread-safe owner of one registry file.
@@ -145,26 +94,17 @@ class ClusterRegistry {
   /// last_load_quarantined() reports it.
   Status Load();
 
-  /// Atomically write the current contents; clears the dirty flag.
+  /// Atomically write the current contents.
   Status Save();
-  /// Save() only when something changed since the last save.
-  Status SaveIfDirty();
 
-  bool dirty() const;
   bool last_load_quarantined() const;
 
-  void SetMeta(const std::string& daemon_name, TimeNs saved_tick);
-  /// Eager-save mutators return the Save() status; freshness updates below
-  /// only mark dirty.
-  void UpsertProducer(const ProducerRecord& record);
+  /// Insert or replace the record keyed by @p args' name= value. The
+  /// mutators change memory only; the caller saves.
+  void UpsertProducer(PluginParams args);
   bool RemoveProducer(const std::string& name);
-  void UpsertStore(const StoreRecord& record);
-  void SetTree(const TreeRecord& record);
-  /// Record a successful contact with @p name (no-op for unknown producers).
-  void TouchProducer(const std::string& name, TimeNs last_seen);
-  /// Record the metadata digest seen for (producer, schema) at lookup.
-  void RecordSchemaDigest(const std::string& producer,
-                          const std::string& schema, std::uint64_t digest);
+  void UpsertStore(PluginParams args);
+  void SetTree(PluginParams args);
 
   RegistrySnapshot snapshot() const;
   RegistryStats stats() const;
@@ -188,7 +128,6 @@ class ClusterRegistry {
   mutable std::mutex mu_;
   RegistrySnapshot state_;
   RegistryStats stats_;
-  bool dirty_ = false;
   bool last_load_quarantined_ = false;
 };
 

@@ -268,8 +268,8 @@ void StorePolicyRuntime::RecordOutcomeLocked(bool ok, const Status& st,
     }
     return;
   }
-  ++store_failures_;
-  counters_->store_failures.fetch_add(1, std::memory_order_relaxed);
+  store_failures_ += samples;
+  counters_->store_failures.fetch_add(samples, std::memory_order_relaxed);
   ++consecutive_failures_;
   log_->Error("store ", policy_.store->name(), " failed: ", st.ToString());
   if (policy_.breaker_threshold == 0) return;
@@ -338,29 +338,26 @@ void StorePolicyRuntime::WriteBatch(const Pending* items, std::size_t n) {
     }
   }
   const std::uint64_t t0 = NowSteadyNs();
-  Status st;
-  std::uint64_t written = n;
-  std::uint64_t decomp_failed = 0;
+  Status st;               // the store call's outcome
+  Status decomp_st;        // first decomposition error, if any
+  std::uint64_t attempted = n;  // samples handed to the store call
+  std::uint64_t written = 0;
   if (decomposer_ != nullptr) {
     std::lock_guard<std::mutex> write_lock(write_mu_);
     row_scratch_.Clear();
-    written = 0;
+    attempted = 0;
     for (std::size_t i = 0; i < n; ++i) {
       std::lock_guard<std::mutex> set_lock(*items[i].set_mu);
       const Status ds = decomposer_->Decompose(*items[i].set, &row_scratch_);
       if (ds.ok()) {
-        ++written;
-      } else {
-        ++decomp_failed;
-        if (st.ok()) st = ds;
+        ++attempted;
+      } else if (decomp_st.ok()) {
+        decomp_st = ds;
       }
     }
-    if (written > 0) {
-      const Status ws = policy_.store->StoreRows(row_scratch_);
-      if (!ws.ok()) {
-        st = ws;
-        written = 0;
-      }
+    if (attempted > 0) {
+      st = policy_.store->StoreRows(row_scratch_);
+      written = st.ok() ? attempted : 0;
     }
   } else {
     std::vector<Store::BatchItem> batch(n);
@@ -369,20 +366,28 @@ void StorePolicyRuntime::WriteBatch(const Pending* items, std::size_t n) {
     }
     std::size_t stored = 0;
     st = policy_.store->StoreSetBatch(batch.data(), n, &stored);
-    written = st.ok() ? n : stored;
+    written = st.ok() ? n : std::min<std::uint64_t>(stored, n);
   }
   counters_->store_ns.fetch_add(NowSteadyNs() - t0,
                                 std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  decompose_failures_ += decomp_failed;
-  // A fully-decomposed, fully-written batch is one success; anything short
-  // of that is one failure episode for the breaker, with the samples that
-  // did land still counted.
+  // Every sample lands in exactly one bucket: decompose_failures (never a
+  // breaker strike — the store was not at fault), stores, or
+  // store_failures. A store call that returned an error is one strike,
+  // with the samples that did land still counted.
+  if (!decomp_st.ok()) {
+    decompose_failures_ += n - attempted;
+    log_->Error("strgp ", policy_.name, " decomposition failed: ",
+                decomp_st.ToString());
+  }
   if (written > 0) {
     RecordOutcomeLocked(true, Status::Ok(), written);
   }
   if (!st.ok()) {
-    RecordOutcomeLocked(false, st);
+    RecordOutcomeLocked(false, st, attempted - written);
+  } else if (attempted == 0 && breaker_ == BreakerState::kHalfOpen) {
+    // The admitted probe never reached the store; let the next sample probe.
+    breaker_ = BreakerState::kOpen;
   }
 }
 

@@ -74,10 +74,11 @@ struct StorePolicy {
         producer_filter(std::move(producer)) {}
 
   std::shared_ptr<Store> store;
-  /// Provenance for the cluster registry: the plugin name + params this
-  /// policy's store was built from, so a restarted daemon can re-make the
-  /// store through the PluginRegistry. Empty plugin = not reconstructible
-  /// (hand-built store object), recorded but skipped on restore.
+  /// Provenance for the cluster registry: the plugin name + the plugin's
+  /// own strgp_add arguments (every key but the policy keys this struct
+  /// holds) the store was built from, so a restarted daemon can re-make it
+  /// through the PluginRegistry. Empty plugin = hand-built store object,
+  /// not reconstructible and not recorded.
   std::string plugin;
   std::map<std::string, std::string> plugin_params;
   /// Only store sets whose schema name matches; empty = all.
@@ -184,7 +185,8 @@ class StorePolicyRuntime {
   /// the sample must be shed (open breaker, or half-open with a probe
   /// already in flight).
   bool AdmitLocked();
-  /// Record a write outcome covering @p samples; caller holds mu_.
+  /// Record a store call's outcome: @p samples written (ok) or not written
+  /// (one breaker strike however many they were); caller holds mu_.
   void RecordOutcomeLocked(bool ok, const Status& st,
                            std::uint64_t samples = 1);
   /// Pop-and-write up to kDrainBatch samples; resubmits itself while work
@@ -202,7 +204,7 @@ class StorePolicyRuntime {
   }
   /// Write @p n samples in one store call: decomposed rows via StoreRows
   /// when the policy has a decomp spec, whole sets via StoreSetBatch
-  /// otherwise. One breaker admission and one outcome per batch.
+  /// otherwise. One breaker admission per batch; counters move per sample.
   void WriteBatch(const Pending* items, std::size_t n);
 
   const StorePolicy policy_;

@@ -13,9 +13,11 @@
 //   -l file                log file (default stderr)
 //   -S path                UNIX domain control socket (runtime reconfig via
 //                          ldmsd_controller)
-//   -r path                cluster registry file: producers/stores/tree are
-//                          persisted crash-safely and restored at startup, so
-//                          a restart resumes collection with no config script
+//   -r path                cluster registry file: the producers, store
+//                          policies and tree are persisted crash-safely as
+//                          prdcr_add/strgp_add/tree records and replayed at
+//                          startup, so a restart resumes collection with no
+//                          config script
 //   -k path                control-socket key file (created 0600 if absent);
 //                          mutating control verbs then require a MAC
 //                          (ldmsd_controller -k) — see daemon/keys.hpp
@@ -117,7 +119,7 @@ int main(int argc, char** argv) {
     // Resume producers/stores/tree from the crash-safe registry before the
     // daemon starts collecting; a missing file is a clean first boot and a
     // corrupt one is quarantined (we keep going and rebuild from traffic).
-    if (Status st = daemon.RestoreFromRegistry(&PluginRegistry::Instance());
+    if (Status st = daemon.RestoreFromRegistry(PluginRegistry::Instance());
         !st.ok()) {
       std::fprintf(stderr, "ldmsd: registry restore failed: %s\n",
                    st.ToString().c_str());

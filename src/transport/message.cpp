@@ -132,13 +132,8 @@ bool DecodeAdvertise(std::span<const std::byte> payload, AdvertiseMsg* out) {
   out->producer = r.Str();
   out->dialback_address = r.Str();
   out->transport = r.Str();
-  if (r.ok() && r.remaining() >= 9) {
-    out->announce = r.U8() != 0;
-    out->node_id = r.U64();
-  } else {
-    out->announce = false;
-    out->node_id = 0;
-  }
+  out->announce = r.U8() != 0;
+  out->node_id = r.U64();
   return r.ok();
 }
 

@@ -182,12 +182,11 @@ struct AdvertiseMsg {
   std::string producer;
   std::string dialback_address;  // where the aggregator should connect
   std::string transport;         // transport plugin name for dialback
-  /// Trailing extension (a frame that stops after the three strings decodes
-  /// as a plain advertise). announce upgrades a plain advertise to
-  /// self-assembly: "place me in the aggregation tree" — the receiving seed
-  /// aggregator consults its TreeManager, assigns a leaf, and persists the
-  /// assignment. node_id is the announcing host's torus node id, the
-  /// rendezvous placement input.
+  /// Both always on the wire; a frame without them is refused. announce
+  /// upgrades a plain advertise to self-assembly: "place me in the
+  /// aggregation tree" — the receiving seed aggregator consults its
+  /// TreeManager, assigns a leaf, and persists the assignment. node_id is
+  /// the announcing host's torus node id, the rendezvous placement input.
   bool announce = false;
   std::uint64_t node_id = 0;
 };

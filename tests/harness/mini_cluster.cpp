@@ -275,7 +275,6 @@ std::unique_ptr<Ldmsd> MiniCluster::MakeLeaf(std::size_t j) {
   opts.clock = &clock_;
   opts.transports = &registry_;
   opts.registry_path = RegistryPathFor(opts.name);
-  opts.registry_snapshot_interval = options_.registry_snapshot_interval;
   auto daemon = std::make_unique<Ldmsd>(opts);
   if (is_spare) {
     // The spare keeps warm standby connections to every sampler; promotion
@@ -315,7 +314,6 @@ std::unique_ptr<Ldmsd> MiniCluster::MakeRoot() {
   opts.clock = &clock_;
   opts.transports = &registry_;
   opts.registry_path = RegistryPathFor(opts.name);
-  opts.registry_snapshot_interval = options_.registry_snapshot_interval;
   auto daemon = std::make_unique<Ldmsd>(opts);
   daemon->set_announce_hook([this](const AdvertiseMsg& msg, std::size_t leaf) {
     OnAnnounce(msg, leaf);
@@ -432,7 +430,6 @@ std::unique_ptr<Ldmsd> MiniCluster::MakeAggregator(std::size_t index,
   opts.clock = &clock_;
   opts.transports = &registry_;
   opts.registry_path = RegistryPathFor(opts.name);
-  opts.registry_snapshot_interval = options_.registry_snapshot_interval;
   auto daemon = std::make_unique<Ldmsd>(opts);
   auto& slot = is_standby ? aggregators_.back() : aggregators_[index];
   StorePolicy primary(slot.faulted);
@@ -591,9 +588,8 @@ Status MiniCluster::RestartAggregatorFromRegistry(std::size_t i) {
   opts.clock = &clock_;
   opts.transports = &registry_;
   opts.registry_path = RegistryPathFor(opts.name);
-  opts.registry_snapshot_interval = options_.registry_snapshot_interval;
   auto daemon = std::make_unique<Ldmsd>(opts);
-  Status st = daemon->RestoreFromRegistry(&plugins_);
+  Status st = daemon->RestoreFromRegistry(plugins_);
   if (!st.ok()) return st;
   st = daemon->Start();
   if (!st.ok()) return st;
@@ -623,12 +619,11 @@ Status MiniCluster::RestartRootFromRegistry() {
   opts.clock = &clock_;
   opts.transports = &registry_;
   opts.registry_path = RegistryPathFor(opts.name);
-  opts.registry_snapshot_interval = options_.registry_snapshot_interval;
   auto daemon = std::make_unique<Ldmsd>(opts);
   daemon->set_announce_hook([this](const AdvertiseMsg& msg, std::size_t leaf) {
     OnAnnounce(msg, leaf);
   });
-  Status st = daemon->RestoreFromRegistry(&plugins_);
+  Status st = daemon->RestoreFromRegistry(plugins_);
   if (!st.ok()) return st;
   st = daemon->Start();
   if (!st.ok()) return st;

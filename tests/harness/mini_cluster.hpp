@@ -113,8 +113,6 @@ struct MiniClusterOptions {
   /// harness's "harness_store" plugin so a restored daemon re-binds the
   /// same persistent in-memory stores (history spans the restart).
   std::string registry_dir;
-  /// Freshness snapshot cadence; 0 = eager + clean-shutdown saves only.
-  DurationNs registry_snapshot_interval = 500 * kNsPerMs;
 };
 
 class MiniCluster {

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include "daemon/config.hpp"
@@ -81,6 +82,59 @@ TEST(ConfigProcessorTest, ProducerAndStoreCommands) {
   ASSERT_TRUE(config.Execute("strgp_add name=s plugin=store_mem").ok());
   EXPECT_EQ(config.Execute("strgp_add name=s plugin=store_unknown").code(),
             ErrorCode::kNotFound);
+}
+
+TEST(ConfigProcessorTest, MalformedMicrosecondArgumentsFailTheVerb) {
+  SimCluster cluster(ClusterConfig::Chama(1));
+  cluster.Tick(kNsPerSec);
+  RegisterBuiltinSamplers(cluster.MakeDataSource(0));
+  RegisterBuiltinStores();
+  LdmsdOptions opts;
+  opts.name = "us-cfg";
+  opts.worker_threads = 1;
+  Ldmsd daemon(opts);
+  ConfigProcessor config(daemon);
+  // Fails with kInvalidArgument and names the offending argument.
+  auto refused = [&config](const std::string& line, const std::string& arg) {
+    const Status st = config.Execute(line);
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << line;
+    EXPECT_NE(st.message().find(arg + "="), std::string::npos)
+        << line << " -> " << st.message();
+  };
+  // 2^64 / 1000 us is the first value whose ns no longer fits in a u64.
+  const std::string overflow = "18446744073709552";
+
+  const std::string prdcr = "prdcr_add name=x xprt=local host=h ";
+  refused(prdcr + "interval=10s timeout=oops", "interval");
+  refused(prdcr + "interval=1000000 timeout=oops", "timeout");
+  refused(prdcr + "offset=-5", "offset");
+  refused(prdcr + "reconnect_min=1.5", "reconnect_min");
+  refused(prdcr + "reconnect_max=" + overflow, "reconnect_max");
+  refused(prdcr + "rediscover=", "rediscover");
+  EXPECT_FALSE(daemon.producer_status("x").known);
+  ASSERT_TRUE(config.Execute(prdcr + "interval=18446744073709551 timeout=0")
+                  .ok());  // the largest representable value still parses
+
+  const std::string strgp = "strgp_add name=s plugin=store_mem ";
+  refused(strgp + "breaker_min=soon", "breaker_min");
+  refused(strgp + "breaker_max=" + overflow, "breaker_max");
+  EXPECT_TRUE(daemon.store_policy_names().empty());
+
+  ASSERT_TRUE(config.Execute("load name=meminfo").ok());
+  refused("start name=meminfo interval=1e6", "interval");
+  refused("start name=meminfo interval=100000 offset=x", "offset");
+  ASSERT_TRUE(config.Execute("start name=meminfo interval=100000").ok());
+  refused("interval name=meminfo interval=fast", "interval");
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "ldmsxx_us_cfg").string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(
+      config.Execute("strgp_add name=q plugin=store_tsdb path=" + dir).ok());
+  refused("query strgp=q table=t t0_us=x", "t0_us");
+  refused("query strgp=q table=t t1_us=" + overflow, "t1_us");
+  daemon.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(LdmsdTest, OnTheFlySamplingIntervalChange) {

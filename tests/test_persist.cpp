@@ -24,6 +24,7 @@
 #include <cstring>
 #include <string>
 
+#include "daemon/config.hpp"
 #include "daemon/control.hpp"
 #include "daemon/keys.hpp"
 #include "daemon/registry.hpp"
@@ -47,48 +48,58 @@ std::string ScratchDir(const std::string& tag) {
   return tmpl;
 }
 
-RegistrySnapshot SampleSnapshot() {
-  RegistrySnapshot snap;
-  snap.daemon_name = "agg 0/strange=name";  // exercises percent-encoding
-  snap.saved_tick = 12345678901ull;
-  ProducerRecord p;
-  p.name = "node 1";
+/// Odd but legal names: spaces, '=' and ':' all survive the record encoding.
+ProducerConfig SampleProducer() {
+  ProducerConfig p;
+  p.name = "node 1=a:b";
   p.transport = "fault";
   p.address = "node 1/listen";
   p.interval = 250 * kNsPerMs;
-  p.offset = 7;
+  p.offset = 7 * kNsPerUs;
   p.synchronous = true;
   p.request_timeout = 3 * kNsPerSec;
   p.reconnect_min_backoff = 20 * kNsPerMs;
   p.reconnect_max_backoff = 800 * kNsPerMs;
-  p.set_instances = {"node 1/chaos", "node 1/chaos1"};
+  p.set_instances = {"node 1=a:b/chaos", "node 1=a:b/chaos 1"};
   p.rediscover_interval = kNsPerSec;
   p.delta_updates = false;
   p.standby = true;
-  p.standby_for = "agg=primary";
-  p.auth_key_id = 3;
-  p.last_seen = 999;
-  p.schema_digests = {{"chaos", 0xdeadbeefull}, {"mem info", 42}};
-  snap.producers.push_back(p);
-  StoreRecord s;
-  s.name = "primary";
+  p.standby_for = "agg=primary:0";
+  return p;
+}
+
+StorePolicy SamplePolicy() {
+  StorePolicy s;
+  s.name = "primary store=a:b";
   s.plugin = "store_csv";
-  s.params = {{"path", "/var/x y"}, {"altheader", "1"}};
+  s.plugin_params = {{"path", "/var/x y=z:w"}, {"altheader", "1"}};
   s.schema_filter = "chaos";
-  s.producer_filter = "node 1";
+  s.producer_filter = "node 1=a:b";
   s.queue_capacity = 64;
-  s.shed_policy = "drop_newest";
+  s.shed_policy = ShedPolicy::kDropNewest;
   s.breaker_threshold = 3;
   s.breaker_min_backoff = kNsPerMs;
   s.breaker_max_backoff = kNsPerSec;
-  snap.stores.push_back(s);
-  snap.tree.present = true;
-  snap.tree.role = "root";
-  snap.tree.samplers = {{"node 1", 11}, {"node 2", 22}};
-  snap.tree.leaves = {"leaf0", "leaf 1"};
-  snap.tree.spare_name = "spare";
-  snap.tree.seed = 77;
-  snap.tree.down_leaves = {1};
+  return s;
+}
+
+TreeOptions SampleTree() {
+  TreeOptions t;
+  t.samplers = {{"node 1=a:b", 11}, {"node 2", 22}};
+  t.leaves = {"leaf0", "leaf 1=x:y"};
+  t.root_name = "root =:";
+  t.spare_name = "spare";
+  t.seed = 77;
+  return t;
+}
+
+RegistrySnapshot SampleSnapshot() {
+  RegistrySnapshot snap;
+  const ProducerConfig p = SampleProducer();
+  snap.producers[p.name] = PrdcrAddArgs(p);
+  const StorePolicy s = SamplePolicy();
+  snap.stores[s.name] = StrgpAddArgs(s);
+  snap.tree = TreeArgs(SampleTree(), {1});
   return snap;
 }
 
@@ -98,49 +109,31 @@ TEST(RegistryFormatTest, SerializeParseRoundTrip) {
   const RegistrySnapshot snap = SampleSnapshot();
   RegistrySnapshot out;
   ASSERT_TRUE(ParseRegistry(SerializeRegistry(snap), &out).ok());
+  EXPECT_EQ(out.producers, snap.producers);
+  EXPECT_EQ(out.stores, snap.stores);
+  EXPECT_EQ(out.tree, snap.tree);
 
-  EXPECT_EQ(out.daemon_name, snap.daemon_name);
-  EXPECT_EQ(out.saved_tick, snap.saved_tick);
-  ASSERT_EQ(out.producers.size(), 1u);
-  const auto& p = out.producers[0];
-  const auto& q = snap.producers[0];
-  EXPECT_EQ(p.name, q.name);
-  EXPECT_EQ(p.transport, q.transport);
-  EXPECT_EQ(p.address, q.address);
-  EXPECT_EQ(p.interval, q.interval);
-  EXPECT_EQ(p.offset, q.offset);
-  EXPECT_EQ(p.synchronous, q.synchronous);
-  EXPECT_EQ(p.request_timeout, q.request_timeout);
-  EXPECT_EQ(p.reconnect_min_backoff, q.reconnect_min_backoff);
-  EXPECT_EQ(p.reconnect_max_backoff, q.reconnect_max_backoff);
-  EXPECT_EQ(p.set_instances, q.set_instances);
-  EXPECT_EQ(p.rediscover_interval, q.rediscover_interval);
-  EXPECT_EQ(p.delta_updates, q.delta_updates);
-  EXPECT_EQ(p.standby, q.standby);
-  EXPECT_EQ(p.standby_for, q.standby_for);
-  EXPECT_EQ(p.auth_key_id, q.auth_key_id);
-  EXPECT_EQ(p.last_seen, q.last_seen);
-  EXPECT_EQ(p.schema_digests, q.schema_digests);
-  ASSERT_EQ(out.stores.size(), 1u);
-  const auto& s = out.stores[0];
-  const auto& t = snap.stores[0];
-  EXPECT_EQ(s.name, t.name);
-  EXPECT_EQ(s.plugin, t.plugin);
-  EXPECT_EQ(s.params, t.params);
-  EXPECT_EQ(s.schema_filter, t.schema_filter);
-  EXPECT_EQ(s.producer_filter, t.producer_filter);
-  EXPECT_EQ(s.queue_capacity, t.queue_capacity);
-  EXPECT_EQ(s.shed_policy, t.shed_policy);
-  EXPECT_EQ(s.breaker_threshold, t.breaker_threshold);
-  EXPECT_EQ(s.breaker_min_backoff, t.breaker_min_backoff);
-  EXPECT_EQ(s.breaker_max_backoff, t.breaker_max_backoff);
-  ASSERT_TRUE(out.tree.present);
-  EXPECT_EQ(out.tree.role, "root");
-  ASSERT_EQ(out.tree.samplers.size(), 2u);
-  EXPECT_EQ(out.tree.leaves, snap.tree.leaves);
-  EXPECT_EQ(out.tree.spare_name, snap.tree.spare_name);
-  EXPECT_EQ(out.tree.seed, snap.tree.seed);
-  EXPECT_EQ(out.tree.down_leaves, snap.tree.down_leaves);
+  // The records are the verbs' own arguments: prdcr_add keys, µs durations.
+  const PluginParams& prdcr = out.producers.at("node 1=a:b");
+  EXPECT_EQ(prdcr.at("xprt"), "fault");
+  EXPECT_EQ(prdcr.at("interval"), "250000");
+  EXPECT_EQ(prdcr.at("reconnect_min"), "20000");
+  EXPECT_EQ(out.stores.at("primary store=a:b").at("breaker_min"), "1000");
+
+  TreeOptions tree;
+  std::vector<std::size_t> down;
+  ASSERT_TRUE(ParseTreeArgs(*out.tree, &tree, &down).ok());
+  const TreeOptions want = SampleTree();
+  ASSERT_EQ(tree.samplers.size(), want.samplers.size());
+  for (std::size_t i = 0; i < want.samplers.size(); ++i) {
+    EXPECT_EQ(tree.samplers[i].name, want.samplers[i].name);
+    EXPECT_EQ(tree.samplers[i].node_id, want.samplers[i].node_id);
+  }
+  EXPECT_EQ(tree.leaves, want.leaves);
+  EXPECT_EQ(tree.root_name, want.root_name);
+  EXPECT_EQ(tree.spare_name, want.spare_name);
+  EXPECT_EQ(tree.seed, want.seed);
+  EXPECT_EQ(down, (std::vector<std::size_t>{1}));
 
   // Serialization is deterministic (same snapshot -> same bytes), which is
   // what makes same-seed registry digests comparable across runs.
@@ -157,7 +150,7 @@ TEST(RegistryFormatTest, RejectsTamperTruncationAndGarbage) {
   EXPECT_FALSE(ParseRegistry(flipped, &out).ok());
 
   // Drop the trailing record line (and fix nothing else): crc mismatch.
-  std::string truncated = text.substr(0, text.rfind("tree "));
+  std::string truncated = text.substr(0, text.rfind("prdcr_add "));
   EXPECT_FALSE(ParseRegistry(truncated, &out).ok());
 
   EXPECT_FALSE(ParseRegistry("", &out).ok());
@@ -166,26 +159,57 @@ TEST(RegistryFormatTest, RejectsTamperTruncationAndGarbage) {
             ErrorCode::kInconsistent);
 }
 
+TEST(RegistryFormatTest, RecordsTheVerbRejectsFailTheParse) {
+  // Each snapshot serializes with a valid crc and entry count; only the
+  // record itself is wrong, and the verb's own parser is what refuses it.
+  const auto refused = [](const RegistrySnapshot& snap) {
+    RegistrySnapshot out;
+    return ParseRegistry(SerializeRegistry(snap), &out).code();
+  };
+  RegistrySnapshot snap;
+  snap.producers["x"] = {{"name", "x"}, {"interval", "10s"}};
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.producers["x"] = {{"xprt", "local"}};  // prdcr_add requires name=
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.producers.clear();
+  snap.stores["s"] = {{"name", "s"}};  // strgp_add requires plugin=
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.stores["s"] = {{"name", "s"}, {"plugin", "store_mem"},
+                      {"breaker_min", "oops"}};
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.stores["s"] = {{"name", "s"}, {"plugin", "store_mem"},
+                      {"decomp", "t@a:b:frobnicate"}};
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.stores["s"] = {{"plugin", "store_mem"}};  // the registry key
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.stores.clear();
+  snap.tree = PluginParams{{"samplers", "node-without-id"}};
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.tree = PluginParams{{"seed", "-1"}};
+  EXPECT_EQ(refused(snap), ErrorCode::kInvalidArgument);
+  snap.tree = TreeArgs(SampleTree(), {});
+  EXPECT_EQ(refused(snap), ErrorCode::kOk);
+}
+
 TEST(RegistryFormatTest, SaveLoadAndQuarantineLadder) {
   const std::string dir = ScratchDir("reg");
   const std::string path = dir + "/cluster.registry";
+  ProducerConfig p;
 
   {
     ClusterRegistry reg(path);
     ASSERT_TRUE(reg.Load().ok());  // missing file = clean first boot
     EXPECT_FALSE(reg.last_load_quarantined());
-    reg.SetMeta("agg0", 100);
-    ProducerRecord p;
     p.name = "node0";
-    reg.UpsertProducer(p);
+    reg.UpsertProducer(PrdcrAddArgs(p));
     ASSERT_TRUE(reg.Save().ok());
   }
   {
     ClusterRegistry reg(path);
     ASSERT_TRUE(reg.Load().ok());
-    EXPECT_EQ(reg.stats().last_load_records, 2u);  // meta + prdcr
+    EXPECT_EQ(reg.stats().last_load_records, 1u);
     ASSERT_EQ(reg.snapshot().producers.size(), 1u);
-    EXPECT_EQ(reg.snapshot().producers[0].name, "node0");
+    EXPECT_EQ(reg.snapshot().producers.count("node0"), 1u);
   }
 
   // Corrupt the file on disk: load quarantines it and starts empty instead
@@ -204,9 +228,8 @@ TEST(RegistryFormatTest, SaveLoadAndQuarantineLadder) {
     EXPECT_TRUE(ReadFileToString(path + ".corrupt.1", &quarantined).ok());
     EXPECT_EQ(quarantined, contents);  // evidence preserved byte-for-byte
     // The registry still works: rebuild and save over the bad file.
-    ProducerRecord p;
     p.name = "node1";
-    reg.UpsertProducer(p);
+    reg.UpsertProducer(PrdcrAddArgs(p));
     ASSERT_TRUE(reg.Save().ok());
   }
   {
@@ -214,22 +237,22 @@ TEST(RegistryFormatTest, SaveLoadAndQuarantineLadder) {
     ASSERT_TRUE(reg.Load().ok());
     EXPECT_FALSE(reg.last_load_quarantined());
     ASSERT_EQ(reg.snapshot().producers.size(), 1u);
-    EXPECT_EQ(reg.snapshot().producers[0].name, "node1");
+    EXPECT_EQ(reg.snapshot().producers.count("node1"), 1u);
   }
 }
 
 TEST(RegistryFormatTest, ExportImport) {
   const std::string dir = ScratchDir("regio");
   ClusterRegistry reg(dir + "/a.registry");
-  ProducerRecord p;
+  ProducerConfig p;
   p.name = "node0";
-  reg.UpsertProducer(p);
+  reg.UpsertProducer(PrdcrAddArgs(p));
   ASSERT_TRUE(reg.ExportTo(dir + "/exported").ok());
 
   ClusterRegistry other(dir + "/b.registry");
   ASSERT_TRUE(other.ImportFrom(dir + "/exported").ok());
   ASSERT_EQ(other.snapshot().producers.size(), 1u);
-  EXPECT_EQ(other.snapshot().producers[0].name, "node0");
+  EXPECT_EQ(other.snapshot().producers.count("node0"), 1u);
   // Import persisted immediately: a fresh instance sees it.
   ClusterRegistry reload(dir + "/b.registry");
   ASSERT_TRUE(reload.Load().ok());
@@ -240,6 +263,72 @@ TEST(RegistryFormatTest, ExportImport) {
   ASSERT_TRUE(AtomicWriteFile(dir + "/bad", "garbage\n").ok());
   EXPECT_FALSE(other.ImportFrom(dir + "/bad").ok());
   EXPECT_EQ(other.snapshot().producers.size(), 1u);
+}
+
+void WritePlainFile(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+// Decoder sweep: every strict prefix and every single-bit flip of a file
+// holding every record kind is refused — Load quarantines it, ImportFrom
+// fails with the registry untouched — and nothing crashes (the asan preset
+// runs this suite).
+TEST(RegistryFormatTest, EveryStrictPrefixAndBitFlipRefused) {
+  const std::string dir = ScratchDir("regsweep");
+  const std::string text = SerializeRegistry(SampleSnapshot());
+  ASSERT_NE(text.find("\ntree "), std::string::npos);
+  ASSERT_NE(text.find("\nstrgp_add "), std::string::npos);
+  ASSERT_NE(text.find("\nprdcr_add "), std::string::npos);
+  RegistrySnapshot whole;
+  ASSERT_TRUE(ParseRegistry(text, &whole).ok());
+
+  const std::string path = dir + "/sweep.registry";
+  ClusterRegistry importer(dir + "/importer.registry");
+  ProducerConfig keep;
+  keep.name = "keep";
+  importer.UpsertProducer(PrdcrAddArgs(keep));
+  const RegistrySnapshot kept = importer.snapshot();
+
+  std::size_t refused = 0;
+  const auto expect_refused = [&](const std::string& bad,
+                                  const std::string& what) {
+    RegistrySnapshot out;
+    EXPECT_FALSE(ParseRegistry(bad, &out).ok()) << what;
+    WritePlainFile(path, bad);
+    EXPECT_FALSE(importer.ImportFrom(path).ok()) << what;
+    const RegistrySnapshot after = importer.snapshot();
+    EXPECT_EQ(after.producers, kept.producers) << what;
+    EXPECT_EQ(after.stores, kept.stores) << what;
+    EXPECT_EQ(after.tree, kept.tree) << what;
+    ClusterRegistry reg(path);
+    ASSERT_TRUE(reg.Load().ok()) << what;
+    EXPECT_TRUE(reg.last_load_quarantined()) << what;
+    EXPECT_TRUE(reg.snapshot().producers.empty()) << what;
+    EXPECT_FALSE(reg.snapshot().tree.has_value()) << what;
+    // Quarantined aside byte-for-byte; remove it so the next case is .1 too.
+    std::string moved;
+    EXPECT_TRUE(ReadFileToString(path + ".corrupt.1", &moved).ok()) << what;
+    EXPECT_EQ(moved, bad) << what;
+    std::remove((path + ".corrupt.1").c_str());
+    ++refused;
+  };
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    expect_refused(text.substr(0, cut), "prefix " + std::to_string(cut));
+    if (HasFatalFailure()) return;
+  }
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = text;
+      bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+      expect_refused(bad, "flip byte " + std::to_string(i) + " bit " +
+                              std::to_string(bit));
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(refused, text.size() * 9);
 }
 
 // --- daemon layer: restart-resume and self-assembly -------------------------
@@ -311,27 +400,136 @@ TEST(PersistChaosTest, AggregatorRestartFromRegistryAlone) {
   EXPECT_EQ(first, second) << "restart drill is not seed-deterministic";
 }
 
-TEST(PersistChaosTest, RestoredRegistryKeepsStoreProvenanceAndFreshness) {
-  const std::string dir = ScratchDir("fresh");
+TEST(PersistChaosTest, RestoredRegistryKeepsStoreProvenance) {
+  const std::string dir = ScratchDir("provenance");
   MiniClusterOptions opts;
   opts.samplers = 1;
   opts.registry_dir = dir;
   MiniCluster cluster(opts);
   cluster.Advance(1 * kNsPerSec);
 
-  cluster.KillAggregator(0);  // Stop() saves: freshness flushed cleanly
+  cluster.KillAggregator(0);  // every mutation already saved eagerly
   ClusterRegistry reg(dir + "/agg0.registry");
   ASSERT_TRUE(reg.Load().ok());
   const RegistrySnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.daemon_name, "agg0");
   ASSERT_EQ(snap.producers.size(), 1u);
-  EXPECT_EQ(snap.producers[0].name, "node0");
-  EXPECT_GT(snap.producers[0].last_seen, 0u) << "collects never touched";
-  EXPECT_EQ(snap.producers[0].schema_digests.count("chaos"), 1u)
-      << "lookup never recorded the schema digest";
-  ASSERT_GE(snap.stores.size(), 1u);
-  EXPECT_EQ(snap.stores[0].plugin, "harness_store");
-  EXPECT_EQ(snap.stores[0].params.at("slot"), "agg0");
+  EXPECT_EQ(snap.producers.count("node0"), 1u);
+  ASSERT_EQ(snap.stores.count("primary"), 1u);
+  EXPECT_EQ(snap.stores.at("primary").at("plugin"), "harness_store");
+  EXPECT_EQ(snap.stores.at("primary").at("slot"), "agg0");
+}
+
+/// Row-capable store that remembers the plugin arguments it was made with.
+class ArgsStore final : public Store {
+ public:
+  explicit ArgsStore(PluginParams params) : params_(std::move(params)) {}
+  const std::string& name() const override { return name_; }
+  Status StoreSet(const MetricSet&) override { return Status::Ok(); }
+  bool row_capable() const override { return true; }
+  Status StoreRows(const RowBatch&) override { return Status::Ok(); }
+  const PluginParams& params() const { return params_; }
+
+ private:
+  std::string name_ = "store_args";
+  PluginParams params_;
+};
+
+// Every ProducerConfig and StorePolicy field, set to a non-default value,
+// survives save -> reload -> restore into a bare daemon, as does the tree.
+TEST(PersistRestoreTest, RestoredDaemonMatchesEveryConfiguredField) {
+  const std::string dir = ScratchDir("roundtrip");
+  const std::string path = dir + "/agg.registry";
+  const std::string plugin = "store args=a:b";
+  PluginRegistry plugins;
+  plugins.AddStore(plugin, [](const PluginParams& params) {
+    return std::make_shared<ArgsStore>(params);
+  });
+  SimClock clock(0);
+  LdmsdOptions opts;
+  opts.name = "agg";
+  opts.worker_threads = 0;
+  opts.connection_threads = 0;
+  opts.store_threads = 0;
+  opts.log_level = LogLevel::kOff;
+  opts.clock = &clock;
+  opts.registry_path = path;
+
+  ProducerConfig p = SampleProducer();
+  p.transport = "sock";  // any registered transport other than the default
+  p.address = "127.0.0.1:1";
+  StorePolicy s = SamplePolicy();
+  s.plugin = plugin;
+  s.plugin_params = {{"path", "/var/x y=z:w"}, {"key with space", "v=1:2"}};
+  s.decomp = "hot@active:act:rate,load;raw@free";
+  s.shed_policy = ShedPolicy::kBlock;
+  s.breaker_max_backoff = 2 * kNsPerSec;
+  {
+    Ldmsd daemon(opts);
+    ASSERT_TRUE(daemon.AddProducer(p).ok());
+    StorePolicy added = s;
+    ASSERT_TRUE(MakeStrgpStore(plugins, &added).ok());
+    ASSERT_TRUE(daemon.AddStorePolicy(std::move(added)).ok());
+    auto tree = std::make_unique<TreeManager>(SampleTree());
+    (void)tree->MarkLeafDown(1, 0);
+    daemon.AdoptTree(std::move(tree));
+  }
+  {
+    ClusterRegistry reg(path);
+    ASSERT_TRUE(reg.Load().ok());
+    EXPECT_FALSE(reg.last_load_quarantined());
+    EXPECT_EQ(reg.stats().last_load_records, 3u);
+  }
+
+  Ldmsd restored(opts);
+  ASSERT_TRUE(restored.RestoreFromRegistry(plugins).ok());
+  const std::optional<ProducerConfig> q = restored.producer_config(p.name);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->name, p.name);
+  EXPECT_EQ(q->transport, p.transport);
+  EXPECT_EQ(q->address, p.address);
+  EXPECT_EQ(q->interval, p.interval);
+  EXPECT_EQ(q->offset, p.offset);
+  EXPECT_EQ(q->synchronous, p.synchronous);
+  EXPECT_EQ(q->request_timeout, p.request_timeout);
+  EXPECT_EQ(q->reconnect_min_backoff, p.reconnect_min_backoff);
+  EXPECT_EQ(q->reconnect_max_backoff, p.reconnect_max_backoff);
+  EXPECT_EQ(q->set_instances, p.set_instances);
+  EXPECT_EQ(q->rediscover_interval, p.rediscover_interval);
+  EXPECT_EQ(q->delta_updates, p.delta_updates);
+  EXPECT_EQ(q->standby, p.standby);
+  EXPECT_EQ(q->standby_for, p.standby_for);
+
+  const std::optional<StorePolicy> t = restored.store_policy(s.name);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->name, s.name);
+  EXPECT_EQ(t->plugin, s.plugin);
+  EXPECT_EQ(t->plugin_params, s.plugin_params);
+  const auto* store = dynamic_cast<const ArgsStore*>(t->store.get());
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->params(), s.plugin_params);
+  EXPECT_EQ(t->schema_filter, s.schema_filter);
+  EXPECT_EQ(t->producer_filter, s.producer_filter);
+  EXPECT_EQ(t->decomp, s.decomp);
+  EXPECT_EQ(t->queue_capacity, s.queue_capacity);
+  EXPECT_EQ(t->shed_policy, s.shed_policy);
+  EXPECT_EQ(t->breaker_threshold, s.breaker_threshold);
+  EXPECT_EQ(t->breaker_min_backoff, s.breaker_min_backoff);
+  EXPECT_EQ(t->breaker_max_backoff, s.breaker_max_backoff);
+
+  const TreeManager* tree = restored.tree();
+  ASSERT_NE(tree, nullptr);
+  const TreeOptions want = SampleTree();
+  const TreeOptions got = tree->options();
+  ASSERT_EQ(got.samplers.size(), want.samplers.size());
+  for (std::size_t i = 0; i < want.samplers.size(); ++i) {
+    EXPECT_EQ(got.samplers[i].name, want.samplers[i].name);
+    EXPECT_EQ(got.samplers[i].node_id, want.samplers[i].node_id);
+  }
+  EXPECT_EQ(got.leaves, want.leaves);
+  EXPECT_EQ(got.root_name, want.root_name);
+  EXPECT_EQ(got.spare_name, want.spare_name);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(tree->down_leaves(), (std::vector<std::size_t>{1}));
 }
 
 TEST(PersistChaosTest, RootRestartFromRegistryRebuildsTree) {
@@ -391,9 +589,15 @@ TEST(PersistChaosTest, AnnouncedSamplerJoinsTreeAndPersists) {
   {
     ClusterRegistry reg(dir + "/root.registry");
     ASSERT_TRUE(reg.Load().ok());
-    const auto& samplers = reg.snapshot().tree.samplers;
+    const RegistrySnapshot snap = reg.snapshot();
+    ASSERT_TRUE(snap.tree.has_value());
+    TreeOptions persisted;
+    std::vector<std::size_t> down;
+    ASSERT_TRUE(ParseTreeArgs(*snap.tree, &persisted, &down).ok());
     bool recorded = false;
-    for (const auto& s : samplers) recorded = recorded || s.name == name;
+    for (const auto& s : persisted.samplers) {
+      recorded = recorded || s.name == name;
+    }
     EXPECT_TRUE(recorded) << "announce placement not persisted";
   }
 
@@ -653,7 +857,7 @@ TEST(RegistryVerbTest, StatusExportImportAndPrdcrDel) {
   ASSERT_TRUE(ReadFileToString(dir + "/snap", &exported).ok());
   ASSERT_TRUE(ParseRegistry(exported, &snap).ok());
   ASSERT_EQ(snap.producers.size(), 1u);
-  EXPECT_EQ(snap.producers[0].name, "ghost");
+  EXPECT_EQ(snap.producers.count("ghost"), 1u);
 
   // prdcr_del drops the producer from the daemon AND the registry.
   ASSERT_TRUE(send("prdcr_del name=ghost", &reply).ok());

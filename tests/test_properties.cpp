@@ -146,6 +146,30 @@ TEST_P(WireFuzzTest, StrictPrefixOfBatchResponseRejected) {
   ExpectOnlyWholeFrameDecodes(encoded, DecodeUpdateBatchResponse);
 }
 
+TEST_P(WireFuzzTest, StrictPrefixOfAdvertiseRejected) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+  auto random_text = [&rng] {
+    std::string text(rng.NextBelow(24), '\0');
+    for (char& c : text) c = static_cast<char>('a' + rng.NextBelow(26));
+    return text;
+  };
+  AdvertiseMsg msg;
+  msg.producer = random_text();
+  msg.dialback_address = random_text();
+  msg.transport = random_text();
+  msg.announce = rng.NextBelow(2) == 1;
+  msg.node_id = rng.Next();
+  const auto encoded = EncodeAdvertise(msg);
+  AdvertiseMsg out;
+  ASSERT_TRUE(DecodeAdvertise(encoded, &out));
+  EXPECT_EQ(out.producer, msg.producer);
+  EXPECT_EQ(out.dialback_address, msg.dialback_address);
+  EXPECT_EQ(out.transport, msg.transport);
+  EXPECT_EQ(out.announce, msg.announce);
+  EXPECT_EQ(out.node_id, msg.node_id);
+  ExpectOnlyWholeFrameDecodes(encoded, DecodeAdvertise);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest, ::testing::Range(0, 8));
 
 TEST(ByteRwTest, RandomSequenceRoundTrip) {
@@ -320,12 +344,28 @@ TEST_P(SeqlockPropertyTest, SnapshotNeverTornButConsistentFlagged) {
   set->EndTransaction(1);
 
   std::atomic<bool> stop{false};
+  // Handshake: every kGapEvery trials the reader asks for a gap and the
+  // writer parks *between* transactions until the reader's snapshot is
+  // done, so every seed yields consistent snapshots however the writer's
+  // dwell and the scheduler line up. The other trials race freely.
+  constexpr int kGapEvery = 64;
+  std::atomic<int> gap_requested{0};  // reader: the gap it wants next
+  std::atomic<int> gap_parked{0};     // writer: the gap it is parked for
+  std::atomic<int> gap_done{0};       // reader: the gap it has finished
   std::thread writer([&] {
     // Randomized cadence: dwell inside some transactions (readers then see
     // the inconsistent window) and yield between others, from a fixed seed.
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 48271 + 1);
     std::uint64_t seq = 1;
+    int parked = 0;
     while (!stop.load(std::memory_order_relaxed)) {
+      if (const int gap = gap_requested.load(); gap != parked) {
+        parked = gap;
+        gap_parked.store(gap);
+        while (gap_done.load() != gap && !stop.load()) {
+          std::this_thread::yield();
+        }
+      }
       set->BeginTransaction();
       for (std::size_t i = 0; i < kMetrics; ++i) set->SetU64(i, seq);
       if (rng.NextBelow(4) == 0) {
@@ -342,8 +382,15 @@ TEST_P(SeqlockPropertyTest, SnapshotNeverTornButConsistentFlagged) {
 
   std::vector<std::byte> snap(set->data_size());
   std::size_t ok_snapshots = 0;
+  int gaps = 0;
   for (int trial = 0; trial < 20000; ++trial) {
+    const bool gap = trial % kGapEvery == 0;
+    if (gap) {
+      gap_requested.store(++gaps);
+      while (gap_parked.load() != gaps) std::this_thread::yield();
+    }
     const Status s = set->SnapshotData(snap);
+    if (gap) gap_done.store(gaps);
     if (!s.ok()) {
       // The only legitimate failure is a continuously-active writer.
       ASSERT_EQ(s.code(), ErrorCode::kInconsistent) << s.ToString();

@@ -767,24 +767,28 @@ TEST_F(TsdbStoreTest, CompressedRawAndParallelQueriesAgree) {
 
 // --- layer 5: daemon integration --------------------------------------------
 
-TEST(RegistryDecompTest, StoreRecordRoundTripsDecomp) {
+TEST(RegistryDecompTest, StrgpRecordRoundTripsDecomp) {
+  StorePolicy policy;
+  policy.name = "tsdb";
+  policy.plugin = "store_tsdb";
+  policy.plugin_params = {{"path", "/data/tsdb"}};
+  policy.decomp = "hot@active:act:rate,load;raw@free";
   RegistrySnapshot snap;
-  snap.daemon_name = "agg0";
-  StoreRecord s;
-  s.name = "tsdb";
-  s.plugin = "store_tsdb";
-  s.params = {{"path", "/data/tsdb"}};
-  s.decomp = "hot@active:act:rate,load;raw@free";
-  snap.stores.push_back(s);
+  snap.stores["tsdb"] = StrgpAddArgs(policy);
   RegistrySnapshot out;
   ASSERT_TRUE(ParseRegistry(SerializeRegistry(snap), &out).ok());
-  ASSERT_EQ(out.stores.size(), 1u);
-  EXPECT_EQ(out.stores[0].decomp, s.decomp);
+  StorePolicy parsed;
+  ASSERT_TRUE(ParseStrgpAdd(out.stores.at("tsdb"), &parsed).ok());
+  EXPECT_EQ(parsed.decomp, policy.decomp);
+  EXPECT_EQ(parsed.plugin_params, policy.plugin_params);
 
-  // Pre-decomp registries (no decomp field) still parse: empty = whole sets.
-  snap.stores[0].decomp.clear();
+  // A policy without decomp= stores whole sets: its record has no decomp.
+  policy.decomp.clear();
+  snap.stores["tsdb"] = StrgpAddArgs(policy);
+  EXPECT_FALSE(snap.stores["tsdb"].contains("decomp"));
   ASSERT_TRUE(ParseRegistry(SerializeRegistry(snap), &out).ok());
-  EXPECT_EQ(out.stores[0].decomp, "");
+  ASSERT_TRUE(ParseStrgpAdd(out.stores.at("tsdb"), &parsed).ok());
+  EXPECT_EQ(parsed.decomp, "");
 }
 
 /// Daemon fixture: SimClock, inline pools, builtin store plugins, registry.
@@ -876,12 +880,12 @@ TEST_F(DaemonQueryTest, QueryVerbServesAcrossRestart) {
     ClusterRegistry registry(dir_ + "/qnode.registry");
     ASSERT_TRUE(registry.Load().ok());
     ASSERT_EQ(registry.snapshot().stores.size(), 1u);
-    EXPECT_EQ(registry.snapshot().stores[0].decomp, spec);
+    EXPECT_EQ(registry.snapshot().stores.at("tsdb").at("decomp"), spec);
   }
   auto daemon = MakeDaemon("qnode");
   ASSERT_TRUE(daemon->Start().ok());
   ASSERT_TRUE(
-      daemon->RestoreFromRegistry(&PluginRegistry::Instance()).ok());
+      daemon->RestoreFromRegistry(PluginRegistry::Instance()).ok());
   EXPECT_EQ(daemon->store_policy_names(),
             (std::vector<std::string>{"tsdb"}));
   auto store = daemon->store_for_policy("tsdb");

@@ -344,6 +344,138 @@ TEST_F(StoreOverloadTest, BreakerDisabledKeepsTryingForever) {
   EXPECT_EQ(inner->RowCount("overload"), 1u);
 }
 
+// --- per-sample accounting on the batched paths -----------------------------
+
+/// Batch-capable store whose every call fails after writing the first
+/// @p writes_per_call samples of the batch.
+class FailingBatchStore final : public Store {
+ public:
+  explicit FailingBatchStore(std::size_t writes_per_call)
+      : writes_per_call_(writes_per_call) {}
+  const std::string& name() const override { return name_; }
+  Status StoreSet(const MetricSet&) override {
+    return {ErrorCode::kInternal, "disk gone"};
+  }
+  bool batch_capable() const override { return true; }
+  Status StoreSetBatch(const BatchItem*, std::size_t n,
+                       std::size_t* stored) override {
+    *stored = std::min(n, writes_per_call_);
+    ++calls_;
+    return {ErrorCode::kInternal, "disk gone"};
+  }
+  std::uint64_t calls() const { return calls_; }
+
+ private:
+  std::string name_ = "store_failing_batch";
+  std::size_t writes_per_call_;
+  std::atomic<std::uint64_t> calls_{0};
+};
+
+/// Row-capable store that accepts every row unless told to fail.
+class RowSinkStore final : public Store {
+ public:
+  const std::string& name() const override { return name_; }
+  Status StoreSet(const MetricSet&) override { return Status::Ok(); }
+  bool row_capable() const override { return true; }
+  Status StoreRows(const RowBatch&) override {
+    if (fail) return {ErrorCode::kInternal, "disk gone"};
+    return Status::Ok();
+  }
+  bool fail = false;
+
+ private:
+  std::string name_ = "store_row_sink";
+};
+
+std::uint64_t Accounted(const StorePolicyStatus& s) {
+  return s.stores + s.store_failures + s.shed_samples + s.decompose_failures;
+}
+
+TEST_F(StoreOverloadTest, FailedBatchCallsCountEverySample) {
+  for (const std::size_t writes_per_call : {0u, 1u}) {
+    auto store = std::make_shared<FailingBatchStore>(writes_per_call);
+    StorePolicy policy(store);
+    policy.breaker_threshold = 0;  // off: every batch reaches the store
+    auto runtime = MakeRuntime(policy);
+    ThreadPool pool(1, "store");
+    constexpr std::uint64_t kSubmitted = 200;
+    for (std::uint64_t seq = 0; seq < kSubmitted; ++seq) {
+      Submit(*runtime, seq, &pool);
+    }
+    pool.Shutdown();
+    runtime->DrainInline();
+    const auto status = runtime->status();
+    EXPECT_EQ(status.shed_samples, 0u);
+    EXPECT_EQ(status.stores, writes_per_call * store->calls());
+    EXPECT_EQ(status.store_failures, kSubmitted - status.stores);
+    EXPECT_EQ(Accounted(status), kSubmitted)
+        << "writes_per_call=" << writes_per_call;
+  }
+}
+
+TEST_F(StoreOverloadTest, DecompositionFailuresCountOnceAndNeverStrike) {
+  // The policy's spec selects "seq"; a schema without it cannot decompose.
+  Schema other("other");
+  other.AddMetric("val", MetricType::kU64);
+  Status st;
+  auto bad = MetricSet::Create(mem_, other, "nid0/other", "nid0", 7, &st);
+  ASSERT_NE(bad, nullptr) << st.ToString();
+  StorePolicy policy(std::make_shared<RowSinkStore>());
+  policy.decomp = "t@seq";  // breaker on at its default threshold (5)
+  auto runtime = MakeRuntime(policy);
+
+  for (std::uint64_t seq = 0; seq < 6; ++seq) {
+    bad->BeginTransaction();
+    bad->SetU64(0, seq);
+    bad->EndTransaction(static_cast<TimeNs>(seq + 1) * kNsPerSec);
+    runtime->Submit(bad, set_mu_, nullptr);
+  }
+  for (std::uint64_t seq = 0; seq < 6; ++seq) Submit(*runtime, seq, nullptr);
+  const auto status = runtime->status();
+  EXPECT_EQ(status.decompose_failures, 6u);
+  EXPECT_EQ(status.stores, 6u);
+  EXPECT_EQ(status.store_failures, 0u);
+  EXPECT_EQ(status.shed_samples, 0u);
+  EXPECT_EQ(status.breaker, BreakerState::kClosed);
+  EXPECT_EQ(status.breaker_trips, 0u);
+  EXPECT_EQ(Accounted(status), 12u);
+}
+
+TEST_F(StoreOverloadTest, UndecomposableProbeLeavesBreakerProbing) {
+  Schema other("other");
+  other.AddMetric("val", MetricType::kU64);
+  Status st;
+  auto bad = MetricSet::Create(mem_, other, "nid0/other", "nid0", 7, &st);
+  ASSERT_NE(bad, nullptr) << st.ToString();
+  auto store = std::make_shared<RowSinkStore>();
+  StorePolicy policy(store);
+  policy.decomp = "t@seq";
+  policy.breaker_threshold = 2;
+  auto runtime = MakeRuntime(policy);
+
+  store->fail = true;
+  Submit(*runtime, 0, nullptr);
+  Submit(*runtime, 1, nullptr);
+  ASSERT_EQ(runtime->status().breaker, BreakerState::kOpen);
+  store->fail = false;
+  // The first sample after the backoff is admitted as the probe, but it
+  // cannot decompose, so no store call tests the store: the breaker must
+  // stay ready to probe instead of waiting on a probe that never ran.
+  clock_.Advance(2 * kNsPerSec);
+  bad->BeginTransaction();
+  bad->SetU64(0, 1);
+  bad->EndTransaction(kNsPerSec);
+  runtime->Submit(bad, set_mu_, nullptr);
+  EXPECT_NE(runtime->status().breaker, BreakerState::kHalfOpen);
+  Submit(*runtime, 2, nullptr);
+  const auto status = runtime->status();
+  EXPECT_EQ(status.breaker, BreakerState::kClosed);
+  EXPECT_EQ(status.stores, 1u);
+  EXPECT_EQ(status.store_failures, 2u);
+  EXPECT_EQ(status.decompose_failures, 1u);
+  EXPECT_EQ(Accounted(status), 4u);
+}
+
 // --- policy filters ---------------------------------------------------------
 
 TEST_F(StoreOverloadTest, PolicyFiltersRouteBySchemaAndProducer) {
