@@ -17,6 +17,7 @@
 // LDMSXX_BENCH_SMOKE=1 keeps the same scales (so byte metrics stay
 // comparable) and only trims the timing repetitions.
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -178,6 +179,7 @@ int main() {
     if (r.restored_producers != static_cast<std::size_t>(producers)) {
       std::fprintf(stderr, "restore dropped producers: %zu of %d\n",
                    r.restored_producers, producers);
+      std::filesystem::remove_all(dir);
       return 1;
     }
     json.BeginObject();
@@ -191,6 +193,7 @@ int main() {
     json.Field("restore_ms", r.restore_ms);
     json.EndObject();
   }
+  std::filesystem::remove_all(dir);
   json.EndArray();
   json.EndObject();
   if (!json.WriteFile("BENCH_restart.json")) {

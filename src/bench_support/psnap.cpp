@@ -1,6 +1,5 @@
 #include "bench_support/psnap.hpp"
 
-#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,13 +17,6 @@ inline std::uint64_t SpinWork(std::uint64_t reps, std::uint64_t seed) {
     asm volatile("" : "+r"(acc));
   }
   return acc;
-}
-
-std::uint64_t NowSteadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace

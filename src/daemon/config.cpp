@@ -44,6 +44,20 @@ Status UsArgs(const PluginParams& args,
   return Status::Ok();
 }
 
+/// Read the optional flag @p key, which must be 0 or 1, into @p out; an
+/// absent key leaves @p out as it is, and any other value fails the verb
+/// naming the argument.
+Status FlagArg(const PluginParams& args, const char* key, bool* out) {
+  auto it = args.find(key);
+  if (it == args.end()) return Status::Ok();
+  if (it->second != "0" && it->second != "1") {
+    return {ErrorCode::kInvalidArgument,
+            std::string("bad ") + key + "=" + it->second + " (want 0 or 1)"};
+  }
+  *out = it->second == "1";
+  return Status::Ok();
+}
+
 std::string UsText(DurationNs ns) { return std::to_string(ns / kNsPerUs); }
 
 const char* FlagText(bool on) { return on ? "1" : "0"; }
@@ -84,18 +98,15 @@ Status ParsePrdcrAdd(const PluginParams& args, ProducerConfig* config) {
                             {"reconnect_min", &config->reconnect_min_backoff},
                             {"reconnect_max", &config->reconnect_max_backoff},
                             {"rediscover", &config->rediscover_interval}});
+  if (st.ok()) st = FlagArg(args, "sync", &config->synchronous);
+  if (st.ok()) st = FlagArg(args, "delta", &config->delta_updates);
+  if (st.ok()) st = FlagArg(args, "standby", &config->standby);
   if (!st.ok()) return st;
-  if (auto it = args.find("sync"); it != args.end())
-    config->synchronous = it->second == "1";
   if (auto it = args.find("sets"); it != args.end()) {
     for (auto inst : Split(it->second, ',')) {
       if (!inst.empty()) config->set_instances.emplace_back(inst);
     }
   }
-  if (auto it = args.find("delta"); it != args.end())
-    config->delta_updates = it->second == "1";
-  if (auto it = args.find("standby"); it != args.end())
-    config->standby = it->second == "1";
   if (auto it = args.find("standby_for"); it != args.end())
     config->standby_for = it->second;
   return Status::Ok();
@@ -308,10 +319,8 @@ Status ConfigProcessor::CmdStart(const PluginParams& args) {
   }
   Status st = UsArgs(args, {{"interval", &config.interval},
                             {"offset", &config.offset}});
+  if (st.ok()) st = FlagArg(args, "sync", &config.synchronous);
   if (!st.ok()) return st;
-  if (auto sync = args.find("sync"); sync != args.end()) {
-    config.synchronous = sync->second == "1";
-  }
   SamplerPluginPtr plugin = registry_->MakeSampler(it->second, config.params);
   if (plugin == nullptr) {
     return {ErrorCode::kNotFound, "unknown sampler plugin: " + it->second};

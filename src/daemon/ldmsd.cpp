@@ -1,36 +1,15 @@
 #include "daemon/ldmsd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 
 #include "daemon/config.hpp"
 #include "daemon/plugin_registry.hpp"
 #include "daemon/topology.hpp"
 #include "store/tsdb/tsdb_store.hpp"
+#include "util/hash.hpp"
 
 namespace ldmsxx {
-namespace {
-
-std::uint64_t NowSteadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// FNV-1a, used to seed a producer's jitter stream from its name so the
-/// sequence is stable across runs (std::hash makes no such promise).
-std::uint64_t HashName(const std::string& name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 Ldmsd::Ldmsd(LdmsdOptions options)
     : options_(std::move(options)),
@@ -196,7 +175,7 @@ Status Ldmsd::AddProducer(const ProducerConfig& config) {
   auto producer = std::make_shared<Producer>();
   producer->config = config;
   producer->active = !config.standby;
-  producer->jitter_rng = Rng(HashName(config.name));
+  producer->jitter_rng = Rng(Fnv1a(config.name));
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     auto [it, inserted] = producers_.emplace(config.name, producer);
@@ -611,6 +590,13 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
     const std::string& instance = entries[i]->first;
     MirrorEntry& mirror = entries[i]->second;
     Status st = std::move(result.status);
+    if (st.code() == ErrorCode::kInconsistent) {
+      // The producer could not snapshot the set: its sampler was
+      // mid-transaction, or has not sampled yet. A skipped pull, like a torn
+      // mirror below; the next cycle asks again.
+      counters_.updates_no_new_data.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     if (st.ok() && !result.unchanged) {
       std::lock_guard<std::mutex> set_lock(*mirror.mu);
       if (result.delta) {

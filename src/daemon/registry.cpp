@@ -5,19 +5,11 @@
 
 #include "daemon/config.hpp"
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace ldmsxx {
 namespace {
-
-std::uint64_t Fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 

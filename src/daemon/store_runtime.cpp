@@ -1,31 +1,11 @@
 #include "daemon/store_runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace ldmsxx {
-namespace {
-
-std::uint64_t NowSteadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// FNV-1a, same reason as the producer jitter seed: std::hash promises no
-/// cross-run stability, and breaker backoff jitter must be reproducible.
-std::uint64_t HashName(const std::string& name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 const char* ShedPolicyName(ShedPolicy policy) {
   switch (policy) {
@@ -70,7 +50,7 @@ StorePolicyRuntime::StorePolicyRuntime(StorePolicy policy, Clock* clock,
       clock_(clock),
       log_(log),
       counters_(counters),
-      jitter_rng_(HashName(policy_.name) ^ 0x73747267705f6271ull) {
+      jitter_rng_(Fnv1a(policy_.name) ^ 0x73747267705f6271ull) {
   if (!policy_.decomp.empty()) {
     DecompSpec spec;
     const Status st = ParseDecompSpec(policy_.decomp, &spec);

@@ -231,7 +231,6 @@ class StorePolicyRuntime {
   std::uint64_t consecutive_failures_ = 0;
   DurationNs backoff_ = 0;
   TimeNs retry_at_ = 0;
-  bool probe_in_flight_ = false;
   Rng jitter_rng_;
 
   // Per-policy counters (guarded by mu_; aggregates also go to counters_).

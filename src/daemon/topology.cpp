@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sim/gemini.hpp"
+#include "util/hash.hpp"
 
 namespace ldmsxx {
 
@@ -15,15 +16,6 @@ std::uint64_t Mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace

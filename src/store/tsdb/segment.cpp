@@ -6,6 +6,7 @@
 
 #include "core/wire.hpp"
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 
 namespace ldmsxx {
 namespace {
@@ -14,29 +15,16 @@ constexpr std::uint32_t kSegMagicV2 = 0x3247534c;      // "LSG2"
 constexpr std::uint32_t kTrailerMagicV2 = 0x4747534c;  // "LSGG"
 constexpr std::size_t kTrailerSize = 8 + 8 + 4;
 
-/// FNV-1a over raw bytes; same function the registry uses for its CRC (a
-/// corruption check, not a cryptographic seal). Used for the variable-
-/// length footer, which is small.
-std::uint64_t Fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// FNV-1a folded one u64 lane per step. Raw columns are dense 8-byte slot
 /// arrays, and the byte-serial variant's dependent multiply per byte is the
 /// single largest CPU cost of sealing a segment; folding a word at a time
 /// keeps the same corruption-detection role at 1/8th the multiplies. Used
 /// for kRaw column CRCs (writer and reader agree).
 std::uint64_t Fnv1aWords(const std::uint64_t* p, std::size_t n_words) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnv1aBasis;
   for (std::size_t i = 0; i < n_words; ++i) {
     h ^= p[i];
-    h *= 1099511628211ull;
+    h *= kFnv1aPrime;
   }
   return h;
 }
@@ -47,17 +35,17 @@ std::uint64_t Fnv1aWords(const std::uint64_t* p, std::size_t n_words) {
 /// more than the varint decode it guards, which would put the CRC, not the
 /// codec, on the query's critical path.
 std::uint64_t Fnv1aBytes(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnv1aBasis;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     std::uint64_t word;
     std::memcpy(&word, p + i, 8);
     h ^= word;
-    h *= 1099511628211ull;
+    h *= kFnv1aPrime;
   }
   for (; i < n; ++i) {
     h ^= p[i];
-    h *= 1099511628211ull;
+    h *= kFnv1aPrime;
   }
   return h;
 }

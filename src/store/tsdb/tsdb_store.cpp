@@ -6,21 +6,12 @@
 
 #include "core/wire.hpp"
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 
 namespace ldmsxx {
 namespace {
 
 constexpr std::uint32_t kRollupMagic = 0x3155524c;  // "LRU1"
-
-std::uint64_t Fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 bool SortedContains(const std::vector<std::uint64_t>& sorted,
                     std::uint64_t v) {

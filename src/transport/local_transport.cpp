@@ -1,16 +1,7 @@
 #include "transport/local_transport.hpp"
 
-#include <chrono>
-
 namespace ldmsxx {
 namespace {
-
-std::uint64_t NowSteadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 class LocalListener final : public Listener {
  public:

@@ -229,17 +229,16 @@ std::vector<std::byte> EncodeUpdateBatchResponse(
   return w.Take();
 }
 
-bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
-                               UpdateBatchResponse* out) {
+bool VisitUpdateBatchResponse(
+    std::span<const std::byte> payload, std::uint8_t* code,
+    const std::function<void(const BatchEntryView&)>& visit) {
   ByteReader r(payload);
-  out->code = r.U8();
+  *code = r.U8();
   const std::uint32_t n = r.U32();
   // The smallest entry (kUnchanged) is 5 bytes on the wire.
   if (static_cast<std::size_t>(n) > r.remaining() / 5) return false;
-  out->entries.clear();
-  out->entries.reserve(n);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    UpdateBatchResponse::Entry e;
+    BatchEntryView e;
     e.handle = r.U32();
     const std::uint8_t kind = r.U8();
     switch (kind) {
@@ -248,11 +247,11 @@ bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
         break;
       case static_cast<std::uint8_t>(BatchEntryKind::kData):
         e.kind = BatchEntryKind::kData;
-        e.data = r.Bytes();
+        e.data = r.View(r.U32());
         break;
       case static_cast<std::uint8_t>(BatchEntryKind::kDelta):
         e.kind = BatchEntryKind::kDelta;
-        e.data = r.Bytes();
+        e.data = r.View(r.U32());
         // Reject structurally malformed deltas (truncated extent table,
         // overlapping/unsorted extents, value bytes not matching the table)
         // at the framing layer, before they reach any mirror.
@@ -265,9 +264,20 @@ bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
       default:
         return false;  // unknown entry kind
     }
-    out->entries.push_back(std::move(e));
+    if (!r.ok()) return false;
+    visit(e);
   }
   return r.ok();
+}
+
+bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
+                               UpdateBatchResponse* out) {
+  out->entries.clear();
+  return VisitUpdateBatchResponse(
+      payload, &out->code, [out](const BatchEntryView& e) {
+        out->entries.push_back(
+            {e.handle, e.kind, e.code, {e.data.begin(), e.data.end()}});
+      });
 }
 
 std::vector<std::byte> EncodeQueryRequest(const QueryRequest& msg) {

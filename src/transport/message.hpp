@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -234,6 +235,23 @@ void EndBatchEntry(ByteWriter& w, std::size_t entry_start, BatchEntryKind kind,
 std::vector<std::byte> EncodeUpdateBatchResponse(const UpdateBatchResponse& msg);
 bool DecodeUpdateBatchResponse(std::span<const std::byte> payload,
                                UpdateBatchResponse* out);
+
+/// One entry of a kUpdateBatchResp payload, its data a view of the payload.
+struct BatchEntryView {
+  std::uint32_t handle = kInvalidSetHandle;
+  BatchEntryKind kind = BatchEntryKind::kError;
+  std::uint8_t code = 0;
+  std::span<const std::byte> data;
+};
+
+/// Decode a kUpdateBatchResp payload without copying entry data: store the
+/// top-level code in @p code and hand each well-formed entry to @p visit.
+/// False when the payload is malformed (truncated, an unknown entry kind, a
+/// delta the validator rejects); the entries before the fault have been
+/// visited by then. DecodeUpdateBatchResponse is this walk keeping copies.
+bool VisitUpdateBatchResponse(
+    std::span<const std::byte> payload, std::uint8_t* code,
+    const std::function<void(const BatchEntryView&)>& visit);
 
 /// Payload sizes of the frames above, for a transport that models a frame
 /// instead of encoding it (local): the same layouts, counted.

@@ -1,17 +1,9 @@
 #include "transport/rdma_transport.hpp"
 
-#include <chrono>
 #include <unordered_map>
 
 namespace ldmsxx {
 namespace {
-
-std::uint64_t NowSteadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 class RdmaListener final : public Listener {
  public:

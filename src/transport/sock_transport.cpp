@@ -10,27 +10,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 
-#include "util/logging.hpp"
 #include "util/strings.hpp"
 
 namespace ldmsxx {
 namespace {
-
-std::uint64_t NowSteadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Parse "host:port". For listeners, "*" (and an empty host) bind all
 /// interfaces; for connects they mean loopback. "localhost" is loopback on
@@ -69,13 +60,75 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// Deadline-poll granularity. Bounds how late a request timeout fires and
-/// how quickly a closing endpoint's reader thread notices.
-constexpr int kPollSliceMs = 20;
+/// Free room a receive needs in the buffer before it grows.
+constexpr std::size_t kRecvRoom = 16 << 10;
 
 /// Compact a receive buffer only once this many consumed bytes accumulate,
 /// so draining N buffered frames costs one memmove, not N.
 constexpr std::size_t kCompactBytes = 256 << 10;
+
+/// The receive side of one connection, shared by the listener's
+/// connections and the client endpoint. Bytes are received straight into
+/// one reusable buffer and whole frames are taken off its front; the
+/// consumed prefix is dropped lazily, at the next Fill.
+class FrameReader {
+ public:
+  enum class Next { kFrame, kPartial, kOversized };
+
+  /// Receive everything @p fd holds without blocking. Ok once the socket is
+  /// drained; kDisconnected on end-of-file or a socket error, with every
+  /// byte that arrived before it still buffered. Invalidates the payload
+  /// views Take handed out.
+  Status Fill(int fd, std::atomic<std::uint64_t>& bytes_rx) {
+    if (begin_ == end_) {
+      begin_ = end_ = 0;
+    } else if (begin_ >= kCompactBytes) {
+      std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    for (;;) {
+      if (buf_.size() - end_ < kRecvRoom) {
+        buf_.resize(std::max(buf_.capacity(), end_ + kRecvRoom));
+      }
+      const ssize_t n =
+          ::recv(fd, buf_.data() + end_, buf_.size() - end_, 0);
+      if (n > 0) {
+        end_ += static_cast<std::size_t>(n);
+        bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
+                           std::memory_order_relaxed);
+        continue;
+      }
+      if (n == 0) return {ErrorCode::kDisconnected, "peer closed"};
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::Ok();
+      if (errno == EINTR) continue;
+      return {ErrorCode::kDisconnected, std::strerror(errno)};
+    }
+  }
+
+  /// Take the next whole frame: its header, and a view of its payload that
+  /// stays valid until the next Fill. kPartial while no whole frame is
+  /// buffered; kOversized when the next header announces a payload over
+  /// kMaxFramePayload (a corrupt or hostile peer: close the connection).
+  Next Take(FrameHeader* hdr, std::span<const std::byte>* payload) {
+    const std::span<const std::byte> bytes(buf_.data() + begin_,
+                                           end_ - begin_);
+    if (bytes.size() < kFrameHeaderSize) return Next::kPartial;
+    *hdr = DecodeFrameHeader(bytes);
+    if (hdr->payload_len > kMaxFramePayload) return Next::kOversized;
+    if (bytes.size() - kFrameHeaderSize < hdr->payload_len) {
+      return Next::kPartial;
+    }
+    *payload = bytes.subspan(kFrameHeaderSize, hdr->payload_len);
+    begin_ += kFrameHeaderSize + hdr->payload_len;
+    return Next::kFrame;
+  }
+
+ private:
+  std::vector<std::byte> buf_;  // [begin_, end_) is received, not taken
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Server
@@ -133,13 +186,10 @@ class SockListener final : public Listener {
 
  private:
   struct Conn {
-    std::vector<std::byte> rbuf;
-    /// Bytes of rbuf already consumed as complete frames; rbuf is compacted
-    /// lazily (see kCompactBytes) instead of front-erased every batch.
-    std::size_t roff = 0;
+    FrameReader reader;
     /// Outgoing frames, encoded in place back-to-back. woff marks the bytes
-    /// already sent; like rbuf, the buffer is cleared when drained and
-    /// compacted lazily, so steady state reuses its capacity.
+    /// already sent; the buffer is cleared when drained, so steady state
+    /// reuses its capacity.
     std::vector<std::byte> wbuf;
     std::size_t woff = 0;
   };
@@ -218,53 +268,26 @@ class SockListener final : public Listener {
     auto it = conns_.find(fd);
     if (it == conns_.end()) return false;
     Conn& conn = it->second;
-    std::byte chunk[16384];
-    for (;;) {
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n > 0) {
-        conn.rbuf.insert(conn.rbuf.end(), chunk, chunk + n);
-        stats_.bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
-        continue;
-      }
-      if (n == 0) {
-        CloseConn(fd);
-        return false;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
+    if (!conn.reader.Fill(fd, stats_.bytes_rx).ok()) {
       CloseConn(fd);
       return false;
     }
-    // Extract complete frames from the consumed offset onward.
-    while (conn.rbuf.size() - conn.roff >= kFrameHeaderSize) {
-      const FrameHeader hdr = DecodeFrameHeader(
-          std::span<const std::byte>(conn.rbuf).subspan(conn.roff));
-      if (hdr.payload_len > kMaxFramePayload) {
-        CloseConn(fd);  // corrupt or hostile peer
-        return false;
+    FrameHeader hdr;
+    std::span<const std::byte> payload;
+    for (;;) {
+      switch (conn.reader.Take(&hdr, &payload)) {
+        case FrameReader::Next::kPartial:
+          return true;
+        case FrameReader::Next::kOversized:
+          CloseConn(fd);  // corrupt or hostile peer
+          return false;
+        case FrameReader::Next::kFrame:
+          HandleFrame(fd, conn, hdr, payload);
+          break;
       }
-      const std::size_t total = kFrameHeaderSize + hdr.payload_len;
-      if (conn.rbuf.size() - conn.roff < total) break;
-      HandleFrame(fd, conn, hdr,
-                  std::span<const std::byte>(conn.rbuf)
-                      .subspan(conn.roff + kFrameHeaderSize, hdr.payload_len));
-      conn.roff += total;
-      // HandleFrame may have closed fd (not currently, but be safe).
-      if (conns_.find(fd) == conns_.end()) return false;
+      // A failed send in HandleFrame closes fd and frees conn.
+      if (!conns_.contains(fd)) return false;
     }
-    // Amortized compaction: free the whole buffer when it is fully drained
-    // (the common case), memmove only once kCompactBytes have accumulated.
-    if (conn.roff == conn.rbuf.size()) {
-      conn.rbuf.clear();
-      conn.roff = 0;
-    } else if (conn.roff >= kCompactBytes) {
-      conn.rbuf.erase(
-          conn.rbuf.begin(),
-          conn.rbuf.begin() + static_cast<std::ptrdiff_t>(conn.roff));
-      conn.roff = 0;
-    }
-    return true;
   }
 
   // Responses are encoded straight into conn.wbuf by the message module's
@@ -419,48 +442,69 @@ class SockListener final : public Listener {
 // Client
 // ---------------------------------------------------------------------------
 
-// Pipelined client endpoint. Every request is tagged with a fresh
-// request_id, recorded in a pending table, and written to the socket
-// without waiting; a dedicated reader thread parses response frames and
-// completes requests out of order by id. Each request carries a deadline
-// (Endpoint::request_timeout); the reader expires overdue requests with
-// kTimeout so a stalled peer cannot wedge a caller forever. Dir, LookupEx,
-// UpdateBatch and RemoteQuery block on their own completion, so concurrent
-// calls from many threads multiplex onto one socket.
+/// Wait until @p fd is ready for @p events or @p deadline (steady ns, 0 =
+/// none) passes. False only on timeout; a poll error is left to the next
+/// send or recv to report.
+bool WaitReady(int fd, short events, std::uint64_t deadline) {
+  for (;;) {
+    int timeout_ms = -1;
+    if (deadline != 0) {
+      const std::uint64_t now = NowSteadyNs();
+      if (now >= deadline) return false;
+      timeout_ms = static_cast<int>(
+          std::min<std::uint64_t>((deadline - now + kNsPerMs - 1) / kNsPerMs,
+                                  std::numeric_limits<int>::max()));
+    }
+    pollfd pfd{fd, events, 0};
+    const int n = ::poll(&pfd, 1, timeout_ms);
+    if (n > 0 || (n < 0 && errno != EINTR)) return true;
+  }
+}
+
+// Client endpoint, one request at a time. A call takes the endpoint's mutex,
+// writes its frame and reads frames on the calling thread until the answer
+// carrying its request id arrives; a frame with another id is a late answer
+// to a request that timed out, and is dropped. Past the request's deadline
+// (Endpoint::request_timeout) the call fails with kTimeout and the
+// connection stays up, a partly received frame included. End-of-file, a
+// socket error or an oversized frame header closes the endpoint. Every pull
+// of a producer's sets is one batch frame, so one request in flight per
+// connection is all a caller needs, and the endpoint starts no thread.
 class SockEndpoint final : public Endpoint {
  public:
-  explicit SockEndpoint(int fd) : fd_(fd) {
-    reader_ = std::thread([this] { ReaderLoop(); });
-  }
+  explicit SockEndpoint(int fd) : fd_(fd) {}
 
   ~SockEndpoint() override {
     Close();
-    if (reader_.joinable()) reader_.join();
     ::close(fd_);
   }
 
+  /// Also polls for a hang-up, so an endpoint that issues no requests (a
+  /// warm standby) still notices that its peer is gone.
   bool connected() const override {
-    return !closed_.load(std::memory_order_acquire);
+    if (closed_.load(std::memory_order_acquire)) return false;
+    pollfd pfd{fd_, POLLRDHUP, 0};
+    return ::poll(&pfd, 1, 0) <= 0;
   }
 
-  void Close() override { Shutdown({ErrorCode::kDisconnected, "closed"}); }
+  /// Does not take the call mutex: a caller blocked in a request wakes up
+  /// and fails with kDisconnected.
+  void Close() override {
+    if (!closed_.exchange(true, std::memory_order_acq_rel)) {
+      ::shutdown(fd_, SHUT_RDWR);
+    }
+  }
 
   Status Dir(std::vector<std::string>* instances) override {
-    std::vector<std::byte> payload;
-    Status st = WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kDirReq, {}, MsgType::kDirResp,
-                        std::move(done));
-        },
-        &payload);
-    if (!st.ok()) return st;
-    DirResponse resp;
-    if (!DecodeDirResponse(payload, &resp)) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kInternal, "bad dir response"};
-    }
-    *instances = std::move(resp.instances);
-    return Status::Ok();
+    return Call(MsgType::kDirReq, {}, MsgType::kDirResp,
+                [&](std::span<const std::byte> payload) {
+                  DirResponse resp;
+                  if (!DecodeDirResponse(payload, &resp)) {
+                    return Fail({ErrorCode::kInternal, "bad dir response"});
+                  }
+                  *instances = std::move(resp.instances);
+                  return Status::Ok();
+                });
   }
 
   Status LookupEx(const std::string& instance,
@@ -468,32 +512,30 @@ class SockEndpoint final : public Endpoint {
                   LookupExtra* extra) override {
     if (extra != nullptr) *extra = LookupExtra{};
     stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::byte> payload;
-    Status st = WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kLookupReq, EncodeLookupRequest({instance}),
-                        MsgType::kLookupResp, std::move(done));
-        },
-        &payload);
-    if (!st.ok()) return st;
-    LookupResponse resp;
-    if (!DecodeLookupResponse(payload, &resp)) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kInternal, "bad lookup response"};
-    }
-    if (resp.code != 0) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {static_cast<ErrorCode>(resp.code), "lookup failed"};
-    }
-    if (extra != nullptr) extra->handle = resp.handle;
-    *metadata = std::move(resp.metadata);
-    return Status::Ok();
+    return Call(MsgType::kLookupReq, EncodeLookupRequest({instance}),
+                MsgType::kLookupResp, [&](std::span<const std::byte> payload) {
+                  LookupResponse resp;
+                  if (!DecodeLookupResponse(payload, &resp)) {
+                    return Fail({ErrorCode::kInternal, "bad lookup response"});
+                  }
+                  if (resp.code != 0) {
+                    return Fail({static_cast<ErrorCode>(resp.code),
+                                 "lookup failed"});
+                  }
+                  if (extra != nullptr) extra->handle = resp.handle;
+                  *metadata = std::move(resp.metadata);
+                  return Status::Ok();
+                });
   }
 
   void UpdateBatch(const std::vector<BatchUpdateSpec>& specs,
                    std::vector<BatchUpdateResult>* results) override {
     const std::size_t n = specs.size();
-    results->assign(n, BatchUpdateResult{});
+    // A slot keeps its data buffer from the last call (the daemon passes the
+    // same vector every cycle), so a steady pull copies each chunk into
+    // memory the slot already holds instead of allocating one per entry.
+    results->resize(n);
+    for (auto& r : *results) Reset(r, Status::Ok());
     if (n == 0) return;
     // The reply is keyed by handle, so each handle rides once; a repeat
     // would make the server reject the whole frame, so it fails alone.
@@ -512,383 +554,216 @@ class SockEndpoint final : public Endpoint {
     }
     stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
     stats_.updates.fetch_add(req.entries.size(), std::memory_order_relaxed);
-    // The response is decoded into the result slots on the reader thread as
-    // it arrives; the caller only waits for that to finish.
-    (void)WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kUpdateBatchReq,
-                        EncodeUpdateBatchRequest(req),
-                        MsgType::kUpdateBatchResp,
-                        [&, done = std::move(done)](
-                            Status st, std::vector<std::byte> payload) {
-                          CompleteBatch(std::move(st), payload, by_handle,
-                                        results);
-                          done(Status::Ok(), {});
-                        });
-        },
-        nullptr);
+    const Status st = Call(
+        MsgType::kUpdateBatchReq, EncodeUpdateBatchRequest(req),
+        MsgType::kUpdateBatchResp, [&](std::span<const std::byte> payload) {
+          return DecodeBatch(payload, by_handle, results);
+        });
+    if (!st.ok()) {
+      for (const auto& [handle, i] : by_handle) Reset((*results)[i], st);
+    }
   }
 
   Status RemoteQuery(const QueryRequest& req, QueryResponse* resp) override {
     *resp = QueryResponse{};
-    std::vector<std::byte> payload;
-    Status st = WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kQueryReq, EncodeQueryRequest(req),
-                        MsgType::kQueryResp, std::move(done));
-        },
-        &payload);
-    if (!st.ok()) return st;
-    if (!DecodeQueryResponse(payload, resp)) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kInternal, "bad query response"};
-    }
-    if (resp->code != 0) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {static_cast<ErrorCode>(resp->code),
-              resp->error.empty() ? "query failed" : resp->error};
-    }
-    return Status::Ok();
+    return Call(MsgType::kQueryReq, EncodeQueryRequest(req),
+                MsgType::kQueryResp, [&](std::span<const std::byte> payload) {
+                  if (!DecodeQueryResponse(payload, resp)) {
+                    return Fail({ErrorCode::kInternal, "bad query response"});
+                  }
+                  if (resp->code != 0) {
+                    return Fail({static_cast<ErrorCode>(resp->code),
+                                 resp->error.empty() ? "query failed"
+                                                     : resp->error});
+                  }
+                  return Status::Ok();
+                });
   }
 
   Status Advertise(const AdvertiseMsg& msg) override {
+    std::lock_guard<std::mutex> lock(mu_);
     if (closed_.load(std::memory_order_acquire)) {
       return {ErrorCode::kDisconnected, "closed"};
     }
-    const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    auto frame = EncodeFrame(MsgType::kAdvertise, id, EncodeAdvertise(msg));
-    stats_.bytes_tx.fetch_add(frame.size(), std::memory_order_relaxed);
-    const DurationNs timeout = request_timeout();
-    const std::uint64_t deadline =
-        timeout > 0 ? NowSteadyNs() + timeout : 0;
-    std::lock_guard<std::mutex> lock(write_mu_);
-    Status st = SendFrame(frame.data(), frame.size(), deadline);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
+    Status st = Send(MsgType::kAdvertise, next_id_++, EncodeAdvertise(msg),
+                     Deadline());
+    return st.ok() ? st : Fail(std::move(st));
   }
 
  private:
-  struct Pending {
-    MsgType expect = MsgType::kDirResp;
-    std::uint64_t deadline = 0;  // steady ns; 0 = no deadline
-    AsyncHandler handler;
-  };
-
-  /// Issue an async request via @p issue and block until its handler runs.
-  template <typename IssueFn>
-  static Status WaitFor(IssueFn&& issue, std::vector<std::byte>* out) {
-    struct Waiter {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      Status st;
-      std::vector<std::byte> bytes;
-    } waiter;
-    issue([&waiter](Status st, std::vector<std::byte> bytes) {
-      std::lock_guard<std::mutex> lock(waiter.mu);
-      waiter.st = std::move(st);
-      waiter.bytes = std::move(bytes);
-      waiter.done = true;
-      waiter.cv.notify_all();
-    });
-    std::unique_lock<std::mutex> lock(waiter.mu);
-    waiter.cv.wait(lock, [&waiter] { return waiter.done; });
-    if (out != nullptr) *out = std::move(waiter.bytes);
-    return waiter.st;
+  Status Fail(Status st) {
+    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    return st;
   }
 
-  /// Map a kUpdateBatchResp payload (or a whole-batch failure) back onto the
-  /// result slot of each handle in @p by_handle.
-  void CompleteBatch(Status st, std::span<const std::byte> payload,
-                     const std::unordered_map<std::uint32_t, std::size_t>&
-                         by_handle,
-                     std::vector<BatchUpdateResult>* results) {
-    auto fail_all = [&](const Status& why) {
-      for (const auto& [handle, i] : by_handle) (*results)[i].status = why;
-    };
-    if (!st.ok()) {
-      fail_all(st);
-      return;
-    }
-    UpdateBatchResponse resp;
-    if (!DecodeUpdateBatchResponse(payload, &resp)) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      fail_all({ErrorCode::kInternal, "bad batch response"});
-      return;
-    }
-    if (resp.code != 0) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      fail_all({static_cast<ErrorCode>(resp.code), "batch update failed"});
-      return;
-    }
-    // Entries the server never answered (it must answer all, but a buggy or
-    // hostile peer may not) fall through with kInternal below.
-    fail_all({ErrorCode::kInternal, "missing batch entry"});
-    for (auto& e : resp.entries) {
-      auto it = by_handle.find(e.handle);
-      if (it == by_handle.end()) continue;  // unknown handle: drop
-      BatchUpdateResult& r = (*results)[it->second];
-      switch (e.kind) {
-        case BatchEntryKind::kUnchanged:
-          r.status = Status::Ok();
-          r.unchanged = true;
-          stats_.updates_unchanged.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case BatchEntryKind::kData:
-          r.status = Status::Ok();
-          r.data = std::move(e.data);
-          break;
-        case BatchEntryKind::kDelta:
-          // Structural validity was already enforced by the decoder; the
-          // caller applies the payload straight into its mirror chunk via
-          // ApplyDelta (which re-checks MGN/base-DGN against the mirror).
-          r.status = Status::Ok();
-          r.delta = true;
-          r.data = std::move(e.data);
-          stats_.updates_delta.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case BatchEntryKind::kError:
-          r.status = {static_cast<ErrorCode>(e.code),
-                      e.code == static_cast<std::uint8_t>(ErrorCode::kNotFound)
-                          ? "unknown set handle"
-                          : "batch entry failed"};
-          break;
-      }
-    }
-  }
-
-  /// Register the request in the pending table, then write the frame. The
-  /// handler is guaranteed to run exactly once: on response, on deadline
-  /// expiry, on send failure, or when the endpoint shuts down.
-  void SubmitRequest(MsgType type, std::span<const std::byte> payload,
-                     MsgType expect, AsyncHandler handler) {
+  std::uint64_t Deadline() const {
     const DurationNs timeout = request_timeout();
-    const std::uint64_t deadline =
-        timeout > 0 ? NowSteadyNs() + timeout : 0;
-    std::uint64_t id;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (closed_.load(std::memory_order_relaxed)) {
-        lock.unlock();
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        handler({ErrorCode::kDisconnected, "closed"}, {});
-        return;
-      }
-      id = next_id_.fetch_add(1, std::memory_order_relaxed);
-      pending_.emplace(id, Pending{expect, deadline, std::move(handler)});
+    return timeout > 0 ? NowSteadyNs() + timeout : 0;
+  }
+
+  /// One exchange under the call mutex: send the request, read up to its
+  /// answer, and hand the answer's payload (a view into the receive buffer)
+  /// to @p decode.
+  template <typename Decode>
+  Status Call(MsgType type, std::span<const std::byte> payload,
+              MsgType expect, Decode&& decode) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_.load(std::memory_order_acquire)) {
+      return Fail({ErrorCode::kDisconnected, "closed"});
     }
     stats_.outstanding.fetch_add(1, std::memory_order_relaxed);
-    Status st;
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      // Encode into the reusable scratch (capacity kept across requests) so
-      // the steady-state request path does not allocate.
-      frame_scratch_.clear();
-      ByteWriter w(&frame_scratch_);
-      const std::size_t start = BeginFrame(w, type, id);
-      w.Raw(payload.data(), payload.size());
-      EndFrame(w, start);
-      stats_.bytes_tx.fetch_add(frame_scratch_.size(),
-                                std::memory_order_relaxed);
-      st = SendFrame(frame_scratch_.data(), frame_scratch_.size(), deadline);
-    }
-    if (st.ok()) return;
-    // Pull the request back out — unless the reader already failed it.
-    AsyncHandler doomed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = pending_.find(id);
-      if (it != pending_.end()) {
-        doomed = std::move(it->second.handler);
-        pending_.erase(it);
-      }
-    }
-    if (doomed) {
-      stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t id = next_id_++;
+    const std::uint64_t deadline = Deadline();
+    std::span<const std::byte> answer;
+    Status st = Send(type, id, payload, deadline);
+    if (st.ok()) st = Receive(id, expect, deadline, &answer);
+    stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
+    if (!st.ok()) {
       if (st.code() == ErrorCode::kTimeout) {
         stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
       }
-      doomed(st, {});
+      return Fail(std::move(st));
     }
-    if (st.code() == ErrorCode::kDisconnected) Shutdown(st);
+    return decode(answer);
   }
 
-  /// Write a whole frame to the non-blocking socket, waiting (bounded by
-  /// @p deadline) when the send buffer is full.
-  Status SendFrame(const std::byte* data, std::size_t size,
-                   std::uint64_t deadline) {
+  /// Write one whole frame, waiting until @p deadline while the send buffer
+  /// is full. A failed write, or a timeout part-way through the frame,
+  /// closes the endpoint: the peer could no longer find the next frame.
+  Status Send(MsgType type, std::uint64_t id,
+              std::span<const std::byte> payload, std::uint64_t deadline) {
+    // The scratch keeps its capacity, so steady-state requests do not
+    // allocate.
+    frame_.clear();
+    ByteWriter w(&frame_);
+    const std::size_t start = BeginFrame(w, type, id);
+    w.Raw(payload.data(), payload.size());
+    EndFrame(w, start);
+    stats_.bytes_tx.fetch_add(frame_.size(), std::memory_order_relaxed);
     std::size_t off = 0;
-    while (off < size) {
-      const ssize_t n = ::send(fd_, data + off, size - off, MSG_NOSIGNAL);
+    while (off < frame_.size()) {
+      const ssize_t n =
+          ::send(fd_, frame_.data() + off, frame_.size() - off, MSG_NOSIGNAL);
       if (n >= 0) {
         off += static_cast<std::size_t>(n);
         continue;
       }
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (deadline != 0 && NowSteadyNs() >= deadline) {
-          return {ErrorCode::kTimeout, "send deadline exceeded"};
-        }
-        pollfd pfd{};
-        pfd.fd = fd_;
-        pfd.events = POLLOUT;
-        ::poll(&pfd, 1, kPollSliceMs);
-        continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        Status st{ErrorCode::kDisconnected, std::strerror(errno)};
+        Close();
+        return st;
       }
-      return {ErrorCode::kDisconnected, std::strerror(errno)};
+      if (!WaitReady(fd_, POLLOUT, deadline)) {
+        if (off > 0) Close();
+        return {ErrorCode::kTimeout, "send deadline exceeded"};
+      }
     }
     return Status::Ok();
   }
 
-  void ReaderLoop() {
-    std::vector<std::byte> rbuf;
-    std::size_t roff = 0;
-    std::byte chunk[65536];
-    while (!closed_.load(std::memory_order_acquire)) {
-      pollfd pfd{};
-      pfd.fd = fd_;
-      pfd.events = POLLIN;
-      const int pr = ::poll(&pfd, 1, kPollSliceMs);
-      if (closed_.load(std::memory_order_acquire)) return;
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        Shutdown({ErrorCode::kDisconnected, std::strerror(errno)});
-        return;
-      }
-      ExpireRequests(NowSteadyNs());
-      if (pr == 0) continue;
-      // Drain the socket (non-blocking). A close/error is noted but only
-      // acted on after the parse pass: responses that arrived together with
-      // the peer's FIN must still complete their requests.
-      Status drain_st = Status::Ok();
-      for (;;) {
-        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n > 0) {
-          rbuf.insert(rbuf.end(), chunk, chunk + n);
-          stats_.bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
-                                    std::memory_order_relaxed);
-          continue;
-        }
-        if (n == 0) {
-          drain_st = {ErrorCode::kDisconnected, "peer closed"};
+  /// Read frames until the answer to request @p id arrives; frames with
+  /// other ids are late answers to timed-out requests, and are dropped.
+  Status Receive(std::uint64_t id, MsgType expect, std::uint64_t deadline,
+                 std::span<const std::byte>* answer) {
+    Status gone = Status::Ok();  // the socket's end-of-file or error
+    for (;;) {
+      FrameHeader hdr;
+      switch (frames_.Take(&hdr, answer)) {
+        case FrameReader::Next::kFrame:
+          if (hdr.request_id != id) continue;
+          if (hdr.type != expect) {
+            return {ErrorCode::kInternal, "mismatched response type"};
+          }
+          return Status::Ok();
+        case FrameReader::Next::kOversized:
+          Close();
+          return {ErrorCode::kInternal, "oversized frame from peer"};
+        case FrameReader::Next::kPartial:
           break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        drain_st = {ErrorCode::kDisconnected, std::strerror(errno)};
-        break;
       }
-      // Complete every whole frame buffered so far, in arrival order.
-      while (rbuf.size() - roff >= kFrameHeaderSize) {
-        const FrameHeader hdr = DecodeFrameHeader(
-            std::span<const std::byte>(rbuf).subspan(roff));
-        if (hdr.payload_len > kMaxFramePayload) {
-          Shutdown({ErrorCode::kInternal, "oversized frame from peer"});
-          return;
-        }
-        const std::size_t total = kFrameHeaderSize + hdr.payload_len;
-        if (rbuf.size() - roff < total) break;
-        CompleteRequest(hdr, std::span<const std::byte>(rbuf).subspan(
-                                 roff + kFrameHeaderSize, hdr.payload_len));
-        roff += total;
+      // Frames that arrived together with the peer's FIN were taken above.
+      if (!gone.ok()) return gone;
+      if (!WaitReady(fd_, POLLIN, deadline)) {
+        return {ErrorCode::kTimeout, "request deadline exceeded"};
       }
-      if (roff == rbuf.size()) {
-        rbuf.clear();
-        roff = 0;
-      } else if (roff >= kCompactBytes) {
-        rbuf.erase(rbuf.begin(),
-                   rbuf.begin() + static_cast<std::ptrdiff_t>(roff));
-        roff = 0;
-      }
-      if (!drain_st.ok()) {
-        Shutdown(drain_st);
-        return;
-      }
+      gone = frames_.Fill(fd_, stats_.bytes_rx);
+      if (!gone.ok()) Close();
     }
   }
 
-  void CompleteRequest(const FrameHeader& hdr,
-                       std::span<const std::byte> payload) {
-    AsyncHandler handler;
-    Status st = Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = pending_.find(hdr.request_id);
-      // Unknown id: a response that arrived after its request timed out, or
-      // junk from the peer. Drop it.
-      if (it == pending_.end()) return;
-      if (it->second.expect != hdr.type) {
-        st = {ErrorCode::kInternal, "mismatched response type"};
-      }
-      handler = std::move(it->second.handler);
-      pending_.erase(it);
-    }
-    stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
-    if (!st.ok()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      handler(std::move(st), {});
-      return;
-    }
-    handler(Status::Ok(),
-            std::vector<std::byte>(payload.begin(), payload.end()));
+  static void Reset(BatchUpdateResult& r, Status status) {
+    r.status = std::move(status);
+    r.unchanged = false;
+    r.delta = false;
+    r.data.clear();
   }
 
-  /// Complete every pending request whose deadline has passed with kTimeout.
-  /// The connection stays open: a slow peer's late responses are dropped by
-  /// request-id, only a disconnect closes the socket.
-  void ExpireRequests(std::uint64_t now) {
-    std::vector<AsyncHandler> expired;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        if (it->second.deadline != 0 && it->second.deadline <= now) {
-          expired.push_back(std::move(it->second.handler));
-          it = pending_.erase(it);
-        } else {
-          ++it;
-        }
+  /// Fill each handle's result slot from a kUpdateBatchResp payload, copying
+  /// entry data from the receive buffer into the slot.
+  Status DecodeBatch(std::span<const std::byte> payload,
+                     const std::unordered_map<std::uint32_t, std::size_t>&
+                         by_handle,
+                     std::vector<BatchUpdateResult>* results) {
+    std::vector<bool> answered(results->size());
+    std::uint8_t code = 0;
+    std::uint64_t unchanged = 0;
+    std::uint64_t deltas = 0;
+    const bool ok = VisitUpdateBatchResponse(
+        payload, &code, [&](const BatchEntryView& e) {
+          auto it = by_handle.find(e.handle);
+          if (it == by_handle.end()) return;  // unknown handle: drop
+          answered[it->second] = true;
+          BatchUpdateResult& r = (*results)[it->second];
+          r.status = Status::Ok();
+          switch (e.kind) {
+            case BatchEntryKind::kUnchanged:
+              r.unchanged = true;
+              ++unchanged;
+              break;
+            case BatchEntryKind::kDelta:
+              // Structural validity was already enforced by the decoder; the
+              // caller applies the payload straight into its mirror chunk via
+              // ApplyDelta (which re-checks MGN/base-DGN against the mirror).
+              r.delta = true;
+              ++deltas;
+              r.data.assign(e.data.begin(), e.data.end());
+              break;
+            case BatchEntryKind::kData:
+              r.data.assign(e.data.begin(), e.data.end());
+              break;
+            case BatchEntryKind::kError:
+              r.status = {static_cast<ErrorCode>(e.code),
+                          e.code == static_cast<std::uint8_t>(
+                                        ErrorCode::kNotFound)
+                              ? "unknown set handle"
+                              : "batch entry failed"};
+              break;
+          }
+        });
+    if (!ok) return Fail({ErrorCode::kInternal, "bad batch response"});
+    if (code != 0) {
+      return Fail({static_cast<ErrorCode>(code), "batch update failed"});
+    }
+    // Entries the server never answered (it must answer all, but a buggy or
+    // hostile peer may not) fail with kInternal. Setting this only now keeps
+    // a status message allocation per entry off the common path.
+    for (const auto& [handle, i] : by_handle) {
+      if (!answered[i]) {
+        (*results)[i].status = {ErrorCode::kInternal, "missing batch entry"};
       }
     }
-    for (auto& handler : expired) {
-      stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      handler({ErrorCode::kTimeout, "request deadline exceeded"}, {});
-    }
-  }
-
-  /// Mark the endpoint closed, wake both socket directions, and fail every
-  /// pending request with @p reason. Idempotent; callable from any thread
-  /// including the reader.
-  void Shutdown(const Status& reason) {
-    std::vector<AsyncHandler> doomed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!closed_.exchange(true, std::memory_order_acq_rel)) {
-        ::shutdown(fd_, SHUT_RDWR);
-      }
-      doomed.reserve(pending_.size());
-      for (auto& [id, pending] : pending_) {
-        doomed.push_back(std::move(pending.handler));
-      }
-      pending_.clear();
-    }
-    for (auto& handler : doomed) {
-      stats_.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      handler(reason, {});
-    }
+    stats_.updates_unchanged.fetch_add(unchanged, std::memory_order_relaxed);
+    stats_.updates_delta.fetch_add(deltas, std::memory_order_relaxed);
+    return Status::Ok();
   }
 
   const int fd_;
   std::atomic<bool> closed_{false};
-  std::atomic<std::uint64_t> next_id_{1};
-  std::mutex mu_;  // guards pending_ and the closed_ transition
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::mutex write_mu_;  // serializes whole-frame writes
-  std::vector<std::byte> frame_scratch_;  // guarded by write_mu_
-  std::thread reader_;
+  std::mutex mu_;  // one call at a time; guards the members below
+  std::uint64_t next_id_ = 1;
+  std::vector<std::byte> frame_;  // request encoding scratch
+  FrameReader frames_;
 };
 
 }  // namespace

@@ -1,15 +1,14 @@
 // "sock" transport: real TCP. The server side is a single-threaded epoll
 // reactor per listener (requests are tiny and handler work is bounded, so a
 // reactor sustains the paper's ~9,000:1 fan-in without a thread per
-// connection); the client side is a pipelined endpoint: requests are tagged
-// with a request_id, recorded in a pending table, and written without
-// waiting, while a per-endpoint reader thread completes them out of order
-// as response frames arrive. Each request carries a deadline
-// (Endpoint::set_request_timeout) and completes with kTimeout if the peer
-// stalls; late responses are dropped by id. Every call is a submit-and-wait
-// wrapper over that path, so concurrent callers (an aggregator's collection
-// threads, query fan-outs) share one connection; an aggregator's whole
-// per-producer pull is one kUpdateBatchReq frame (Endpoint::UpdateBatch).
+// connection). The client side starts no thread at all: an endpoint runs one
+// request at a time on the calling thread, writing the frame and then
+// reading frames until the one carrying the request's id arrives. Each
+// request carries a deadline (Endpoint::set_request_timeout) and fails with
+// kTimeout if the peer stalls, leaving the connection up; a late answer
+// arrives under the old id and is dropped. Callers on several threads take
+// turns, and an aggregator's whole per-producer pull is one kUpdateBatchReq
+// frame (Endpoint::UpdateBatch), so one request in flight is all it needs.
 //
 // Addresses are "host:port"; host is resolved as a dotted quad or
 // "localhost". For listeners, "*" or an empty host binds INADDR_ANY; for

@@ -32,7 +32,8 @@ struct TransportStats {
   std::atomic<std::uint64_t> bytes_tx{0};
   std::atomic<std::uint64_t> bytes_rx{0};
   std::atomic<std::uint64_t> errors{0};
-  /// Requests issued but not yet completed (gauge; pipelined transports).
+  /// Requests issued but not yet answered (gauge): sock's one call in
+  /// flight; transports that complete inline leave it at 0.
   std::atomic<std::uint64_t> outstanding{0};
   /// Requests completed with kTimeout after exceeding their deadline.
   std::atomic<std::uint64_t> timeouts{0};
@@ -101,10 +102,10 @@ class ServiceHandler {
 /// police slow-but-alive ones.
 constexpr DurationNs kDefaultRequestTimeoutNs = 5 * kNsPerSec;
 
-/// Completion of an async request: the status plus the decoded response
-/// body (empty on failure). Handlers run on the transport's completion
-/// context, so they must be quick and must not block waiting for further
-/// completions from the same endpoint.
+/// Completion of LookupAsync/UpdateAsync: the status plus the response body
+/// (empty on failure). Nothing completes asynchronously any more: both base
+/// bodies run the handler inline, before they return. The type stays only
+/// for the calls below that the pipeline benchmark overrides.
 using AsyncHandler = std::function<void(Status, std::vector<std::byte>)>;
 
 /// Client side of a connection to one peer. Data moves one way only: look a

@@ -24,6 +24,13 @@ void SimClock::SetTime(TimeNs t) {
   now_.store(t, std::memory_order_release);
 }
 
+std::uint64_t NowSteadyNs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 DurationNs SpinFor(DurationNs duration) {
   const auto start = std::chrono::steady_clock::now();
   const auto deadline = start + std::chrono::nanoseconds(duration);

@@ -62,6 +62,10 @@ class SimClock final : public Clock {
   std::atomic<TimeNs> now_;
 };
 
+/// Nanoseconds on the machine's steady (monotonic) clock, for measuring
+/// durations and setting deadlines; unrelated to any Clock's time.
+std::uint64_t NowSteadyNs();
+
 /// Cycle-accurate-ish busy-wait timer for microbenchmarks (PSNAP loop).
 /// Returns elapsed nanoseconds of the spin.
 DurationNs SpinFor(DurationNs duration);

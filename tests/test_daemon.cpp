@@ -1,7 +1,8 @@
 // Daemon behaviour tests: configuration command language, on-the-fly
 // sampling interval change, store-policy filtering, DGN no-new-data skip,
-// the separate connection pool surviving dead producers, and a fresh
-// mirror's first pull of a sparse sample.
+// the separate connection pool surviving dead producers, a fresh mirror's
+// first pull of a sparse sample, and a pull that meets a set
+// mid-transaction.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -135,6 +136,42 @@ TEST(ConfigProcessorTest, MalformedMicrosecondArgumentsFailTheVerb) {
   refused("query strgp=q table=t t1_us=" + overflow, "t1_us");
   daemon.Stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST(ConfigProcessorTest, FlagArgumentsAcceptOnlyZeroOrOne) {
+  SimCluster cluster(ClusterConfig::Chama(1));
+  cluster.Tick(kNsPerSec);
+  RegisterBuiltinSamplers(cluster.MakeDataSource(0));
+  LdmsdOptions opts;
+  opts.name = "flag-cfg";
+  opts.worker_threads = 1;
+  Ldmsd daemon(opts);
+  ConfigProcessor config(daemon);
+  // Fails with kInvalidArgument and names the offending argument.
+  auto refused = [&config](const std::string& line, const std::string& arg) {
+    const Status st = config.Execute(line);
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << line;
+    EXPECT_NE(st.message().find(arg + "="), std::string::npos)
+        << line << " -> " << st.message();
+  };
+  const std::string prdcr = "prdcr_add name=x xprt=local host=h ";
+  refused(prdcr + "delta=true", "delta");
+  refused(prdcr + "sync=yes", "sync");
+  refused(prdcr + "standby=", "standby");
+  refused(prdcr + "delta=1 standby=2", "standby");
+  EXPECT_FALSE(daemon.producer_status("x").known);
+
+  ASSERT_TRUE(config.Execute(prdcr + "sync=1 delta=0 standby=1").ok());
+  const auto added = daemon.producer_config("x");
+  ASSERT_TRUE(added.has_value());
+  EXPECT_TRUE(added->synchronous);
+  EXPECT_FALSE(added->delta_updates);
+  EXPECT_TRUE(added->standby);
+
+  ASSERT_TRUE(config.Execute("load name=meminfo").ok());
+  refused("start name=meminfo interval=100000 sync=on", "sync");
+  ASSERT_TRUE(config.Execute("start name=meminfo interval=100000 sync=0").ok());
+  daemon.Stop();
 }
 
 TEST(LdmsdTest, OnTheFlySamplingIntervalChange) {
@@ -350,10 +387,11 @@ TEST(LdmsdTest, DeadProducerDoesNotStallOtherCollection) {
   sampler.Stop();
 }
 
-TEST(LdmsdTest, SockProducerPipelinesManySetsOnOneConnection) {
-  // An aggregator pulling several sets from one TCP producer issues all the
-  // updates concurrently on the single connection (request multiplexing)
-  // and still applies each response to the right mirror.
+TEST(LdmsdTest, SockProducerSendsEverySetInOneBatch) {
+  // An aggregator pulling several sets from one TCP producer asks for all of
+  // them in one batch frame per cycle, and applies each entry of the answer
+  // to the right mirror. A pull that meets the 20 ms sampler mid-transaction
+  // is a skipped pull, not a failed one.
   SimCluster cluster(ClusterConfig::Chama(1));
   cluster.Tick(kNsPerSec);
 
@@ -593,6 +631,72 @@ TEST_P(SparseFirstSampleTest, FirstPullAfterSparseSampleSucceeds) {
 
 INSTANTIATE_TEST_SUITE_P(Transports, SparseFirstSampleTest,
                          ::testing::Values("local", "sock"));
+
+// A producer that cannot snapshot a set, because its sampler holds the set
+// mid-transaction, answers that entry kInconsistent. The aggregator counts a
+// skipped pull, not a failed one, and the first pull after the transaction
+// ends stores the sample.
+TEST(LdmsdTest, PullOfSetMidTransactionIsSkippedNotFailed) {
+  SimClock clock(0);
+  LdmsdOptions sopts;
+  sopts.name = "node";
+  sopts.listen_transport = "local";
+  sopts.listen_address = "mid-transaction/node";
+  sopts.worker_threads = 0;
+  sopts.connection_threads = 0;
+  sopts.store_threads = 0;
+  sopts.clock = &clock;
+  sopts.log_level = LogLevel::kOff;
+  Ldmsd sampler(sopts);
+  auto plugin = std::make_shared<SparseSampler>();
+  SamplerConfig sc;
+  sc.interval = kNsPerSec;
+  ASSERT_TRUE(sampler.AddSampler(plugin, sc).ok());
+  ASSERT_TRUE(sampler.Start().ok());
+
+  LdmsdOptions aopts = sopts;
+  aopts.name = "agg";
+  aopts.listen_transport.clear();
+  Ldmsd aggregator(aopts);
+  auto store = std::make_shared<MemoryStore>();
+  ASSERT_TRUE(aggregator.AddStorePolicy({store, "", ""}).ok());
+  ProducerConfig pc;
+  pc.name = "node";
+  pc.transport = "local";
+  pc.address = sampler.listen_address();
+  pc.interval = kNsPerSec;
+  pc.offset = kNsPerSec / 2;
+  ASSERT_TRUE(aggregator.AddProducer(pc).ok());
+  ASSERT_TRUE(aggregator.Start().ok());
+
+  // Sample 1 at 1 s; the pull at 1.5 s connects, looks up and stores it.
+  sampler.RunUntil(clock, kNsPerSec);
+  aggregator.RunUntil(clock, kNsPerSec + kNsPerSec / 2);
+  const Ldmsd::Counters& counters = aggregator.counters();
+  ASSERT_EQ(counters.updates_ok.load(), 1u);
+  const std::uint64_t skipped = counters.updates_no_new_data.load();
+
+  // The sampler's next transaction is open across the pull at 2.5 s.
+  const MetricSetPtr& source = plugin->set();
+  source->BeginTransaction();
+  source->SetU64(0, 4242);
+  aggregator.RunUntil(clock, 2 * kNsPerSec + kNsPerSec / 2);
+  EXPECT_EQ(counters.updates_no_new_data.load(), skipped + 1);
+  EXPECT_EQ(counters.updates_failed.load(), 0u);
+  EXPECT_EQ(counters.updates_ok.load(), 1u);
+  EXPECT_EQ(aggregator.producer_status("node").consecutive_failures, 0u);
+
+  source->EndTransaction(clock.Now());
+  aggregator.RunUntil(clock, 3 * kNsPerSec + kNsPerSec / 2);
+  EXPECT_EQ(counters.updates_ok.load(), 2u);
+  EXPECT_EQ(counters.updates_failed.load(), 0u);
+  EXPECT_EQ(store->RowCount("sparse"), 2u);
+  MetricSetPtr mirror = aggregator.sets().Find("node/sparse");
+  ASSERT_NE(mirror, nullptr);
+  EXPECT_EQ(mirror->GetU64(0), 4242u);
+  aggregator.Stop();
+  sampler.Stop();
+}
 
 TEST(LdmsdTest, ListenOnUnknownTransportFails) {
   LdmsdOptions opts;

@@ -29,6 +29,7 @@
 #include "daemon/keys.hpp"
 #include "daemon/registry.hpp"
 #include "harness/mini_cluster.hpp"
+#include "harness/scratch_dir.hpp"
 #include "store/memory_store.hpp"
 #include "util/atomic_file.hpp"
 
@@ -39,14 +40,6 @@ using harness::MiniCluster;
 using harness::MiniClusterOptions;
 
 constexpr DurationNs kTick = 100 * kNsPerMs;
-
-/// Fresh per-test scratch directory under /tmp (removed lazily by the OS).
-std::string ScratchDir(const std::string& tag) {
-  std::string tmpl = "/tmp/ldmsxx_" + tag + "_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return tmpl;
-}
 
 /// Odd but legal names: spaces, '=' and ':' all survive the record encoding.
 ProducerConfig SampleProducer() {
@@ -192,7 +185,8 @@ TEST(RegistryFormatTest, RecordsTheVerbRejectsFailTheParse) {
 }
 
 TEST(RegistryFormatTest, SaveLoadAndQuarantineLadder) {
-  const std::string dir = ScratchDir("reg");
+  const harness::ScratchDir scratch("reg");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/cluster.registry";
   ProducerConfig p;
 
@@ -242,7 +236,8 @@ TEST(RegistryFormatTest, SaveLoadAndQuarantineLadder) {
 }
 
 TEST(RegistryFormatTest, ExportImport) {
-  const std::string dir = ScratchDir("regio");
+  const harness::ScratchDir scratch("regio");
+  const std::string& dir = scratch.path();
   ClusterRegistry reg(dir + "/a.registry");
   ProducerConfig p;
   p.name = "node0";
@@ -277,7 +272,8 @@ void WritePlainFile(const std::string& path, std::string_view bytes) {
 // fails with the registry untouched — and nothing crashes (the asan preset
 // runs this suite).
 TEST(RegistryFormatTest, EveryStrictPrefixAndBitFlipRefused) {
-  const std::string dir = ScratchDir("regsweep");
+  const harness::ScratchDir scratch("regsweep");
+  const std::string& dir = scratch.path();
   const std::string text = SerializeRegistry(SampleSnapshot());
   ASSERT_NE(text.find("\ntree "), std::string::npos);
   ASSERT_NE(text.find("\nstrgp_add "), std::string::npos);
@@ -391,17 +387,18 @@ void RunRestartDrill(const std::string& dir, std::uint64_t* digest) {
 
 TEST(PersistChaosTest, AggregatorRestartFromRegistryAlone) {
   std::uint64_t first = 0;
-  RunRestartDrill(ScratchDir("drill_a"), &first);
+  RunRestartDrill(harness::ScratchDir("drill_a").path(), &first);
   if (::testing::Test::HasFatalFailure()) return;
   // Same seed, fresh directory: the whole drill — samples, faults, crash,
   // registry restore — replays to the identical stored history.
   std::uint64_t second = 0;
-  RunRestartDrill(ScratchDir("drill_b"), &second);
+  RunRestartDrill(harness::ScratchDir("drill_b").path(), &second);
   EXPECT_EQ(first, second) << "restart drill is not seed-deterministic";
 }
 
 TEST(PersistChaosTest, RestoredRegistryKeepsStoreProvenance) {
-  const std::string dir = ScratchDir("provenance");
+  const harness::ScratchDir scratch("provenance");
+  const std::string& dir = scratch.path();
   MiniClusterOptions opts;
   opts.samplers = 1;
   opts.registry_dir = dir;
@@ -437,7 +434,8 @@ class ArgsStore final : public Store {
 // Every ProducerConfig and StorePolicy field, set to a non-default value,
 // survives save -> reload -> restore into a bare daemon, as does the tree.
 TEST(PersistRestoreTest, RestoredDaemonMatchesEveryConfiguredField) {
-  const std::string dir = ScratchDir("roundtrip");
+  const harness::ScratchDir scratch("roundtrip");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/agg.registry";
   const std::string plugin = "store args=a:b";
   PluginRegistry plugins;
@@ -533,7 +531,8 @@ TEST(PersistRestoreTest, RestoredDaemonMatchesEveryConfiguredField) {
 }
 
 TEST(PersistChaosTest, RootRestartFromRegistryRebuildsTree) {
-  const std::string dir = ScratchDir("tree");
+  const harness::ScratchDir scratch("tree");
+  const std::string& dir = scratch.path();
   MiniClusterOptions opts;
   opts.samplers = 4;
   opts.tree_leaves = 2;
@@ -568,7 +567,8 @@ TEST(PersistChaosTest, RootRestartFromRegistryRebuildsTree) {
 }
 
 TEST(PersistChaosTest, AnnouncedSamplerJoinsTreeAndPersists) {
-  const std::string dir = ScratchDir("announce");
+  const harness::ScratchDir scratch("announce");
+  const std::string& dir = scratch.path();
   MiniClusterOptions opts;
   opts.samplers = 3;
   opts.tree_leaves = 2;
@@ -611,7 +611,8 @@ TEST(PersistChaosTest, AnnouncedSamplerJoinsTreeAndPersists) {
 // --- hardening layer: keyed auth + framing ----------------------------------
 
 TEST(AuthTest, KeyFileLifecycle) {
-  const std::string dir = ScratchDir("keys");
+  const harness::ScratchDir scratch("keys");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/control.key";
   std::unique_ptr<KeyManager> keys;
   ASSERT_TRUE(KeyManager::LoadOrCreate(path, &keys).ok());
@@ -663,7 +664,6 @@ class AuthedControlTest : public ::testing::Test {
  protected:
   void SetUp() override {
     RegisterBuiltinStores();  // strgp_add is the mutating verb under test
-    dir_ = ScratchDir("authctl");
     ASSERT_TRUE(KeyManager::LoadOrCreate(dir_ + "/control.key", &keys_).ok());
     LdmsdOptions opts;
     opts.name = "auth-test";
@@ -681,7 +681,8 @@ class AuthedControlTest : public ::testing::Test {
     daemon_->Stop();
   }
 
-  std::string dir_;
+  const harness::ScratchDir scratch_{"authctl"};
+  const std::string dir_ = scratch_.path();
   std::unique_ptr<KeyManager> keys_;
   std::unique_ptr<Ldmsd> daemon_;
   std::unique_ptr<ControlServer> control_;
@@ -829,7 +830,8 @@ TEST_F(FramingControlTest, PartialLineAtEofIsDiscardedNotExecuted) {
 // --- registry control verbs over the socket ---------------------------------
 
 TEST(RegistryVerbTest, StatusExportImportAndPrdcrDel) {
-  const std::string dir = ScratchDir("regverb");
+  const harness::ScratchDir scratch("regverb");
+  const std::string& dir = scratch.path();
   LdmsdOptions opts;
   opts.name = "verb-test";
   opts.worker_threads = 1;
@@ -877,7 +879,8 @@ TEST(RegistryVerbTest, StatusExportImportAndPrdcrDel) {
 }
 
 TEST(RegistryVerbTest, UnconfiguredRegistryReportsUnsupported) {
-  const std::string dir = ScratchDir("noreg");
+  const harness::ScratchDir scratch("noreg");
+  const std::string& dir = scratch.path();
   LdmsdOptions opts;
   opts.name = "noreg-test";
   opts.worker_threads = 1;

@@ -51,6 +51,7 @@
 #include "daemon/ldmsd.hpp"
 #include "daemon/plugin_registry.hpp"
 #include "daemon/registry.hpp"
+#include "harness/scratch_dir.hpp"
 #include "store/memory_store.hpp"
 #include "store/tsdb/segment.hpp"
 #include "store/tsdb/tsdb_store.hpp"
@@ -61,14 +62,6 @@ namespace ldmsxx {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh per-test scratch directory under /tmp (removed lazily by the OS).
-std::string ScratchDir(const std::string& tag) {
-  std::string tmpl = "/tmp/ldmsxx_" + tag + "_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return tmpl;
-}
 
 /// Shared schema + set helpers: "memtest" {active u64, free u64, load d64},
 /// matching the sampler schemas the store suite uses.
@@ -390,7 +383,8 @@ TEST(CodecTest, TypicalColumnsCompressWell) {
 // --- layer 3: columnar segments ---------------------------------------------
 
 TEST(SegmentTest, SealReadRoundTripAndFooterIndex) {
-  const std::string dir = ScratchDir("seg");
+  const harness::ScratchDir scratch("seg");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/t.0.seg";
   SegmentBuilder builder(
       "t", {{"a", MetricType::kU64}, {"b", MetricType::kD64}}, 8);
@@ -424,7 +418,8 @@ TEST(SegmentTest, SealReadRoundTripAndFooterIndex) {
 }
 
 TEST(SegmentTest, CorruptionIsRejectedByCrc) {
-  const std::string dir = ScratchDir("segcrc");
+  const harness::ScratchDir scratch("segcrc");
+  const std::string& dir = scratch.path();
   SegmentBuilder builder("t", {{"a", MetricType::kU64}}, 8);
   const std::uint16_t prod = builder.InternProducer("nid0");
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -496,7 +491,8 @@ TEST(SegmentTest, CorruptionIsRejectedByCrc) {
 }
 
 TEST(SegmentTest, V2FooterRecordsCodecsAndCompressionShrinksFiles) {
-  const std::string dir = ScratchDir("segv2");
+  const harness::ScratchDir scratch("segv2");
+  const std::string& dir = scratch.path();
   SegmentBuilder builder(
       "t", {{"cnt", MetricType::kU64}, {"load", MetricType::kD64}}, 256);
   const std::uint16_t prod = builder.InternProducer("nid0");
@@ -568,7 +564,8 @@ class TsdbStoreTest : public QueryTest {
 };
 
 TEST_F(TsdbStoreTest, IndexedQueryMatchesFullScanAndPrunes) {
-  const std::string dir = ScratchDir("tsdb");
+  const harness::ScratchDir scratch("tsdb");
+  const std::string& dir = scratch.path();
   TsdbStore store(Options(dir));
   Ingest(store, 0, 40);  // 80 rows, sealed into 10 eight-row segments
   ASSERT_TRUE(store.Flush().ok());
@@ -623,7 +620,8 @@ TEST_F(TsdbStoreTest, IndexedQueryMatchesFullScanAndPrunes) {
 }
 
 TEST_F(TsdbStoreTest, RollupBucketsFoldMinMaxAvgCount) {
-  const std::string dir = ScratchDir("rollup");
+  const harness::ScratchDir scratch("rollup");
+  const std::string& dir = scratch.path();
   TsdbStore store(Options(dir));
   Ingest(store, 0, 40);
   ASSERT_TRUE(store.Flush().ok());
@@ -652,7 +650,8 @@ TEST_F(TsdbStoreTest, RollupBucketsFoldMinMaxAvgCount) {
 }
 
 TEST_F(TsdbStoreTest, RestartAttachesSegmentsAndSkipsCorruptFiles) {
-  const std::string dir = ScratchDir("attach");
+  const harness::ScratchDir scratch("attach");
+  const std::string& dir = scratch.path();
   const TsdbOptions opts = Options(dir);
   {
     TsdbStore store(opts);
@@ -713,7 +712,8 @@ TEST_F(TsdbStoreTest, CompressedRawAndParallelQueriesAgree) {
   // 4-worker reopen of the compressed one: identical answers, smaller
   // files and reads for the compressed path. This is the determinism half
   // of the T-query/compress drill.
-  const std::string dir = ScratchDir("ablate");
+  const harness::ScratchDir scratch("ablate");
+  const std::string& dir = scratch.path();
   TsdbOptions comp_opts = Options(dir + "/comp");
   TsdbOptions raw_opts = Options(dir + "/raw");
   raw_opts.compress = false;
@@ -796,7 +796,6 @@ class DaemonQueryTest : public QueryTest {
  protected:
   void SetUp() override {
     RegisterBuiltinStores();
-    dir_ = ScratchDir("dq");
   }
 
   std::unique_ptr<Ldmsd> MakeDaemon(const std::string& name,
@@ -816,7 +815,8 @@ class DaemonQueryTest : public QueryTest {
     return std::make_unique<Ldmsd>(opts);
   }
 
-  std::string dir_;
+  const harness::ScratchDir scratch_{"dq"};
+  const std::string dir_ = scratch_.path();
   SimClock clock_{0};
 };
 

@@ -1,7 +1,7 @@
 // Transport tests: wire-protocol round trips, fabric lifetime semantics,
 // local/sock/rdma endpoints answering the batch pull alike, one-sided RDMA
-// CPU accounting, disconnects, and the sock client's request multiplexing
-// (timeouts, out-of-order completion, protocol-violating peers).
+// CPU accounting, disconnects, and the sock client's one-request-at-a-time
+// calls (timeouts, late answers, liveness, protocol-violating peers).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -321,8 +322,8 @@ TEST(SockTransportTest, ConnectToNothingFails) {
 }
 
 // ---------------------------------------------------------------------------
-// Sock client multiplexing: protocol-violating and misbehaving peers are
-// scripted against a raw TCP socket, bypassing SockListener.
+// Sock client: protocol-violating and misbehaving peers are scripted
+// against a raw TCP socket, bypassing SockListener.
 // ---------------------------------------------------------------------------
 
 void WriteAllFd(int fd, const void* data, std::size_t size) {
@@ -491,45 +492,48 @@ TEST(SockTransportTest, PeerCloseMidFrameFailsPending) {
   EXPECT_FALSE(ep->connected());
 }
 
-TEST(SockTransportTest, OutOfOrderResponsesRouteById) {
-  // The peer answers the second request first; each completion must still
-  // reach the handler that issued it (routing by request_id, not order).
+/// Answer a lookup request by echoing its instance name as the metadata.
+void EchoLookup(int fd, const FrameHeader& hdr,
+                std::span<const std::byte> payload) {
+  LookupRequest req;
+  ASSERT_TRUE(DecodeLookupRequest(payload, &req));
+  LookupResponse resp;
+  for (char c : req.instance) resp.metadata.push_back(std::byte(c));
+  auto frame = EncodeFrame(MsgType::kLookupResp, hdr.request_id,
+                           EncodeLookupResponse(resp));
+  WriteAllFd(fd, frame.data(), frame.size());
+}
+
+TEST(SockTransportTest, LateAnswerAfterTimeoutIsDropped) {
+  // The peer holds its answer to the first lookup until the second lookup
+  // has arrived, so the first call times out; then it sends the stale
+  // answer right before the second one. The stale answer must be dropped
+  // by request id, and the second lookup must receive its own echo.
   RawPeer peer([](int fd) {
     FrameHeader h1, h2;
     std::vector<std::byte> p1, p2;
     if (!ReadFrame(fd, &h1, &p1) || !ReadFrame(fd, &h2, &p2)) return;
-    auto reply = [&](const FrameHeader& h, std::span<const std::byte> p) {
-      LookupRequest req;
-      ASSERT_TRUE(DecodeLookupRequest(p, &req));
-      LookupResponse resp;
-      // Echo the instance name back as the metadata payload.
-      for (char c : req.instance) resp.metadata.push_back(std::byte(c));
-      auto frame = EncodeFrame(MsgType::kLookupResp, h.request_id,
-                               EncodeLookupResponse(resp));
-      WriteAllFd(fd, frame.data(), frame.size());
-    };
-    reply(h2, p2);  // reversed completion order
-    reply(h1, p1);
+    EchoLookup(fd, h1, p1);
+    EchoLookup(fd, h2, p2);
   });
   SockTransport sock;
   std::unique_ptr<Endpoint> ep;
   ASSERT_TRUE(sock.Connect(peer.address(), &ep).ok());
 
-  // Two callers share the connection; the peer holds the first answer until
-  // the second request has arrived.
-  auto lookup = [&ep](const std::string& instance, std::string* echoed) {
-    std::vector<std::byte> bytes;
-    const Status st = ep->Lookup(instance, &bytes);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    echoed->assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  };
-  std::string first, second;
-  std::thread alpha(lookup, "alpha/set", &first);
-  std::thread beta(lookup, "beta/set", &second);
-  alpha.join();
-  beta.join();
-  EXPECT_EQ(first, "alpha/set");
-  EXPECT_EQ(second, "beta/set");
+  ep->set_request_timeout(100 * kNsPerMs);
+  std::vector<std::byte> bytes;
+  const Status late = ep->Lookup("alpha/set", &bytes);
+  EXPECT_EQ(late.code(), ErrorCode::kTimeout) << late.ToString();
+  EXPECT_TRUE(ep->connected());
+
+  ep->set_request_timeout(2 * kNsPerSec);
+  const Status st = ep->Lookup("beta/set", &bytes);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(bytes.data()),
+                        bytes.size()),
+            "beta/set");
+  EXPECT_EQ(ep->stats().timeouts.load(), 1u);
+  EXPECT_EQ(ep->stats().outstanding.load(), 0u);
 }
 
 TEST(SockTransportTest, UnencodableAnswerFailsRequestNotConnection) {
@@ -556,7 +560,8 @@ TEST(SockTransportTest, UnencodableAnswerFailsRequestNotConnection) {
   EXPECT_TRUE(ep->connected());
 }
 
-TEST(SockTransportTest, ConcurrentRoundTripsMultiplexOnOneSocket) {
+// Callers on many threads share one connection; their calls take turns.
+TEST(SockTransportTest, ConcurrentCallersShareOneConnection) {
   SockTransport sock;
   TestHandler handler;
   std::unique_ptr<Listener> listener;
@@ -584,6 +589,55 @@ TEST(SockTransportTest, ConcurrentRoundTripsMultiplexOnOneSocket) {
   EXPECT_EQ(ep->stats().lookups.load(),
             static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(ep->stats().outstanding.load(), 0u);
+}
+
+/// Threads in this process: the entries of /proc/self/task.
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(SockTransportTest, EndpointsStartNoThreads) {
+  SockTransport sock;
+  TestHandler handler;
+  std::unique_ptr<Listener> listener;
+  ASSERT_TRUE(sock.Listen("127.0.0.1:0", &handler, &listener).ok());
+  const std::size_t before = ThreadCount();
+  std::vector<std::unique_ptr<Endpoint>> endpoints(16);
+  for (auto& ep : endpoints) {
+    ASSERT_TRUE(sock.Connect(listener->address(), &ep).ok());
+  }
+  EXPECT_EQ(ThreadCount(), before);
+  // Each still answers on its own connection.
+  for (auto& ep : endpoints) {
+    std::vector<std::byte> metadata;
+    EXPECT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  }
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST(SockTransportTest, IdleEndpointNoticesDeadListener) {
+  // A warm standby issues no requests; connected() alone must notice that
+  // its peer went away.
+  SockTransport sock;
+  TestHandler handler;
+  std::unique_ptr<Listener> listener;
+  ASSERT_TRUE(sock.Listen("127.0.0.1:0", &handler, &listener).ok());
+  std::unique_ptr<Endpoint> ep;
+  ASSERT_TRUE(sock.Connect(listener->address(), &ep).ok());
+  EXPECT_TRUE(ep->connected());
+  listener.reset();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (ep->connected() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(ep->connected());
 }
 
 // One 194-metric set through every state a pull can meet. Each answer must
@@ -620,6 +674,9 @@ TEST_P(TransportSuite, EveryStateAnswersAsTheSetDictates) {
   const std::uint64_t cpu_before = listener->stats().server_cpu_ns.load();
   enum class Want { kData, kUnchanged, kDelta, kNotFound, kInconsistent };
   int pulls = 0;
+  // One results vector for every pull, as the daemon passes one per cycle: a
+  // slot must not keep the last answer's data or flags.
+  std::vector<Endpoint::BatchUpdateResult> results;
   auto pull = [&](const char* state, Want want, std::uint32_t handle) {
     SCOPED_TRACE(state);
     ++pulls;
@@ -632,7 +689,6 @@ TEST_P(TransportSuite, EveryStateAnswersAsTheSetDictates) {
       ByteWriter w(&expected);
       ASSERT_TRUE(set.SnapshotDelta(last_dgn, w).ok());
     }
-    std::vector<Endpoint::BatchUpdateResult> results;
     ep->UpdateBatch({{handle, last_dgn}}, &results);
     ASSERT_EQ(results.size(), 1u);
     const Endpoint::BatchUpdateResult& r = results[0];
