@@ -13,8 +13,6 @@
 //   compress — on-disk bytes of the same dataset sealed with per-column
 //              codecs vs. all-raw (compress=0 ablation); acceptance is a
 //              >= 3x reduction at 1M rows with indexed p50 no worse.
-//   parallel — full-range scan latency with a 4-worker decode pool vs.
-//              inline; acceptance is >= 2x at 4 workers.
 //   fan-out  — a 3-leaf aggregation tree answering the same predicate via
 //              query mode=fanout: per-leaf local queries merged at the
 //              root into one (ts, node)-ordered page.
@@ -29,7 +27,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -259,40 +256,6 @@ int main() {
               raw_indexed_lat.p50_us, indexed_lat.p50_us);
   raw_store.reset();
 
-  // --- parallel scan leg: every segment decoded, inline vs 4 workers --------
-  TsdbQuery wide;
-  wide.table = "gpcdr";
-  wide.metrics = {"m2"};  // full range, every node: nothing prunes
-  TsdbOptions par_opts = opts;
-  par_opts.scan_threads = 4;
-  TsdbStore par4(par_opts);  // re-attaches the sealed dataset
-  TsdbQueryResult wide_inline, wide_par;
-  const LatencyStats inline_lat = MeasureLatency(scan_reps, [&] {
-    wide_inline = TsdbQueryResult();
-    (void)store->Query(wide, &wide_inline);
-  });
-  const LatencyStats par_lat = MeasureLatency(scan_reps, [&] {
-    wide_par = TsdbQueryResult();
-    (void)par4.Query(wide, &wide_par);
-  });
-  if (wide_par.rows.size() != wide_inline.rows.size() ||
-      wide_par.rows.empty()) {
-    std::fprintf(stderr, "parallel scan disagrees: %zu vs %zu rows\n",
-                 wide_par.rows.size(), wide_inline.rows.size());
-    return 1;
-  }
-  const double parallel_speedup = inline_lat.p50_us / par_lat.p50_us;
-  // The >= 2x acceptance figure presumes the pool's 4 workers have 4 cores
-  // to land on; on a smaller host the leg still proves the pooled path is
-  // correct and not slower, but the speedup number is bounded by the
-  // machine, not the code.
-  const unsigned hw_cores = std::thread::hardware_concurrency();
-  MeasuredRow("full-range scan of %zu rows: inline p50 %.0f us, 4 workers "
-              "p50 %.0f us (%.2fx on %u-core host; acceptance >= 2x at "
-              "1M rows on >= 4 cores)",
-              wide_inline.rows.size(), inline_lat.p50_us, par_lat.p50_us,
-              parallel_speedup, hw_cores);
-
   // Rollup path: the downsampled answer over the full range.
   TsdbQuery rq = q;
   rq.t0 = 0;
@@ -374,15 +337,16 @@ int main() {
     (void)fan_root->FanoutQuery(fan_req, &fan);
   });
   const std::size_t fan_expected = kLeaves * kNodesPerLeaf * fanout_ticks;
-  if (fan.leaves_ok != kLeaves || fan.merged.rows.size() != fan_expected) {
+  const std::size_t fan_rows = fan.merged.result.rows.size();
+  if (fan.leaves_ok != kLeaves || fan_rows != fan_expected) {
     std::fprintf(stderr, "fan-out disagrees: leaves_ok=%zu rows=%zu "
                  "(expected %zu)\n",
-                 fan.leaves_ok, fan.merged.rows.size(), fan_expected);
+                 fan.leaves_ok, fan_rows, fan_expected);
     return 1;
   }
   MeasuredRow("fan-out: %zu leaves, %zu rows merged in (ts, node) order, "
               "p50 %.0f us",
-              fan.leaves_ok, fan.merged.rows.size(), fan_lat.p50_us);
+              fan.leaves_ok, fan_rows, fan_lat.p50_us);
   fan_root->Stop();
   for (auto& leaf : fan_leaves) leaf->Stop();
 
@@ -419,21 +383,14 @@ int main() {
   json.Field("scan_p99_us", scan_lat.p99_us);
   json.Field("speedup_x", speedup);
   json.EndObject();
-  json.BeginObject("parallel_scan");
-  json.Field("rows_scanned", wide_inline.rows.size());
-  json.Field("inline_p50_us", inline_lat.p50_us);
-  json.Field("threads4_p50_us", par_lat.p50_us);
-  json.Field("speedup_x", parallel_speedup);
-  json.Field("host_cores", static_cast<std::uint64_t>(hw_cores));
-  json.EndObject();
   json.BeginObject("rollup_query");
   json.Field("buckets", rollups.size());
   json.Field("p50_us", rollup_lat.p50_us);
   json.EndObject();
   json.BeginObject("fanout");
   json.Field("leaves_ok", fan.leaves_ok);
-  json.Field("rows_merged", fan.merged.rows.size());
-  json.Field("merged_read_bytes", fan.merged.bytes_read);
+  json.Field("rows_merged", fan_rows);
+  json.Field("merged_read_bytes", fan.merged.result.bytes_read);
   json.Field("p50_us", fan_lat.p50_us);
   json.EndObject();
   json.EndObject();

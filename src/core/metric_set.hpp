@@ -190,15 +190,6 @@ class MetricSet {
     return snapshot_starved_.load(std::memory_order_relaxed);
   }
 
-  /// DGN value of the last ApplyData/EndTransaction the caller consumed;
-  /// aggregator bookkeeping uses this to detect "no new sample".
-  std::uint64_t last_consumed_gn() const {
-    return last_consumed_gn_.load(std::memory_order_relaxed);
-  }
-  void set_last_consumed_gn(std::uint64_t gn) {
-    last_consumed_gn_.store(gn, std::memory_order_relaxed);
-  }
-
   static constexpr std::uint32_t kDataMagic = 0x4c444d44;  // "LDMD"
   static constexpr std::uint32_t kMetaMagic = 0x4c444d4d;  // "LDMM"
 
@@ -243,8 +234,6 @@ class MetricSet {
   std::byte* data_ = nullptr;
   std::size_t meta_size_ = 0;
   std::size_t data_size_ = 0;
-
-  std::atomic<std::uint64_t> last_consumed_gn_{0};
 
   /// Sentinel for "no delta information" (fresh set, or after a full-chunk
   /// ApplyData which loses per-metric change knowledge).

@@ -1,5 +1,6 @@
 #include "daemon/config.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "daemon/decomp/decomp.hpp"
@@ -20,47 +21,49 @@ PluginParams ToParams(
   return params;
 }
 
-/// Read the optional microsecond argument @p key into @p out, in ns; an
-/// absent key leaves @p out as it is. A value that does not parse, or whose
-/// ns value overflows, fails the verb naming the argument.
-Status UsArg(const PluginParams& args, const char* key, DurationNs* out) {
-  auto it = args.find(key);
-  if (it == args.end()) return Status::Ok();
-  auto us = ParseU64(it->second);
-  if (!us || *us > std::numeric_limits<DurationNs>::max() / kNsPerUs) {
-    return {ErrorCode::kInvalidArgument,
-            std::string("bad ") + key + "=" + it->second};
-  }
-  *out = *us * kNsPerUs;
-  return Status::Ok();
-}
-
+/// Read each optional microsecond argument of @p keys into its target, in
+/// ns (U64Arg's rules).
 Status UsArgs(const PluginParams& args,
               std::initializer_list<std::pair<const char*, DurationNs*>> keys) {
   for (const auto& [key, out] : keys) {
-    Status st = UsArg(args, key, out);
+    Status st = U64Arg(args, key, out, kNsPerUs);
     if (!st.ok()) return st;
   }
-  return Status::Ok();
-}
-
-/// Read the optional flag @p key, which must be 0 or 1, into @p out; an
-/// absent key leaves @p out as it is, and any other value fails the verb
-/// naming the argument.
-Status FlagArg(const PluginParams& args, const char* key, bool* out) {
-  auto it = args.find(key);
-  if (it == args.end()) return Status::Ok();
-  if (it->second != "0" && it->second != "1") {
-    return {ErrorCode::kInvalidArgument,
-            std::string("bad ") + key + "=" + it->second + " (want 0 or 1)"};
-  }
-  *out = it->second == "1";
   return Status::Ok();
 }
 
 std::string UsText(DurationNs ns) { return std::to_string(ns / kNsPerUs); }
 
 const char* FlagText(bool on) { return on ? "1" : "0"; }
+
+/// The `query` verb's replies. Each helper appends one part through the
+/// verb's one TextWriter.
+void WriteColumns(TextWriter& w, const std::vector<std::string>& columns) {
+  w.Str("columns=");
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i > 0) w.Char(',');
+    w.Str(columns[i]);
+  }
+}
+
+void WriteScanCounters(TextWriter& w, const TsdbQueryResult& r) {
+  w.Field("segments_considered", r.segments_considered)
+      .Field("segments_pruned", r.segments_pruned)
+      .Field("segments_read", r.segments_read)
+      .Field("bytes_read", r.bytes_read)
+      .Field("bytes_decoded", r.bytes_decoded);
+}
+
+/// " row=<ts_us>:<node>:<value>..." for the first @p limit rows.
+void WriteRows(TextWriter& w, const std::vector<TsdbQueryRow>& rows,
+               std::uint64_t limit) {
+  const std::size_t n = std::min<std::uint64_t>(rows.size(), limit);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TsdbQueryRow& row = rows[i];
+    w.Str(" row=").U64(row.ts / kNsPerUs).Char(':').U64(row.node);
+    for (const double v : row.values) w.Char(':').F64(v);
+  }
+}
 
 /// strgp_add's own keys; every other argument belongs to the store plugin.
 bool IsStrgpPolicyKey(const std::string& key) {
@@ -182,10 +185,9 @@ Status ParseStrgpAdd(const PluginParams& args, StorePolicy* policy) {
 }
 
 Status MakeStrgpStore(const PluginRegistry& plugins, StorePolicy* policy) {
-  policy->store = plugins.MakeStore(policy->plugin, policy->plugin_params);
-  if (policy->store == nullptr) {
-    return {ErrorCode::kNotFound, "unknown store plugin: " + policy->plugin};
-  }
+  Status st =
+      plugins.MakeStore(policy->plugin, policy->plugin_params, &policy->store);
+  if (!st.ok()) return st;
   if (!policy->decomp.empty() && !policy->store->row_capable()) {
     return {ErrorCode::kUnsupported,
             "decomp= requires a row-capable store plugin (" + policy->plugin +
@@ -345,7 +347,7 @@ Status ConfigProcessor::CmdInterval(const PluginParams& args) {
             "interval requires name= and interval=<usec>"};
   }
   DurationNs interval = 0;
-  Status st = UsArg(args, "interval", &interval);
+  Status st = U64Arg(args, "interval", &interval, kNsPerUs);
   if (!st.ok()) return st;
   return daemon_.SetSamplingInterval(it->second, interval);
 }
@@ -567,25 +569,25 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
       if (!metric.empty()) q.metrics.emplace_back(metric);
     }
   }
-  std::size_t limit = 64;
+  std::uint64_t limit = 64;
   if (auto it = args.find("limit"); it != args.end()) {
     auto n = ParseU64(it->second);
     if (!n) return {ErrorCode::kInvalidArgument, "bad limit=" + it->second};
-    limit = static_cast<std::size_t>(*n);
+    limit = *n;
   }
 
+  TextWriter w(output);
   if (mode == "rollup") {
     std::vector<TsdbRollupRow> rollups;
     st = tsdb->QueryRollup(q, &rollups);
     if (!st.ok()) return st;
-    *output = "buckets=" + std::to_string(rollups.size());
-    std::size_t emitted = 0;
-    for (const auto& r : rollups) {
-      if (emitted++ >= limit) break;
-      *output += " rollup=" + std::to_string(r.bucket / kNsPerUs) + ":" +
-                 std::to_string(r.node) + ":" + r.metric + ":" +
-                 std::to_string(r.min) + ":" + std::to_string(r.max) + ":" +
-                 std::to_string(r.avg) + ":" + std::to_string(r.count);
+    w.Str("buckets=").U64(rollups.size());
+    const std::size_t n = std::min<std::uint64_t>(rollups.size(), limit);
+    for (std::size_t i = 0; i < n; ++i) {
+      const TsdbRollupRow& r = rollups[i];
+      w.Str(" rollup=").U64(r.bucket / kNsPerUs).Char(':').U64(r.node);
+      w.Char(':').Str(r.metric).Char(':').F64(r.min).Char(':').F64(r.max);
+      w.Char(':').F64(r.avg).Char(':').U64(r.count);
     }
     return Status::Ok();
   }
@@ -599,33 +601,20 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
     req.t1 = q.t1;
     req.nodes = q.nodes;
     req.metrics = q.metrics;
-    req.limit = static_cast<std::uint32_t>(limit);
+    req.limit = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(limit, kMaxQueryRespRows));
     Ldmsd::FanoutResult fanout;
     st = daemon_.FanoutQuery(req, &fanout);
     if (!st.ok()) return st;
     const QueryResponse& merged = fanout.merged;
-    std::string columns;
-    for (const auto& column : merged.columns) {
-      if (!columns.empty()) columns.push_back(',');
-      columns += column;
-    }
-    *output = "columns=" + columns +
-              " rows=" + std::to_string(merged.rows.size()) +
-              " total_rows=" + std::to_string(merged.total_rows) +
-              " truncated=" + std::to_string(merged.truncated) +
-              " leaves_ok=" + std::to_string(fanout.leaves_ok) +
-              " leaves_failed=" + std::to_string(fanout.leaves_failed) +
-              " segments_considered=" +
-              std::to_string(merged.segments_considered) +
-              " segments_pruned=" + std::to_string(merged.segments_pruned) +
-              " segments_read=" + std::to_string(merged.segments_read) +
-              " bytes_read=" + std::to_string(merged.bytes_read) +
-              " bytes_decoded=" + std::to_string(merged.bytes_decoded);
-    for (const auto& row : merged.rows) {
-      *output += " row=" + std::to_string(row.ts / kNsPerUs) + ":" +
-                 std::to_string(row.node);
-      for (const double v : row.values) *output += ":" + std::to_string(v);
-    }
+    WriteColumns(w, merged.result.columns);
+    w.Field("rows", merged.result.rows.size())
+        .Field("total_rows", merged.total_rows)
+        .Field("truncated", merged.truncated)
+        .Field("leaves_ok", fanout.leaves_ok)
+        .Field("leaves_failed", fanout.leaves_failed);
+    WriteScanCounters(w, merged.result);
+    WriteRows(w, merged.result.rows, limit);
     return Status::Ok();
   }
   if (mode != "rows") {
@@ -634,25 +623,10 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
   TsdbQueryResult result;
   st = tsdb->Query(q, &result);
   if (!st.ok()) return st;
-  std::string columns;
-  for (const auto& column : result.columns) {
-    if (!columns.empty()) columns.push_back(',');
-    columns += column;
-  }
-  *output = "columns=" + columns +
-            " rows=" + std::to_string(result.rows.size()) +
-            " segments_considered=" + std::to_string(result.segments_considered) +
-            " segments_pruned=" + std::to_string(result.segments_pruned) +
-            " segments_read=" + std::to_string(result.segments_read) +
-            " bytes_read=" + std::to_string(result.bytes_read) +
-            " bytes_decoded=" + std::to_string(result.bytes_decoded);
-  std::size_t emitted = 0;
-  for (const auto& row : result.rows) {
-    if (emitted++ >= limit) break;
-    *output += " row=" + std::to_string(row.ts / kNsPerUs) + ":" +
-               std::to_string(row.node);
-    for (const double v : row.values) *output += ":" + std::to_string(v);
-  }
+  WriteColumns(w, result.columns);
+  w.Field("rows", result.rows.size());
+  WriteScanCounters(w, result);
+  WriteRows(w, result.rows, limit);
   return Status::Ok();
 }
 

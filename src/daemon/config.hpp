@@ -17,19 +17,20 @@
 //               bound the reconnect backoff, reconnect_min=0 disables it;
 //               delta=0 forces full data chunks on every pull)
 //   strgp_add  name=<policy> plugin=<store plugin> [path=<dir>]
-//              [schema=<filter>] [producer=<filter>] [altheader=1]
+//              [schema=<filter>] [producer=<filter>] [altheader=0|1]
 //              [queue=<max samples>] [shed=drop_oldest|drop_newest|block]
 //              [breaker_k=<consecutive failures>] [breaker_min=<usec>]
 //              [breaker_max=<usec>] [decomp=<spec>] [max_samples=<rows>]
 //              [segment_rows=<rows>] [rollup_sec=<sec>] [compress=0|1]
-//              [scan_threads=<n>]
 //              (decomp= requires a row-capable plugin such as store_tsdb;
 //               spec grammar is in daemon/decomp/decomp.hpp. path=,
 //               altheader= and the keys after decomp= go to the store
 //               plugin: max_samples= caps store_mem's per-schema row ring
-//               (drop-oldest); segment_rows=, rollup_sec=, compress= and
-//               scan_threads= are store_tsdb's rows per segment, rollup
-//               bucket, column codecs and scan decode workers.)
+//               (drop-oldest); segment_rows= (> 0), rollup_sec= and
+//               compress= are store_tsdb's rows per segment, rollup bucket
+//               and column codecs. Flags take 0 or 1 and numbers must
+//               parse, or the verb fails naming the argument; unknown
+//               plugin arguments are ignored.)
 //   prdcr_del  name=<producer>      (stop collecting; drops mirrors and the
 //                                    registry record)
 //   interval   name=<plugin> interval=<usec>       (on-the-fly change)
@@ -84,7 +85,9 @@ PluginParams PrdcrAddArgs(const ProducerConfig& config);
 /// breaker_min, breaker_max, decomp) become plugin_params.
 Status ParseStrgpAdd(const PluginParams& args, StorePolicy* policy);
 /// Make policy->store from its plugin and plugin_params; kNotFound for an
-/// unknown plugin, kUnsupported for decomp= on a store that takes no rows.
+/// unknown plugin, kInvalidArgument for a plugin argument that does not
+/// parse or is out of range, kUnsupported for decomp= on a store that takes
+/// no rows. Unknown plugin arguments are ignored.
 Status MakeStrgpStore(const PluginRegistry& plugins, StorePolicy* policy);
 /// Inverse of ParseStrgpAdd for a policy whose store came from a plugin.
 PluginParams StrgpAddArgs(const StorePolicy& policy);

@@ -549,7 +549,6 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
     producer.need_lookup = false;
     (void)LookupSets(producer);
   }
-  const std::uint64_t t0 = NowSteadyNs();
   bool any_failure = false;
   std::vector<std::string> stale_mirrors;
   // One batched pull for all of this producer's sets: handle-addressed sets
@@ -673,7 +672,6 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   }
   producer.consecutive_failures =
       any_failure ? producer.consecutive_failures + 1 : 0;
-  counters_.update_ns.fetch_add(NowSteadyNs() - t0, std::memory_order_relaxed);
 }
 
 void Ldmsd::StoreMirror(const MirrorEntry& mirror) {
@@ -761,20 +759,15 @@ void Ldmsd::HandleQuery(const QueryRequest& req, QueryResponse* resp) {
   q.t1 = req.t1;
   q.nodes = req.nodes;
   q.metrics = req.metrics;
-  TsdbQueryResult result;
+  TsdbQueryResult& result = resp->result;
   Status st = tsdb->Query(q, &result);
   if (!st.ok()) {
+    result = TsdbQueryResult{};
     resp->code = static_cast<std::uint8_t>(st.code());
     resp->error = st.message();
     return;
   }
-  resp->columns = std::move(result.columns);
   resp->total_rows = result.rows.size();
-  resp->segments_considered = result.segments_considered;
-  resp->segments_pruned = result.segments_pruned;
-  resp->segments_read = result.segments_read;
-  resp->bytes_read = result.bytes_read;
-  resp->bytes_decoded = result.bytes_decoded;
   // Bound the response page: the client's limit, itself clamped by the
   // server-side ceiling — a fan-out root never receives an unbounded page.
   std::size_t cap = kMaxQueryRespRows;
@@ -782,10 +775,6 @@ void Ldmsd::HandleQuery(const QueryRequest& req, QueryResponse* resp) {
   if (result.rows.size() > cap) {
     result.rows.resize(cap);
     resp->truncated = 1;
-  }
-  resp->rows.reserve(result.rows.size());
-  for (auto& row : result.rows) {
-    resp->rows.push_back({row.ts, row.node, std::move(row.values)});
   }
 }
 
@@ -801,6 +790,7 @@ Status Ldmsd::FanoutQuery(const QueryRequest& req, FanoutResult* out) {
     for (const auto& [name, producer] : producers_) leaves.push_back(producer);
   }
   QueryResponse& merged = out->merged;
+  TsdbQueryResult& page = merged.result;
   for (const auto& leaf : leaves) {
     QueryResponse resp;
     Status st;
@@ -818,35 +808,35 @@ Status Ldmsd::FanoutQuery(const QueryRequest& req, FanoutResult* out) {
       ++out->leaves_failed;
       continue;
     }
-    ++out->leaves_ok;
-    if (merged.columns.empty()) merged.columns = resp.columns;
-    if (resp.columns != merged.columns) {
+    const TsdbQueryResult& part = resp.result;
+    if (page.columns.empty()) page.columns = part.columns;
+    if (part.columns != page.columns) {
       // Schema drift between leaves: the page would be meaningless.
       ++out->leaves_failed;
-      --out->leaves_ok;
       continue;
     }
-    merged.rows.insert(merged.rows.end(),
-                       std::make_move_iterator(resp.rows.begin()),
-                       std::make_move_iterator(resp.rows.end()));
+    ++out->leaves_ok;
+    page.rows.insert(page.rows.end(),
+                     std::make_move_iterator(resp.result.rows.begin()),
+                     std::make_move_iterator(resp.result.rows.end()));
     merged.total_rows += resp.total_rows;
     merged.truncated |= resp.truncated;
-    merged.segments_considered += resp.segments_considered;
-    merged.segments_pruned += resp.segments_pruned;
-    merged.segments_read += resp.segments_read;
-    merged.bytes_read += resp.bytes_read;
-    merged.bytes_decoded += resp.bytes_decoded;
+    page.segments_considered += part.segments_considered;
+    page.segments_pruned += part.segments_pruned;
+    page.segments_read += part.segments_read;
+    page.bytes_read += part.bytes_read;
+    page.bytes_decoded += part.bytes_decoded;
   }
   // Global (ts, node) order regardless of which leaf answered first; stable
   // so equal keys keep leaf order — same input, same page, every run.
-  std::stable_sort(merged.rows.begin(), merged.rows.end(),
-                   [](const QueryResponse::Row& a, const QueryResponse::Row& b) {
+  std::stable_sort(page.rows.begin(), page.rows.end(),
+                   [](const TsdbQueryRow& a, const TsdbQueryRow& b) {
                      return a.ts != b.ts ? a.ts < b.ts : a.node < b.node;
                    });
   std::size_t cap = kMaxQueryRespRows;
   if (req.limit != 0 && req.limit < cap) cap = req.limit;
-  if (merged.rows.size() > cap) {
-    merged.rows.resize(cap);
+  if (page.rows.size() > cap) {
+    page.rows.resize(cap);
     merged.truncated = 1;
   }
   return Status::Ok();

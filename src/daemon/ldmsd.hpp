@@ -145,7 +145,6 @@ class Ldmsd final : public ServiceHandler {
     /// Transport bytes (tx+rx) attributable to collect cycles, as reported
     /// by the producer endpoints' stats deltas.
     std::atomic<std::uint64_t> update_bytes_on_wire{0};
-    std::atomic<std::uint64_t> update_ns{0};
     std::atomic<std::uint64_t> lookups{0};
     /// Storage-path counters (queue shedding, breaker activity) shared by
     /// every store policy; see StoreCounters.

@@ -20,9 +20,10 @@ namespace ldmsxx {
 using SamplerFactory =
     std::function<SamplerPluginPtr(const PluginParams& params)>;
 
-/// Factory building a store plugin instance from its config params.
-using StoreFactory =
-    std::function<std::shared_ptr<Store>(const PluginParams& params)>;
+/// Factory building a store plugin instance from its config params into
+/// @p store; a bad argument fails with kInvalidArgument naming it.
+using StoreFactory = std::function<Status(const PluginParams& params,
+                                          std::shared_ptr<Store>* store)>;
 
 class PluginRegistry {
  public:
@@ -34,8 +35,9 @@ class PluginRegistry {
   /// nullptr result when unknown.
   SamplerPluginPtr MakeSampler(const std::string& name,
                                const PluginParams& params) const;
-  std::shared_ptr<Store> MakeStore(const std::string& name,
-                                   const PluginParams& params) const;
+  /// kNotFound for an unknown plugin; otherwise the factory's status.
+  Status MakeStore(const std::string& name, const PluginParams& params,
+                   std::shared_ptr<Store>* store) const;
 
   bool HasSampler(const std::string& name) const;
 
@@ -44,6 +46,16 @@ class PluginRegistry {
   std::unordered_map<std::string, SamplerFactory> samplers_;
   std::unordered_map<std::string, StoreFactory> stores_;
 };
+
+/// Readers for one optional plugin argument, shared by the configuration
+/// verbs and the built-in store factories. An absent key leaves @p out as
+/// it is; a bad value fails with kInvalidArgument naming the argument.
+/// FlagArg takes only 0 or 1. U64Arg takes an unsigned integer and stores
+/// it times @p unit (non-zero; kNsPerUs reads microseconds as ns); the
+/// product must not overflow.
+Status FlagArg(const PluginParams& args, const char* key, bool* out);
+Status U64Arg(const PluginParams& args, const char* key, std::uint64_t* out,
+              std::uint64_t unit = 1);
 
 /// Register the built-in store plugins (store_csv, store_flatfile,
 /// store_mem, store_tsdb). Idempotent.

@@ -293,14 +293,11 @@ void StorePolicyRuntime::WriteOne(const Pending& item) {
       return;
     }
   }
-  const std::uint64_t t0 = NowSteadyNs();
   Status st;
   {
     std::lock_guard<std::mutex> set_lock(*item.set_mu);
     st = policy_.store->StoreSet(*item.set);
   }
-  counters_->store_ns.fetch_add(NowSteadyNs() - t0,
-                                std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   RecordOutcomeLocked(st.ok(), st);
 }
@@ -317,7 +314,6 @@ void StorePolicyRuntime::WriteBatch(const Pending* items, std::size_t n) {
       return;
     }
   }
-  const std::uint64_t t0 = NowSteadyNs();
   Status st;               // the store call's outcome
   Status decomp_st;        // first decomposition error, if any
   std::uint64_t attempted = n;  // samples handed to the store call
@@ -348,8 +344,6 @@ void StorePolicyRuntime::WriteBatch(const Pending* items, std::size_t n) {
     st = policy_.store->StoreSetBatch(batch.data(), n, &stored);
     written = st.ok() ? n : std::min<std::uint64_t>(stored, n);
   }
-  counters_->store_ns.fetch_add(NowSteadyNs() - t0,
-                                std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   // Every sample lands in exactly one bucket: decompose_failures (never a
   // breaker strike — the store was not at fault), stores, or

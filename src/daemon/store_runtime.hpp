@@ -107,7 +107,6 @@ struct StorePolicy {
 /// surfaced through Ldmsd::Counters (the control socket's `counters` verb).
 struct StoreCounters {
   std::atomic<std::uint64_t> stores{0};
-  std::atomic<std::uint64_t> store_ns{0};
   std::atomic<std::uint64_t> store_failures{0};
   /// Samples dropped by full queues or an open breaker.
   std::atomic<std::uint64_t> shed_samples{0};

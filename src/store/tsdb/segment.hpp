@@ -155,8 +155,8 @@ Status ReadSegmentFooter(const std::string& path, SegmentFooter* out);
 /// Read column @p col (uniform index: SegmentFooter::kTsCol / kNodeCol /
 /// kProdCol / DataCol(i)), verify its CRC over the encoded bytes, and
 /// decode it into @p out (resized to row_count). @p scratch, when given,
-/// receives the compressed read buffer — the parallel scan path passes a
-/// per-worker buffer so concurrent decodes never allocate per call.
+/// receives the compressed read buffer, so a caller reading many columns
+/// allocates it once.
 Status ReadSegmentColumn(const std::string& path, const SegmentFooter& footer,
                          std::size_t col, std::vector<std::uint64_t>* out,
                          std::vector<std::uint8_t>* scratch = nullptr);

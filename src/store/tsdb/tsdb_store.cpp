@@ -33,12 +33,88 @@ bool SortedIntersect(const std::vector<std::uint64_t>& a,
   return false;
 }
 
+/// The columns a query reads from one segment, as slots: ts, node and the
+/// selected data columns, plus the buffer encoded columns are read into.
+struct ScanColumns {
+  std::vector<std::uint64_t> ts, nodes;
+  std::vector<std::vector<std::uint64_t>> data;  ///< one per selected column
+  std::vector<std::uint8_t> encoded;
+};
+
+/// Read the ts, node and @p cols columns of a sealed segment into @p buf,
+/// counting the bytes in @p out.
+Status ReadScanColumns(const std::string& path, const SegmentFooter& f,
+                       const std::vector<std::uint32_t>& cols,
+                       ScanColumns* buf, TsdbQueryResult* out) {
+  Status st = ReadSegmentColumn(path, f, SegmentFooter::kTsCol, &buf->ts,
+                                &buf->encoded);
+  if (!st.ok()) return st;
+  st = ReadSegmentColumn(path, f, SegmentFooter::kNodeCol, &buf->nodes,
+                         &buf->encoded);
+  if (!st.ok()) return st;
+  if (buf->data.size() < cols.size()) buf->data.resize(cols.size());
+  out->bytes_read += f.enc_lens[SegmentFooter::kTsCol] +
+                     f.enc_lens[SegmentFooter::kNodeCol];
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    st = ReadSegmentColumn(path, f, SegmentFooter::DataCol(cols[c]),
+                           &buf->data[c], &buf->encoded);
+    if (!st.ok()) return st;
+    out->bytes_read += f.enc_lens[SegmentFooter::DataCol(cols[c])];
+  }
+  out->bytes_decoded += (2 + cols.size()) * f.row_count * sizeof(std::uint64_t);
+  return Status::Ok();
+}
+
+/// Does a row at @p ts from @p node answer @p q? @p node_filter is q.nodes
+/// sorted.
+bool RowMatches(const TsdbQuery& q,
+                const std::vector<std::uint64_t>& node_filter, TimeNs ts,
+                std::uint64_t node) {
+  return ts >= q.t0 && ts <= q.t1 &&
+         (node_filter.empty() || SortedContains(node_filter, node));
+}
+
+/// Copy the ts, node and @p cols slots of each active-segment row that
+/// answers @p q into @p buf.
+void CopyMatches(const SegmentBuilder& seg,
+                 const std::vector<std::uint32_t>& cols, const TsdbQuery& q,
+                 const std::vector<std::uint64_t>& node_filter,
+                 ScanColumns* buf) {
+  buf->ts.clear();
+  buf->nodes.clear();
+  if (buf->data.size() < cols.size()) buf->data.resize(cols.size());
+  for (std::size_t c = 0; c < cols.size(); ++c) buf->data[c].clear();
+  for (std::size_t r = 0; r < seg.row_count(); ++r) {
+    if (!RowMatches(q, node_filter, seg.ts()[r], seg.nodes()[r])) continue;
+    buf->ts.push_back(seg.ts()[r]);
+    buf->nodes.push_back(seg.nodes()[r]);
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      buf->data[c].push_back(seg.column(cols[c])[r]);
+    }
+  }
+}
+
+/// Append each row of @p seg that answers @p q to @p rows, with one value
+/// per selected column.
+void AppendMatches(const ScanColumns& seg, const std::vector<MetricType>& types,
+                   const TsdbQuery& q,
+                   const std::vector<std::uint64_t>& node_filter,
+                   std::vector<TsdbQueryRow>* rows) {
+  for (std::size_t r = 0; r < seg.ts.size(); ++r) {
+    if (!RowMatches(q, node_filter, seg.ts[r], seg.nodes[r])) continue;
+    TsdbQueryRow& row = rows->emplace_back();
+    row.ts = seg.ts[r];
+    row.node = seg.nodes[r];
+    row.values.reserve(types.size());
+    for (std::size_t c = 0; c < types.size(); ++c) {
+      row.values.push_back(SlotAsDouble(seg.data[c][r], types[c]));
+    }
+  }
+}
+
 }  // namespace
 
 TsdbStore::TsdbStore(TsdbOptions opts) : opts_(std::move(opts)) {
-  if (opts_.scan_threads > 0) {
-    scan_pool_ = std::make_unique<ThreadPool>(opts_.scan_threads, "tsdbscan");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   AttachExistingLocked();
 }
@@ -475,64 +551,23 @@ Status TsdbStore::ResolveColumns(const Table& t,
   return Status::Ok();
 }
 
-Status TsdbStore::ScanSealedSegment(
-    const Sealed& seg, const std::vector<std::uint32_t>& cols,
-    const std::vector<MetricType>& types, TimeNs t0, TimeNs t1,
-    const std::vector<std::uint64_t>& node_filter,
-    std::vector<TsdbQueryRow>* rows, std::uint64_t* bytes_read,
-    std::uint64_t* bytes_decoded) const {
-  // Per-worker scratch: a pool worker (or the inline caller) recycles its
-  // decode buffers across every segment it scans in its lifetime.
-  thread_local std::vector<std::uint8_t> enc_scratch;
-  thread_local std::vector<std::uint64_t> ts, nodes;
-  thread_local std::vector<std::vector<std::uint64_t>> data;
-  const SegmentFooter& f = seg.footer;
-  Status st = ReadSegmentColumn(seg.path, f, SegmentFooter::kTsCol, &ts,
-                                &enc_scratch);
-  if (!st.ok()) return st;
-  st = ReadSegmentColumn(seg.path, f, SegmentFooter::kNodeCol, &nodes,
-                         &enc_scratch);
-  if (!st.ok()) return st;
-  if (data.size() < cols.size()) data.resize(cols.size());
-  *bytes_read += f.enc_lens[SegmentFooter::kTsCol] +
-                 f.enc_lens[SegmentFooter::kNodeCol];
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    st = ReadSegmentColumn(seg.path, f, SegmentFooter::DataCol(cols[c]),
-                           &data[c], &enc_scratch);
-    if (!st.ok()) return st;
-    *bytes_read += f.enc_lens[SegmentFooter::DataCol(cols[c])];
-  }
-  *bytes_decoded += (2 + cols.size()) * f.row_count * sizeof(std::uint64_t);
-  for (std::size_t r = 0; r < f.row_count; ++r) {
-    if (ts[r] < t0 || ts[r] > t1) continue;
-    if (!node_filter.empty() && !SortedContains(node_filter, nodes[r])) {
-      continue;
-    }
-    TsdbQueryRow row;
-    row.ts = ts[r];
-    row.node = nodes[r];
-    row.values.reserve(cols.size());
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      row.values.push_back(SlotAsDouble(data[c][r], types[c]));
-    }
-    rows->push_back(std::move(row));
-  }
-  return Status::Ok();
-}
-
 Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
   *out = TsdbQueryResult{};
+  // Queries run on their callers' threads, concurrently. Per-thread buffers
+  // let each caller reuse its decode and copy allocations across segments
+  // and queries without sharing them.
+  thread_local ScanColumns segment, active;
   std::vector<std::uint32_t> cols;
   std::vector<MetricType> types;
   std::vector<std::uint64_t> node_filter(q.nodes);
   std::sort(node_filter.begin(), node_filter.end());
   std::vector<Sealed> survivors;
-  std::vector<TsdbQueryRow> active_rows;
   {
     // Under mu_: prune on footers, snapshot the surviving sealed entries
-    // (path + footer copies — sealed files are immutable), and scan the
-    // active in-memory segment. Disk reads happen after the lock drops, so
-    // a long scan never stalls ingest.
+    // (path + footer copies — sealed files are immutable), and copy the
+    // slots of the active segment's matching rows, since that segment keeps
+    // growing once mu_ drops. Disk reads and row building happen after the
+    // lock drops, so a long scan never stalls ingest.
     std::lock_guard<std::mutex> lock(mu_);
     const Table* t = FindTableLocked(q.table);
     if (t == nullptr) {
@@ -553,67 +588,20 @@ Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
       }
       survivors.push_back(seg);
     }
-    if (t->active != nullptr) {
-      const SegmentBuilder& seg = *t->active;
-      for (std::size_t r = 0; r < seg.row_count(); ++r) {
-        const TimeNs ts = seg.ts()[r];
-        const std::uint64_t node = seg.nodes()[r];
-        if (ts < q.t0 || ts > q.t1) continue;
-        if (!node_filter.empty() && !SortedContains(node_filter, node)) {
-          continue;
-        }
-        TsdbQueryRow row;
-        row.ts = ts;
-        row.node = node;
-        row.values.reserve(cols.size());
-        for (std::size_t c = 0; c < cols.size(); ++c) {
-          row.values.push_back(SlotAsDouble(seg.column(cols[c])[r], types[c]));
-        }
-        active_rows.push_back(std::move(row));
-      }
+    active.ts.clear();
+    if (t->active != nullptr && t->active->max_ts() >= q.t0 &&
+        t->active->min_ts() <= q.t1) {
+      CopyMatches(*t->active, cols, q, node_filter, &active);
     }
   }
   out->segments_read = survivors.size();
-
-  // Decode + filter the survivors — on the scan pool when configured, with
-  // one result slot per segment so the merge is in seq order no matter
-  // which worker finishes first (identical output at any thread count).
-  const std::size_t n = survivors.size();
-  std::vector<std::vector<TsdbQueryRow>> seg_rows(n);
-  std::vector<Status> seg_status(n);
-  std::vector<std::uint64_t> seg_bytes(n, 0), seg_decoded(n, 0);
-  auto scan_one = [&](std::size_t i) {
-    seg_status[i] =
-        ScanSealedSegment(survivors[i], cols, types, q.t0, q.t1, node_filter,
-                          &seg_rows[i], &seg_bytes[i], &seg_decoded[i]);
-  };
-  if (scan_pool_ != nullptr && n > 1) {
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::size_t remaining = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      scan_pool_->Submit([&, i] {
-        scan_one(i);
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--remaining == 0) done_cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) scan_one(i);
+  // Sealed segments in sequence order, then the active segment.
+  for (const Sealed& seg : survivors) {
+    Status st = ReadScanColumns(seg.path, seg.footer, cols, &segment, out);
+    if (!st.ok()) return st;
+    AppendMatches(segment, types, q, node_filter, &out->rows);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!seg_status[i].ok()) return seg_status[i];
-    out->bytes_read += seg_bytes[i];
-    out->bytes_decoded += seg_decoded[i];
-    out->rows.insert(out->rows.end(),
-                     std::make_move_iterator(seg_rows[i].begin()),
-                     std::make_move_iterator(seg_rows[i].end()));
-  }
-  out->rows.insert(out->rows.end(),
-                   std::make_move_iterator(active_rows.begin()),
-                   std::make_move_iterator(active_rows.end()));
+  AppendMatches(active, types, q, node_filter, &out->rows);
   return Status::Ok();
 }
 

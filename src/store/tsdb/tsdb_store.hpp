@@ -27,9 +27,9 @@
 #include <vector>
 
 #include "store/store.hpp"
+#include "store/tsdb/query_result.hpp"
 #include "store/tsdb/segment.hpp"
 #include "util/clock.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ldmsxx {
 
@@ -42,10 +42,8 @@ struct TsdbOptions {
   /// Seal segments with per-column codecs (format v2); false writes every
   /// column raw — same v2 layout, ~v1 sizes (the ablation escape hatch).
   bool compress = true;
-  /// Worker threads for the parallel sealed-segment scan in Query(). 0 (the
-  /// default) decodes inline on the calling thread — fully deterministic,
-  /// what the simulation harness uses. Results are identical either way;
-  /// the pool only changes wall-clock.
+  /// Read by nothing: queries decode on the calling thread. The field stays
+  /// only because the pipeline benchmark assigns it.
   std::size_t scan_threads = 0;
 };
 
@@ -56,29 +54,6 @@ struct TsdbQuery {
   TimeNs t1 = ~TimeNs{0};
   std::vector<std::uint64_t> nodes;   ///< empty = all nodes
   std::vector<std::string> metrics;   ///< empty = all columns
-};
-
-struct TsdbQueryRow {
-  TimeNs ts = 0;
-  std::uint64_t node = 0;
-  std::vector<double> values;  ///< one per result column
-};
-
-struct TsdbQueryResult {
-  std::vector<std::string> columns;
-  std::vector<TsdbQueryRow> rows;
-  /// Index effectiveness: sealed segments considered, pruned by the footer
-  /// index without touching the body, and actually read.
-  std::uint64_t segments_considered = 0;
-  std::uint64_t segments_pruned = 0;
-  std::uint64_t segments_read = 0;
-  /// Encoded column bytes fetched from disk (0 for the active in-memory
-  /// segment). With compressed segments this is the on-disk cost...
-  std::uint64_t bytes_read = 0;
-  /// ...and this is the uncompressed slot bytes those reads decoded into;
-  /// bytes_decoded / bytes_read is the effective compression ratio the
-  /// query enjoyed (equal when every column was raw).
-  std::uint64_t bytes_decoded = 0;
 };
 
 /// One rollup bucket for one (metric, node).
@@ -166,17 +141,6 @@ class TsdbStore final : public Store {
   Status ResolveColumns(const Table& t, const std::vector<std::string>& want,
                         std::vector<std::uint32_t>* idx,
                         std::vector<std::string>* names) const;
-  /// Decode + filter one sealed segment (no store locks held; sealed files
-  /// are immutable). Uses thread_local scratch buffers so pool workers
-  /// recycle their decode allocations across segments.
-  Status ScanSealedSegment(const Sealed& seg,
-                           const std::vector<std::uint32_t>& cols,
-                           const std::vector<MetricType>& types, TimeNs t0,
-                           TimeNs t1,
-                           const std::vector<std::uint64_t>& node_filter,
-                           std::vector<TsdbQueryRow>* rows,
-                           std::uint64_t* bytes_read,
-                           std::uint64_t* bytes_decoded) const;
 
   TsdbOptions opts_;
   std::string name_ = "store_tsdb";
@@ -191,9 +155,6 @@ class TsdbStore final : public Store {
   std::uint64_t segments_sealed_ = 0;
   std::uint64_t segments_attached_ = 0;
   std::uint64_t attach_rejects_ = 0;
-  /// Parallel-scan pool (scan_threads > 0); queries snapshot the surviving
-  /// sealed list under mu_, then decode on these workers with mu_ released.
-  std::unique_ptr<ThreadPool> scan_pool_;
 
   // Background durability: seals rename the segment into place inline (a
   // reader never sees a torn file) but the fsyncs — the dominant cost of a

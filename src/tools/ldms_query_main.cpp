@@ -27,12 +27,11 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s -d <tsdb dir> [-t table] [-0 t0_us] [-1 t1_us]\n"
       "          [-n node,node,...] [-m metric,metric,...]\n"
-      "          [--rollup] [-g rollup_sec] [--scan] [--threads N]\n"
+      "          [--rollup] [-g rollup_sec] [--scan]\n"
       "          [--format tsv|csv|json] [--stats] [-v]\n"
       "  -g must match the granularity the store was written with\n"
       "     (strgp_add rollup_sec=); mismatched .rollup sidecars are\n"
       "     skipped as if corrupt. Default 60.\n"
-      "  --threads decodes sealed segments on N workers (0 = inline).\n"
       "  --stats prints pruning/compression counters after the rows\n"
       "     (stdout for json, stderr otherwise; -v implies it).\n",
       argv0);
@@ -96,9 +95,6 @@ int main(int argc, char** argv) {
       rollup = true;
     } else if (arg == "--scan") {
       full_scan = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      if (auto n = ParseU64(argv[++i])) opts.scan_threads = *n;
-      else return Usage(argv[0]);
     } else if (arg == "--format" && i + 1 < argc) {
       format = argv[++i];
       if (format != "tsv" && format != "csv" && format != "json") {

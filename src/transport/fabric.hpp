@@ -69,6 +69,17 @@ class Fabric {
   /// Resolve an address; nullptr when absent.
   std::shared_ptr<FabricNode> Find(const std::string& address) const;
 
+  /// The listen and connect halves of a fabric transport (local, rdma).
+  /// Listen registers @p handler under @p address (kAlreadyExists when
+  /// taken); the listener's destruction deactivates the node, draining
+  /// in-flight requests, then unregisters the address if it still maps to
+  /// this node. Resolve finds the live node at @p address, kDisconnected
+  /// when there is none.
+  Status Listen(const std::string& address, ServiceHandler* handler,
+                std::unique_ptr<Listener>* listener);
+  Status Resolve(const std::string& address,
+                 std::shared_ptr<FabricNode>* node) const;
+
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<FabricNode>> nodes_;

@@ -3,27 +3,6 @@
 namespace ldmsxx {
 namespace {
 
-class LocalListener final : public Listener {
- public:
-  LocalListener(Fabric* fabric, std::string address, ServiceHandler* handler)
-      : fabric_(fabric), address_(std::move(address)) {
-    node_ = std::make_shared<FabricNode>(handler, &stats_);
-  }
-
-  ~LocalListener() override {
-    node_->Deactivate();
-    fabric_->Unregister(address_, node_.get());
-  }
-
-  std::string address() const override { return address_; }
-  std::shared_ptr<FabricNode> node() const { return node_; }
-
- private:
-  Fabric* fabric_;
-  std::string address_;
-  std::shared_ptr<FabricNode> node_;
-};
-
 class LocalEndpoint final : public Endpoint {
  public:
   explicit LocalEndpoint(std::shared_ptr<FabricNode> node)
@@ -183,19 +162,14 @@ LocalTransport::LocalTransport(Fabric* fabric)
 Status LocalTransport::Listen(const std::string& address,
                               ServiceHandler* handler,
                               std::unique_ptr<Listener>* listener) {
-  auto local = std::make_unique<LocalListener>(fabric_, address, handler);
-  Status st = fabric_->Register(address, local->node());
-  if (!st.ok()) return st;
-  *listener = std::move(local);
-  return Status::Ok();
+  return fabric_->Listen(address, handler, listener);
 }
 
 Status LocalTransport::Connect(const std::string& address,
                                std::unique_ptr<Endpoint>* endpoint) {
-  auto node = fabric_->Find(address);
-  if (node == nullptr || !node->alive()) {
-    return {ErrorCode::kDisconnected, "no listener at " + address};
-  }
+  std::shared_ptr<FabricNode> node;
+  Status st = fabric_->Resolve(address, &node);
+  if (!st.ok()) return st;
   *endpoint = std::make_unique<LocalEndpoint>(std::move(node));
   return Status::Ok();
 }

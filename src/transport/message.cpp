@@ -320,23 +320,24 @@ bool DecodeQueryRequest(std::span<const std::byte> payload, QueryRequest* out) {
 }
 
 void WriteQueryResponse(ByteWriter& w, const QueryResponse& msg) {
+  const TsdbQueryResult& r = msg.result;
   w.U8(msg.code);
   w.Str(msg.error);
-  w.U16(static_cast<std::uint16_t>(msg.columns.size()));
-  for (const auto& c : msg.columns) w.Str(c);
-  w.U32(static_cast<std::uint32_t>(msg.rows.size()));
-  for (const auto& row : msg.rows) {
+  w.U16(static_cast<std::uint16_t>(r.columns.size()));
+  for (const auto& c : r.columns) w.Str(c);
+  w.U32(static_cast<std::uint32_t>(r.rows.size()));
+  for (const auto& row : r.rows) {
     w.U64(row.ts);
     w.U64(row.node);
     for (const double v : row.values) w.D64(v);
   }
   w.U64(msg.total_rows);
   w.U8(msg.truncated);
-  w.U64(msg.segments_considered);
-  w.U64(msg.segments_pruned);
-  w.U64(msg.segments_read);
-  w.U64(msg.bytes_read);
-  w.U64(msg.bytes_decoded);
+  w.U64(r.segments_considered);
+  w.U64(r.segments_pruned);
+  w.U64(r.segments_read);
+  w.U64(r.bytes_read);
+  w.U64(r.bytes_decoded);
 }
 
 std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg) {
@@ -347,37 +348,37 @@ std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg) {
 
 bool DecodeQueryResponse(std::span<const std::byte> payload,
                          QueryResponse* out) {
+  TsdbQueryResult& res = out->result;
   ByteReader r(payload);
   out->code = r.U8();
   out->error = r.Str();
   const std::uint16_t ncols = r.U16();
   if (static_cast<std::size_t>(ncols) > r.remaining() / 2) return false;
-  out->columns.clear();
-  out->columns.reserve(ncols);
+  res.columns.clear();
+  res.columns.reserve(ncols);
   for (std::uint16_t i = 0; i < ncols && r.ok(); ++i) {
-    out->columns.push_back(r.Str());
+    res.columns.push_back(r.Str());
   }
   const std::uint32_t nrows = r.U32();
   // Each row is exactly 16 + 8 * ncols bytes.
   const std::size_t row_bytes = 16 + 8 * static_cast<std::size_t>(ncols);
   if (static_cast<std::size_t>(nrows) > r.remaining() / row_bytes) return false;
-  out->rows.clear();
-  out->rows.reserve(nrows);
+  res.rows.clear();
+  res.rows.reserve(nrows);
   for (std::uint32_t i = 0; i < nrows && r.ok(); ++i) {
-    QueryResponse::Row row;
+    TsdbQueryRow& row = res.rows.emplace_back();
     row.ts = r.U64();
     row.node = r.U64();
     row.values.reserve(ncols);
     for (std::uint16_t c = 0; c < ncols; ++c) row.values.push_back(r.D64());
-    out->rows.push_back(std::move(row));
   }
   out->total_rows = r.U64();
   out->truncated = r.U8();
-  out->segments_considered = r.U64();
-  out->segments_pruned = r.U64();
-  out->segments_read = r.U64();
-  out->bytes_read = r.U64();
-  out->bytes_decoded = r.U64();
+  res.segments_considered = r.U64();
+  res.segments_pruned = r.U64();
+  res.segments_read = r.U64();
+  res.bytes_read = r.U64();
+  res.bytes_decoded = r.U64();
   return r.ok();
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/wire.hpp"
+#include "store/tsdb/query_result.hpp"
 #include "util/status.hpp"
 
 namespace ldmsxx {
@@ -150,33 +151,22 @@ struct QueryRequest {
 /// many leaves must stay bounded no matter what limit the client asked for.
 constexpr std::uint32_t kMaxQueryRespRows = 65536;
 
-/// Query answer: one page of rows plus the leaf's scan counters, so the
-/// root can aggregate pruning/compression effectiveness across the tree.
-/// Wire form:
+/// Query answer: one page of the leaf's result, its scan counters
+/// included, so the root can aggregate pruning/compression effectiveness
+/// across the tree. Wire form:
 ///   u8 code | str error | u16 ncols | ncols x str |
 ///   u32 nrows | nrows x (u64 ts, u64 node, ncols x f64) |
 ///   u64 total_rows | u8 truncated |
 ///   u64 segments_considered | u64 segments_pruned | u64 segments_read |
 ///   u64 bytes_read | u64 bytes_decoded
 struct QueryResponse {
-  struct Row {
-    std::uint64_t ts = 0;
-    std::uint64_t node = 0;
-    std::vector<double> values;  ///< one per column
-  };
-  std::uint8_t code = 0;  // ErrorCode as u8; non-zero => rows empty
+  std::uint8_t code = 0;  // ErrorCode as u8; non-zero => result empty
   std::string error;
-  std::vector<std::string> columns;
-  std::vector<Row> rows;
-  /// Rows the predicate matched on this leaf (>= rows.size(); they differ
-  /// exactly when truncated is set).
+  TsdbQueryResult result;
+  /// Rows the predicate matched on this leaf (>= result.rows.size(); they
+  /// differ exactly when truncated is set).
   std::uint64_t total_rows = 0;
   std::uint8_t truncated = 0;
-  std::uint64_t segments_considered = 0;
-  std::uint64_t segments_pruned = 0;
-  std::uint64_t segments_read = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_decoded = 0;
 };
 
 struct AdvertiseMsg {

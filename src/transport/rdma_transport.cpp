@@ -5,27 +5,6 @@
 namespace ldmsxx {
 namespace {
 
-class RdmaListener final : public Listener {
- public:
-  RdmaListener(Fabric* fabric, std::string address, ServiceHandler* handler)
-      : fabric_(fabric), address_(std::move(address)) {
-    node_ = std::make_shared<FabricNode>(handler, &stats_);
-  }
-
-  ~RdmaListener() override {
-    node_->Deactivate();
-    fabric_->Unregister(address_, node_.get());
-  }
-
-  std::string address() const override { return address_; }
-  std::shared_ptr<FabricNode> node() const { return node_; }
-
- private:
-  Fabric* fabric_;
-  std::string address_;
-  std::shared_ptr<FabricNode> node_;
-};
-
 class RdmaEndpoint final : public Endpoint {
  public:
   RdmaEndpoint(std::shared_ptr<FabricNode> node, const RdmaOptions& options)
@@ -175,19 +154,14 @@ RdmaSimTransport::RdmaSimTransport(RdmaOptions options, Fabric* fabric)
 Status RdmaSimTransport::Listen(const std::string& address,
                                 ServiceHandler* handler,
                                 std::unique_ptr<Listener>* listener) {
-  auto l = std::make_unique<RdmaListener>(fabric_, address, handler);
-  Status st = fabric_->Register(address, l->node());
-  if (!st.ok()) return st;
-  *listener = std::move(l);
-  return Status::Ok();
+  return fabric_->Listen(address, handler, listener);
 }
 
 Status RdmaSimTransport::Connect(const std::string& address,
                                  std::unique_ptr<Endpoint>* endpoint) {
-  auto node = fabric_->Find(address);
-  if (node == nullptr || !node->alive()) {
-    return {ErrorCode::kDisconnected, "no listener at " + address};
-  }
+  std::shared_ptr<FabricNode> node;
+  Status st = fabric_->Resolve(address, &node);
+  if (!st.ok()) return st;
   *endpoint = std::make_unique<RdmaEndpoint>(std::move(node), options_);
   return Status::Ok();
 }

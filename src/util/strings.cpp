@@ -87,4 +87,19 @@ std::vector<std::pair<std::string, std::string>> ParseKeyValues(
   return out;
 }
 
+TextWriter& TextWriter::U64(std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out_->append(buf, res.ptr);
+  return *this;
+}
+
+TextWriter& TextWriter::F64(double v) {
+  char buf[kMaxF64Chars];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 6);
+  out_->append(buf, res.ptr);
+  return *this;
+}
+
 }  // namespace ldmsxx

@@ -87,19 +87,26 @@ MiniCluster::MiniCluster(const MiniClusterOptions& options)
   // fault accounting) spans a restart-from-registry-alone.
   plugins_.AddStore(
       "harness_store",
-      [this](const PluginParams& params) -> std::shared_ptr<Store> {
+      [this](const PluginParams& params, std::shared_ptr<Store>* store) {
         const auto slot_it = params.find("slot");
         const auto role_it = params.find("role");
-        if (slot_it == params.end() || role_it == params.end()) return nullptr;
-        const AggregatorSlot* slot =
-            slot_it->second == "root" ? &root_ : nullptr;
-        for (std::size_t j = 0; j < aggregators_.size() && slot == nullptr;
-             ++j) {
-          if (AggregatorName(j) == slot_it->second) slot = &aggregators_[j];
+        const AggregatorSlot* slot = nullptr;
+        if (slot_it != params.end() && role_it != params.end()) {
+          if (slot_it->second == "root") slot = &root_;
+          for (std::size_t j = 0; j < aggregators_.size() && slot == nullptr;
+               ++j) {
+            if (AggregatorName(j) == slot_it->second) slot = &aggregators_[j];
+          }
         }
-        if (slot == nullptr) return nullptr;
-        if (role_it->second == "secondary") return slot->secondary;
-        return slot->faulted;
+        if (slot != nullptr && role_it->second == "secondary") {
+          *store = slot->secondary;
+        } else if (slot != nullptr) {
+          *store = slot->faulted;
+        }
+        if (*store == nullptr) {
+          return Status(ErrorCode::kNotFound, "harness_store: no such store");
+        }
+        return Status::Ok();
       });
 
   samplers_.resize(options_.samplers);

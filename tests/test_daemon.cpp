@@ -12,6 +12,9 @@
 
 #include "daemon/config.hpp"
 #include "daemon/ldmsd.hpp"
+#include "daemon/plugin_registry.hpp"
+#include "daemon/registry.hpp"
+#include "harness/scratch_dir.hpp"
 #include "sampler/samplers.hpp"
 #include "sim/cluster.hpp"
 #include "store/memory_store.hpp"
@@ -172,6 +175,84 @@ TEST(ConfigProcessorTest, FlagArgumentsAcceptOnlyZeroOrOne) {
   refused("start name=meminfo interval=100000 sync=on", "sync");
   ASSERT_TRUE(config.Execute("start name=meminfo interval=100000 sync=0").ok());
   daemon.Stop();
+}
+
+TEST(ConfigProcessorTest, StorePluginArgumentsAreChecked) {
+  RegisterBuiltinStores();
+  const harness::ScratchDir scratch("storeargs");
+  LdmsdOptions opts;
+  opts.name = "store-cfg";
+  opts.worker_threads = 0;
+  opts.connection_threads = 0;
+  opts.store_threads = 0;
+  Ldmsd daemon(opts);
+  ConfigProcessor config(daemon);
+  // Fails with kInvalidArgument and names the offending argument.
+  auto refused = [&config](const std::string& line, const std::string& arg) {
+    const Status st = config.Execute(line);
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << line;
+    EXPECT_NE(st.message().find(arg + "="), std::string::npos)
+        << line << " -> " << st.message();
+  };
+  const std::string tsdb =
+      "strgp_add name=t plugin=store_tsdb path=" + scratch.path() + "/t ";
+  refused(tsdb + "compress=no", "compress");
+  refused(tsdb + "compress=", "compress");
+  refused(tsdb + "segment_rows=0", "segment_rows");
+  refused(tsdb + "segment_rows=4k", "segment_rows");
+  refused(tsdb + "rollup_sec=60s", "rollup_sec");
+  refused(tsdb + "rollup_sec=18446744073709551", "rollup_sec");  // ns overflow
+  refused("strgp_add name=c plugin=store_csv path=" + scratch.path() +
+              "/c altheader=yes",
+          "altheader");
+  refused("strgp_add name=m plugin=store_mem max_samples=-1", "max_samples");
+  const std::string fault = "strgp_add name=f plugin=store_fault ";
+  refused(fault + "seed=x", "seed");
+  refused(fault + "fail_permille=1001", "fail_permille");
+  refused(fault + "partial_permille=0.5", "partial_permille");
+  refused(fault + "stall_permille=-3", "stall_permille");
+  refused(fault + "flush_fail_permille=2000", "flush_fail_permille");
+  refused(fault + "stall_us=18446744073709552", "stall_us");
+  refused(fault + "inner=store_mem max_samples=many", "max_samples");
+  EXPECT_TRUE(daemon.store_policy_names().empty());
+
+  // Good values are taken; unknown keys, scan_threads= among them, are
+  // ignored.
+  ASSERT_TRUE(config.Execute(tsdb + "compress=0 segment_rows=8 rollup_sec=1 "
+                                    "scan_threads=4")
+                  .ok());
+  ASSERT_TRUE(config
+                  .Execute(fault + "seed=7 fail_permille=1000 "
+                                   "stall_permille=0 stall_us=5")
+                  .ok());
+  ASSERT_TRUE(config
+                  .Execute("strgp_add name=c plugin=store_csv path=" +
+                           scratch.path() + "/c altheader=1")
+                  .ok());
+  EXPECT_EQ(daemon.store_policy_names().size(), 3u);
+  daemon.Stop();
+
+  // Restore makes stores through the same factories: a saved record with a
+  // bad plugin argument (the verb saves none; a hand-edited file can hold
+  // one) is skipped like any record whose store cannot be made.
+  opts.registry_path = scratch.path() + "/agg.registry";
+  {
+    ClusterRegistry registry(opts.registry_path);
+    registry.UpsertStore({{"name", "bad"},
+                          {"plugin", "store_tsdb"},
+                          {"path", scratch.path() + "/bad"},
+                          {"compress", "no"}});
+    registry.UpsertStore({{"name", "good"},
+                          {"plugin", "store_tsdb"},
+                          {"path", scratch.path() + "/good"},
+                          {"compress", "0"}});
+    ASSERT_TRUE(registry.Save().ok());
+  }
+  Ldmsd restored(opts);
+  ASSERT_TRUE(restored.RestoreFromRegistry(PluginRegistry::Instance()).ok());
+  EXPECT_EQ(restored.store_policy_names(),
+            (std::vector<std::string>{"good"}));
+  restored.Stop();
 }
 
 TEST(LdmsdTest, OnTheFlySamplingIntervalChange) {

@@ -439,8 +439,10 @@ TEST(PersistRestoreTest, RestoredDaemonMatchesEveryConfiguredField) {
   const std::string path = dir + "/agg.registry";
   const std::string plugin = "store args=a:b";
   PluginRegistry plugins;
-  plugins.AddStore(plugin, [](const PluginParams& params) {
-    return std::make_shared<ArgsStore>(params);
+  plugins.AddStore(plugin, [](const PluginParams& params,
+                              std::shared_ptr<Store>* store) {
+    *store = std::make_shared<ArgsStore>(params);
+    return Status::Ok();
   });
   SimClock clock(0);
   LdmsdOptions opts;

@@ -17,14 +17,18 @@
 //   4. store   — indexed Query vs QueryFullScan equivalence, footer-based
 //                segment pruning, rollup bucket math, restart-resume
 //                (segments re-attached from disk, corrupt files skipped),
-//                and compressed/raw/parallel query-path agreement;
+//                every prefix and bit flip of a segment or rollup file
+//                refused or answered exactly, compressed/raw query-path
+//                agreement, and queries that start no threads;
 //   5. daemon  — strgp_add decomp= validation, the `query` control verb,
 //                registry round-trip of decomposition provenance, restore-
 //                from-registry serving queries that span the restart,
 //                announce retry/re-seed on seed-aggregator failover, the
 //                store_mem max_samples= ring with evictions surfaced
 //                through strgp_status, the kQueryReq/kQueryResp wire
-//                codec, and tree-sharded fan-out with leaf death.
+//                codec and its fixed bytes, tree-sharded fan-out with leaf
+//                death, and the verb's reply text and row limit in every
+//                mode.
 //
 // Everything runs on a SimClock with inline pools, so every scenario is
 // deterministic. See EXPERIMENTS.md ("Columnar query drill").
@@ -33,8 +37,10 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -707,11 +713,10 @@ TEST_F(TsdbStoreTest, RestartAttachesSegmentsAndSkipsCorruptFiles) {
   }
 }
 
-TEST_F(TsdbStoreTest, CompressedRawAndParallelQueriesAgree) {
-  // Same ingest into a compressed store, an uncompressed store, and a
-  // 4-worker reopen of the compressed one: identical answers, smaller
-  // files and reads for the compressed path. This is the determinism half
-  // of the T-query/compress drill.
+TEST_F(TsdbStoreTest, CompressedAndRawQueriesAgree) {
+  // Same ingest into a compressed store and an uncompressed store:
+  // identical answers, smaller files and reads for the compressed path.
+  // This is the determinism half of the T-query/compress drill.
   const harness::ScratchDir scratch("ablate");
   const std::string& dir = scratch.path();
   TsdbOptions comp_opts = Options(dir + "/comp");
@@ -739,30 +744,206 @@ TEST_F(TsdbStoreTest, CompressedRawAndParallelQueriesAgree) {
   TsdbQuery q;
   q.table = "memtest";
   q.metrics = {"active", "free", "load"};
-  TsdbOptions par_opts = comp_opts;
-  par_opts.scan_threads = 4;
-  TsdbStore comp(comp_opts), raw(raw_opts), par(par_opts);
-  TsdbQueryResult a, b, c;
+  TsdbStore comp(comp_opts), raw(raw_opts);
+  TsdbQueryResult a, b;
   ASSERT_TRUE(comp.Query(q, &a).ok());
   ASSERT_TRUE(raw.Query(q, &b).ok());
-  ASSERT_TRUE(par.Query(q, &c).ok());
   ASSERT_EQ(a.rows.size(), 80u);
   ASSERT_EQ(b.rows.size(), 80u);
-  ASSERT_EQ(c.rows.size(), 80u);
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(a.rows[i].ts, b.rows[i].ts);
-    EXPECT_EQ(a.rows[i].ts, c.rows[i].ts);
     EXPECT_EQ(a.rows[i].node, b.rows[i].node);
-    EXPECT_EQ(a.rows[i].node, c.rows[i].node);
     EXPECT_EQ(a.rows[i].values, b.rows[i].values);
-    EXPECT_EQ(a.rows[i].values, c.rows[i].values);
   }
   // Both stores decode the same logical bytes; the compressed one fetched
-  // far fewer from disk, and the workers didn't change the accounting.
+  // far fewer from disk.
   EXPECT_EQ(a.bytes_decoded, b.bytes_decoded);
-  EXPECT_EQ(a.bytes_decoded, c.bytes_decoded);
-  EXPECT_EQ(a.bytes_read, c.bytes_read);
   EXPECT_LT(a.bytes_read * 2, b.bytes_read);
+}
+
+TEST_F(TsdbStoreTest, QueriesStartNoThreads) {
+  // Scans decode on the calling thread whatever scan_threads says; the
+  // store's one thread is the syncer a seal starts.
+  auto thread_count = [] {
+    return std::distance(fs::directory_iterator("/proc/self/task"),
+                         fs::directory_iterator());
+  };
+  const harness::ScratchDir scratch("nothreads");
+  TsdbOptions opts = Options(scratch.path());
+  {
+    TsdbStore store(opts);
+    Ingest(store, 0, 40);
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  const auto before = thread_count();
+  opts.scan_threads = 4;
+  TsdbStore store(opts);
+  Ingest(store, 40, 2);  // active rows only: no seal, so no syncer
+  TsdbQuery q;
+  q.table = "memtest";
+  TsdbQueryResult r;
+  ASSERT_TRUE(store.Query(q, &r).ok());
+  EXPECT_EQ(r.rows.size(), 84u);
+  EXPECT_EQ(r.segments_read, 10u);
+  EXPECT_EQ(thread_count(), before);
+}
+
+/// Rows flattened to (ts, node, value bits...) so two pages compare
+/// exactly, NaN and -0.0 included.
+std::vector<std::uint64_t> RowBits(const std::vector<TsdbQueryRow>& rows) {
+  std::vector<std::uint64_t> out;
+  for (const TsdbQueryRow& row : rows) {
+    out.push_back(row.ts);
+    out.push_back(row.node);
+    for (const double v : row.values) out.push_back(SlotFromDouble(v));
+  }
+  return out;
+}
+
+std::vector<std::string> RollupText(const std::vector<TsdbRollupRow>& rows) {
+  std::vector<std::string> out;
+  for (const TsdbRollupRow& r : rows) {
+    out.push_back(std::to_string(r.bucket) + ":" + std::to_string(r.node) +
+                  ":" + r.metric + ":" +
+                  std::to_string(SlotFromDouble(r.min)) + ":" +
+                  std::to_string(SlotFromDouble(r.max)) + ":" +
+                  std::to_string(SlotFromDouble(r.avg)) + ":" +
+                  std::to_string(r.count));
+  }
+  return out;
+}
+
+TEST_F(TsdbStoreTest, DamagedFilesNeverAnswerWrongly) {
+  // One sealed 16-row segment whose "active" column compresses and whose
+  // "load" column (random mantissas) stays raw, plus its .rollup file.
+  // Every strict prefix and every single-bit flip of either file must be
+  // refused at attach (counted in attach_rejects, its rows absent) or
+  // answer each query with an error or exactly the intact rows; rollups
+  // come back intact or not at all.
+  const harness::ScratchDir scratch("damage");
+  TsdbOptions opts = Options(scratch.path());
+  opts.segment_rows = 16;
+  std::string seg_path, rollup_path;
+  {
+    TsdbStore store(opts);
+    MetricSetPtr n1 = MakeSet("nid1", 1);
+    MetricSetPtr n2 = MakeSet("nid2", 2);
+    std::uint64_t lcg = 7;
+    auto noise = [&lcg] {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      double v;
+      const std::uint64_t bits = lcg >> 2;  // sign and top exponent bit 0
+      std::memcpy(&v, &bits, sizeof v);
+      return v;
+    };
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const TimeNs ts = i * 100 * kNsPerMs;
+      WriteSample(n1, i, 2 * i, noise(), ts);
+      ASSERT_TRUE(store.StoreSet(*n1).ok());
+      WriteSample(n2, i + 1000, 2 * i, noise(), ts);
+      ASSERT_TRUE(store.StoreSet(*n2).ok());
+    }
+    ASSERT_TRUE(store.Flush().ok());
+    ASSERT_EQ(store.segments_sealed(), 1u);
+  }
+  for (const auto& entry : fs::directory_iterator(opts.root_path)) {
+    if (entry.path().extension() == ".seg") seg_path = entry.path().string();
+    if (entry.path().extension() == ".rollup") {
+      rollup_path = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(seg_path.empty());
+  ASSERT_FALSE(rollup_path.empty());
+  SegmentFooter footer;
+  ASSERT_TRUE(ReadSegmentFooter(seg_path, &footer).ok());
+  EXPECT_NE(footer.codecs[SegmentFooter::DataCol(0)],
+            static_cast<std::uint8_t>(ColumnCodec::kRaw));
+  EXPECT_EQ(footer.codecs[SegmentFooter::DataCol(2)],
+            static_cast<std::uint8_t>(ColumnCodec::kRaw));
+
+  std::vector<TsdbQuery> queries(3);
+  for (TsdbQuery& q : queries) q.table = "memtest";
+  queries[1].metrics = {"load"};
+  queries[1].nodes = {2};
+  queries[2].metrics = {"active", "load"};
+  queries[2].t0 = 200 * kNsPerMs;
+  queries[2].t1 = 500 * kNsPerMs;
+  std::vector<std::vector<std::uint64_t>> intact;
+  std::vector<std::string> intact_rollups;
+  {
+    TsdbStore store(opts);
+    ASSERT_EQ(store.attach_rejects(), 0u);
+    for (const TsdbQuery& q : queries) {
+      TsdbQueryResult r;
+      ASSERT_TRUE(store.Query(q, &r).ok());
+      ASSERT_FALSE(r.rows.empty());
+      intact.push_back(RowBits(r.rows));
+    }
+    std::vector<TsdbRollupRow> rollups;
+    ASSERT_TRUE(store.QueryRollup(queries[0], &rollups).ok());
+    ASSERT_EQ(rollups.size(), 6u);  // 2 nodes x 3 columns, one bucket
+    intact_rollups = RollupText(rollups);
+  }
+
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  auto write_file = [](const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  std::size_t refused = 0, served = 0;
+  auto check = [&](const std::string& path, const std::string& bytes,
+                   const std::string& what) {
+    write_file(path, bytes);
+    TsdbStore store(opts);
+    const bool seg_damaged = path == seg_path;
+    const bool seg_refused = store.segments_attached() == 0;
+    if (seg_refused) {
+      ASSERT_TRUE(seg_damaged) << what;
+      ASSERT_GE(store.attach_rejects(), 1u) << what;
+    }
+    if (store.attach_rejects() > 0) {
+      ++refused;
+    } else {
+      ++served;
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      TsdbQueryResult r;
+      if (!store.Query(queries[i], &r).ok()) continue;
+      if (seg_refused) {
+        ASSERT_TRUE(r.rows.empty()) << what << " query " << i;
+      } else {
+        ASSERT_EQ(RowBits(r.rows), intact[i]) << what << " query " << i;
+      }
+    }
+    std::vector<TsdbRollupRow> rollups;
+    if (store.QueryRollup(queries[0], &rollups).ok() && !rollups.empty()) {
+      ASSERT_EQ(RollupText(rollups), intact_rollups) << what;
+    }
+  };
+  for (const std::string& path : {seg_path, rollup_path}) {
+    const std::string original = read_file(path);
+    ASSERT_FALSE(original.empty());
+    for (std::size_t len = 0; len < original.size(); ++len) {
+      check(path, original.substr(0, len),
+            path + " prefix " + std::to_string(len));
+      if (HasFatalFailure()) return;
+    }
+    for (std::size_t bit = 0; bit < original.size() * 8; ++bit) {
+      std::string bytes = original;
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      check(path, bytes, path + " bit " + std::to_string(bit));
+      if (HasFatalFailure()) return;
+    }
+    write_file(path, original);
+  }
+  // Both outcomes occur: damage the reader never looks at (the segment
+  // header, the producer column) attaches, the rest is refused or fails
+  // its query.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(served, 0u);
 }
 
 // --- layer 5: daemon integration --------------------------------------------
@@ -815,10 +996,129 @@ class DaemonQueryTest : public QueryTest {
     return std::make_unique<Ldmsd>(opts);
   }
 
+  /// A leaf listening on local address "<prefix>/<name>" whose store_tsdb
+  /// policy "tsdb" (4-row segments, 1 s rollups) holds @p samples samples
+  /// of node @p node, at 250 ms spacing. The values cover what the reply
+  /// text must print exactly: integers past 2^53, -0.0, NaN, tiny and huge
+  /// doubles.
+  std::unique_ptr<Ldmsd> MakeLeaf(const std::string& prefix,
+                                  const std::string& name, std::uint64_t node,
+                                  std::uint64_t samples) {
+    static const double kLoads[] = {-0.0,
+                                    0.1,
+                                    -1234.5678,
+                                    1e-7,
+                                    2.5e15,
+                                    std::numeric_limits<double>::quiet_NaN(),
+                                    0.0000005,
+                                    1e300};
+    auto leaf = MakeDaemon(name, prefix + "/" + name);
+    EXPECT_TRUE(leaf->Start().ok());
+    ConfigProcessor cfg(*leaf);
+    EXPECT_TRUE(cfg.Execute("strgp_add name=tsdb plugin=store_tsdb path=" +
+                            dir_ + "/" + name + " segment_rows=4 rollup_sec=1")
+                    .ok());
+    MetricSetPtr set = MakeSet(name, node);
+    for (std::uint64_t s = 0; s < samples; ++s) {
+      WriteSample(set, (1ull << 60) + node * 1000003 + s, s,
+                  kLoads[(s + node) % 8], (s + 1) * 250 * kNsPerMs);
+      leaf->StoreLocalSet(set);
+    }
+    return leaf;
+  }
+
+  /// A root collecting from "<prefix>/<name>" for every leaf name.
+  std::unique_ptr<Ldmsd> MakeRoot(const std::string& prefix,
+                                  const std::vector<std::string>& leaves) {
+    auto root = MakeDaemon(prefix + "_root");
+    EXPECT_TRUE(root->Start().ok());
+    ConfigProcessor cfg(*root);
+    for (const std::string& name : leaves) {
+      EXPECT_TRUE(cfg.Execute("prdcr_add name=" + name + " xprt=local host=" +
+                              prefix + "/" + name + " interval=100000")
+                      .ok());
+    }
+    root->RunUntil(clock_, clock_.Now() + kNsPerSec);  // connect cycles
+    return root;
+  }
+
   const harness::ScratchDir scratch_{"dq"};
   const std::string dir_ = scratch_.path();
   SimClock clock_{0};
 };
+
+// Reference `query` replies spelled with std::to_string: the text the
+// verb's TextWriter must reproduce byte for byte.
+std::string ToStringColumns(const std::vector<std::string>& columns) {
+  std::string out;
+  for (const auto& column : columns) {
+    if (!out.empty()) out.push_back(',');
+    out += column;
+  }
+  return out;
+}
+
+std::string ToStringCounters(const TsdbQueryResult& r) {
+  return " segments_considered=" + std::to_string(r.segments_considered) +
+         " segments_pruned=" + std::to_string(r.segments_pruned) +
+         " segments_read=" + std::to_string(r.segments_read) +
+         " bytes_read=" + std::to_string(r.bytes_read) +
+         " bytes_decoded=" + std::to_string(r.bytes_decoded);
+}
+
+std::string ToStringRows(const std::vector<TsdbQueryRow>& rows,
+                         std::size_t limit) {
+  std::string out;
+  std::size_t emitted = 0;
+  for (const auto& row : rows) {
+    if (emitted++ >= limit) break;
+    out += " row=" + std::to_string(row.ts / kNsPerUs) + ":" +
+           std::to_string(row.node);
+    for (const double v : row.values) out += ":" + std::to_string(v);
+  }
+  return out;
+}
+
+std::string ToStringRowsReply(const TsdbQueryResult& r, std::size_t limit) {
+  return "columns=" + ToStringColumns(r.columns) +
+         " rows=" + std::to_string(r.rows.size()) + ToStringCounters(r) +
+         ToStringRows(r.rows, limit);
+}
+
+std::string ToStringFanoutReply(const Ldmsd::FanoutResult& fan) {
+  const QueryResponse& m = fan.merged;
+  return "columns=" + ToStringColumns(m.result.columns) +
+         " rows=" + std::to_string(m.result.rows.size()) +
+         " total_rows=" + std::to_string(m.total_rows) +
+         " truncated=" + std::to_string(m.truncated) +
+         " leaves_ok=" + std::to_string(fan.leaves_ok) +
+         " leaves_failed=" + std::to_string(fan.leaves_failed) +
+         ToStringCounters(m.result) +
+         ToStringRows(m.result.rows, m.result.rows.size());
+}
+
+std::string ToStringRollupReply(const std::vector<TsdbRollupRow>& rollups,
+                                std::size_t limit) {
+  std::string out = "buckets=" + std::to_string(rollups.size());
+  std::size_t emitted = 0;
+  for (const auto& r : rollups) {
+    if (emitted++ >= limit) break;
+    out += " rollup=" + std::to_string(r.bucket / kNsPerUs) + ":" +
+           std::to_string(r.node) + ":" + r.metric + ":" +
+           std::to_string(r.min) + ":" + std::to_string(r.max) + ":" +
+           std::to_string(r.avg) + ":" + std::to_string(r.count);
+  }
+  return out;
+}
+
+std::size_t CountOf(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
 
 TEST_F(DaemonQueryTest, StrgpAddValidatesDecompAtConfigTime) {
   auto daemon = MakeDaemon("cfg");
@@ -1011,26 +1311,27 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
 
   QueryResponse resp;
   resp.code = 0;
-  resp.columns = {"free", "cached"};
-  resp.rows = {{1 * kNsPerSec, 3, {1.5, 2.5}}, {2 * kNsPerSec, 7, {3.5, 4.5}}};
+  resp.result.columns = {"free", "cached"};
+  resp.result.rows = {{1 * kNsPerSec, 3, {1.5, 2.5}},
+                      {2 * kNsPerSec, 7, {3.5, 4.5}}};
   resp.total_rows = 100;
   resp.truncated = 1;
-  resp.segments_considered = 12;
-  resp.segments_pruned = 9;
-  resp.segments_read = 3;
-  resp.bytes_read = 4096;
-  resp.bytes_decoded = 16384;
+  resp.result.segments_considered = 12;
+  resp.result.segments_pruned = 9;
+  resp.result.segments_read = 3;
+  resp.result.bytes_read = 4096;
+  resp.result.bytes_decoded = 16384;
   QueryResponse resp2;
   ASSERT_TRUE(DecodeQueryResponse(EncodeQueryResponse(resp), &resp2));
-  EXPECT_EQ(resp2.columns, resp.columns);
-  ASSERT_EQ(resp2.rows.size(), 2u);
-  EXPECT_EQ(resp2.rows[1].ts, 2 * kNsPerSec);
-  EXPECT_EQ(resp2.rows[1].node, 7u);
-  EXPECT_EQ(resp2.rows[1].values, (std::vector<double>{3.5, 4.5}));
+  EXPECT_EQ(resp2.result.columns, resp.result.columns);
+  ASSERT_EQ(resp2.result.rows.size(), 2u);
+  EXPECT_EQ(resp2.result.rows[1].ts, 2 * kNsPerSec);
+  EXPECT_EQ(resp2.result.rows[1].node, 7u);
+  EXPECT_EQ(resp2.result.rows[1].values, (std::vector<double>{3.5, 4.5}));
   EXPECT_EQ(resp2.total_rows, 100u);
   EXPECT_EQ(resp2.truncated, 1);
-  EXPECT_EQ(resp2.segments_pruned, 9u);
-  EXPECT_EQ(resp2.bytes_decoded, 16384u);
+  EXPECT_EQ(resp2.result.segments_pruned, 9u);
+  EXPECT_EQ(resp2.result.bytes_decoded, 16384u);
 
   // An error response round-trips its code and message.
   QueryResponse err;
@@ -1039,6 +1340,59 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
   ASSERT_TRUE(DecodeQueryResponse(EncodeQueryResponse(err), &resp2));
   EXPECT_EQ(resp2.code, err.code);
   EXPECT_EQ(resp2.error, err.error);
+}
+
+std::string Hex(const std::vector<std::byte>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out.push_back(kDigits[static_cast<unsigned>(b) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned>(b) & 0xf]);
+  }
+  return out;
+}
+
+TEST(QueryWireCodecTest, FixedFramesKeepTheirBytes) {
+  // Both payloads spelled out byte for byte: a codec change that moves one
+  // byte of kQueryReq or kQueryResp fails here.
+  QueryRequest req;
+  req.strgp = "tsdb";
+  req.table = "memtest";
+  req.t0 = 1 * kNsPerSec;
+  req.t1 = 9 * kNsPerSec;
+  req.nodes = {3, 258};
+  req.metrics = {"free", "load"};
+  req.limit = kMaxQueryRespRows;
+  EXPECT_EQ(Hex(EncodeQueryRequest(req)),
+            "04007473646207006d656d7465737400ca9a3b00000000001a71180200000002"
+            "000000030000000000000002010000000000000200000004006672656504006c"
+            "6f616400000100");
+
+  QueryResponse resp;
+  resp.result.columns = {"free", "load"};
+  resp.result.rows = {
+      {1 * kNsPerSec, 3, {1.5, std::numeric_limits<double>::quiet_NaN()}},
+      {2 * kNsPerSec, 258, {-0.0, 2.25}},
+      {3 * kNsPerSec, 3, {1e300, -7.0}}};
+  resp.total_rows = 5;
+  resp.truncated = 1;
+  resp.result.segments_considered = 12;
+  resp.result.segments_pruned = 9;
+  resp.result.segments_read = 3;
+  resp.result.bytes_read = 4096;
+  resp.result.bytes_decoded = 16384;
+  const std::vector<std::byte> enc = EncodeQueryResponse(resp);
+  EXPECT_EQ(Hex(enc),
+            "000000020004006672656504006c6f61640300000000ca9a3b00000000030000"
+            "0000000000000000000000f83f000000000000f87f0094357700000000020100"
+            "000000000000000000000000800000000000000240005ed0b200000000030000"
+            "00000000009c7500883ce4377e0000000000001cc00500000000000000010c00"
+            "0000000000000900000000000000030000000000000000100000000000000040"
+            "000000000000");
+  QueryResponse back;
+  ASSERT_TRUE(DecodeQueryResponse(enc, &back));
+  EXPECT_EQ(RowBits(back.result.rows), RowBits(resp.result.rows));
+  EXPECT_EQ(Hex(EncodeQueryResponse(back)), Hex(enc));
 }
 
 TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
@@ -1066,8 +1420,8 @@ TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
   EXPECT_FALSE(DecodeQueryRequest(w.buffer(), &out));
 
   QueryResponse resp;
-  resp.columns = {"a"};
-  resp.rows = {{1, 1, {1.0}}};
+  resp.result.columns = {"a"};
+  resp.result.rows = {{1, 1, {1.0}}};
   const std::vector<std::byte> renc = EncodeQueryResponse(resp);
   QueryResponse rout;
   ASSERT_TRUE(DecodeQueryResponse(renc, &rout));
@@ -1130,19 +1484,19 @@ TEST_F(DaemonQueryTest, FanoutQueryMergesLeavesAndSurvivesLeafDeath) {
   ASSERT_TRUE(root->FanoutQuery(req, &fan).ok());
   EXPECT_EQ(fan.leaves_ok, 3u);
   EXPECT_EQ(fan.leaves_failed, 0u);
-  EXPECT_EQ(fan.merged.columns,
+  EXPECT_EQ(fan.merged.result.columns,
             (std::vector<std::string>{"active", "free", "load"}));
-  ASSERT_EQ(fan.merged.rows.size(), 18u);
+  ASSERT_EQ(fan.merged.result.rows.size(), 18u);
   EXPECT_EQ(fan.merged.total_rows, 18u);
   // Globally (ts, node)-ordered regardless of leaf answer order.
-  for (std::size_t i = 1; i < fan.merged.rows.size(); ++i) {
-    const auto& prev = fan.merged.rows[i - 1];
-    const auto& cur = fan.merged.rows[i];
+  for (std::size_t i = 1; i < fan.merged.result.rows.size(); ++i) {
+    const auto& prev = fan.merged.result.rows[i - 1];
+    const auto& cur = fan.merged.result.rows[i];
     EXPECT_TRUE(prev.ts < cur.ts ||
                 (prev.ts == cur.ts && prev.node < cur.node));
   }
   // Row content: sample s of node n carries active = 100 * n + s.
-  for (const auto& row : fan.merged.rows) {
+  for (const auto& row : fan.merged.result.rows) {
     const std::uint64_t s = row.ts / (250 * kNsPerMs) - 1;
     EXPECT_EQ(row.values[0], static_cast<double>(100 * row.node + s));
   }
@@ -1159,7 +1513,7 @@ TEST_F(DaemonQueryTest, FanoutQueryMergesLeavesAndSurvivesLeafDeath) {
   // A root-side page limit truncates after the deterministic merge.
   req.limit = 5;
   ASSERT_TRUE(root->FanoutQuery(req, &fan).ok());
-  EXPECT_EQ(fan.merged.rows.size(), 5u);
+  EXPECT_EQ(fan.merged.result.rows.size(), 5u);
   EXPECT_EQ(fan.merged.truncated, 1);
   EXPECT_EQ(fan.merged.total_rows, 18u);
 
@@ -1171,8 +1525,8 @@ TEST_F(DaemonQueryTest, FanoutQueryMergesLeavesAndSurvivesLeafDeath) {
   ASSERT_TRUE(root->FanoutQuery(req, &fan).ok());
   EXPECT_EQ(fan.leaves_ok, 2u);
   EXPECT_EQ(fan.leaves_failed, 1u);
-  ASSERT_EQ(fan.merged.rows.size(), 12u);
-  for (const auto& row : fan.merged.rows) EXPECT_NE(row.node, 2u);
+  ASSERT_EQ(fan.merged.result.rows.size(), 12u);
+  for (const auto& row : fan.merged.result.rows) EXPECT_NE(row.node, 2u);
 
   ASSERT_TRUE(
       config.Execute("query strgp=tsdb table=memtest mode=fanout limit=100",
@@ -1186,12 +1540,129 @@ TEST_F(DaemonQueryTest, FanoutQueryMergesLeavesAndSurvivesLeafDeath) {
   ASSERT_TRUE(root->FanoutQuery(req, &fan).ok());
   EXPECT_EQ(fan.leaves_ok, 2u);
   EXPECT_EQ(fan.leaves_failed, 1u);
-  EXPECT_TRUE(fan.merged.rows.empty());
+  EXPECT_TRUE(fan.merged.result.rows.empty());
 
   root->Stop();
   for (auto& leaf : leaves) {
     if (leaf != nullptr) leaf->Stop();
   }
+}
+
+TEST_F(DaemonQueryTest, QueryRepliesMatchToStringText) {
+  // Rows, rollup and fan-out replies over fixed data, byte for byte against
+  // the same reply built with std::to_string.
+  auto leaf1 = MakeLeaf("dqtext", "text1", 1, 10);
+  auto leaf2 = MakeLeaf("dqtext", "text2", 2, 10);
+  auto root = MakeRoot("dqtext", {"text1", "text2"});
+  std::shared_ptr<Store> store = leaf1->store_for_policy("tsdb");
+  auto* tsdb = dynamic_cast<TsdbStore*>(store.get());
+  ASSERT_NE(tsdb, nullptr);
+  ConfigProcessor leaf_cfg(*leaf1);
+  std::string out;
+
+  TsdbQuery q;
+  q.table = "memtest";
+  TsdbQueryResult r;
+  ASSERT_TRUE(tsdb->Query(q, &r).ok());
+  ASSERT_EQ(r.rows.size(), 10u);
+  ASSERT_TRUE(leaf_cfg.Execute("query strgp=tsdb table=memtest limit=7", &out)
+                  .ok());
+  EXPECT_EQ(out, ToStringRowsReply(r, 7));
+
+  q.t0 = 500 * kNsPerMs;
+  q.t1 = 2000 * kNsPerMs;
+  q.metrics = {"load", "active"};
+  ASSERT_TRUE(tsdb->Query(q, &r).ok());
+  ASSERT_TRUE(leaf_cfg
+                  .Execute("query strgp=tsdb table=memtest t0_us=500000 "
+                           "t1_us=2000000 metrics=load,active",
+                           &out)
+                  .ok());
+  EXPECT_EQ(out, ToStringRowsReply(r, 64));
+
+  TsdbQuery all;
+  all.table = "memtest";
+  std::vector<TsdbRollupRow> rollups;
+  ASSERT_TRUE(tsdb->QueryRollup(all, &rollups).ok());
+  ASSERT_GT(rollups.size(), 5u);
+  ASSERT_TRUE(
+      leaf_cfg.Execute("query strgp=tsdb table=memtest mode=rollup limit=5",
+                       &out)
+          .ok());
+  EXPECT_EQ(out, ToStringRollupReply(rollups, 5));
+
+  QueryRequest req;
+  req.strgp = "tsdb";
+  req.table = "memtest";
+  req.limit = 100;
+  Ldmsd::FanoutResult fan;
+  ASSERT_TRUE(root->FanoutQuery(req, &fan).ok());
+  ASSERT_EQ(fan.leaves_ok, 2u);
+  ASSERT_EQ(fan.merged.result.rows.size(), 20u);
+  ConfigProcessor root_cfg(*root);
+  ASSERT_TRUE(root_cfg
+                  .Execute("query strgp=tsdb table=memtest mode=fanout "
+                           "limit=100",
+                           &out)
+                  .ok());
+  EXPECT_EQ(out, ToStringFanoutReply(fan));
+
+  root->Stop();
+  leaf1->Stop();
+  leaf2->Stop();
+}
+
+TEST_F(DaemonQueryTest, QueryLimitBoundsPrintedRowsInEveryMode) {
+  auto leaf1 = MakeLeaf("dqlimit", "limit1", 1, 10);
+  auto leaf2 = MakeLeaf("dqlimit", "limit2", 2, 10);
+  auto root = MakeRoot("dqlimit", {"limit1", "limit2"});
+  ConfigProcessor leaf_cfg(*leaf1);
+  ConfigProcessor root_cfg(*root);
+  std::string out;
+
+  // limit=0 prints no row in any mode; the counts still say what matched.
+  ASSERT_TRUE(leaf_cfg.Execute("query strgp=tsdb table=memtest limit=0", &out)
+                  .ok());
+  EXPECT_NE(out.find("rows=10 "), std::string::npos) << out;
+  EXPECT_EQ(CountOf(out, " row="), 0u) << out;
+  ASSERT_TRUE(
+      leaf_cfg.Execute("query strgp=tsdb table=memtest mode=rollup limit=0",
+                       &out)
+          .ok());
+  EXPECT_EQ(CountOf(out, " rollup="), 0u) << out;
+  ASSERT_TRUE(
+      root_cfg.Execute("query strgp=tsdb table=memtest mode=fanout limit=0",
+                       &out)
+          .ok());
+  EXPECT_NE(out.find("leaves_ok=2 "), std::string::npos) << out;
+  EXPECT_EQ(CountOf(out, " row="), 0u) << out;
+
+  // A limit past the u32 the wire carries is clamped to the page ceiling,
+  // not wrapped: 4294967301 asks each leaf for 65536 rows, not 5.
+  std::string capped;
+  ASSERT_TRUE(root_cfg
+                  .Execute("query strgp=tsdb table=memtest mode=fanout "
+                           "limit=65536",
+                           &capped)
+                  .ok());
+  EXPECT_EQ(CountOf(capped, " row="), 20u) << capped;
+  ASSERT_TRUE(root_cfg
+                  .Execute("query strgp=tsdb table=memtest mode=fanout "
+                           "limit=4294967301",
+                           &out)
+                  .ok());
+  EXPECT_EQ(out, capped);
+
+  // A small limit prints exactly that many rows in fan-out mode too.
+  ASSERT_TRUE(
+      root_cfg.Execute("query strgp=tsdb table=memtest mode=fanout limit=3",
+                       &out)
+          .ok());
+  EXPECT_EQ(CountOf(out, " row="), 3u) << out;
+
+  root->Stop();
+  leaf1->Stop();
+  leaf2->Stop();
 }
 
 }  // namespace

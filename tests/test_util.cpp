@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -135,6 +137,72 @@ TEST(StringsTest, ParseNumbers) {
   EXPECT_EQ(ParseI64("-5"), -5);
   EXPECT_DOUBLE_EQ(*ParseDouble("2.5"), 2.5);
   EXPECT_FALSE(ParseDouble("nanx").has_value());
+}
+
+TEST(StringsTest, TextWriterPrintsNumbersLikeToString) {
+  auto f64 = [](double v) {
+    std::string out;
+    TextWriter(&out).F64(v);
+    return out;
+  };
+  auto from_bits = [](std::uint64_t bits) {
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  };
+  const double max = std::numeric_limits<double>::max();
+  const double edges[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      from_bits(0x7ff0000000000001ull),  // signalling NaN payload
+      from_bits(0xfff8000000000123ull),  // negative NaN with payload
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      max,
+      -max,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      from_bits(0x000fffffffffffffull),  // largest denormal
+      0.0000005,
+      -0.0000005,
+      0.0000015,
+      0.4e-6,
+      1.0,
+      -7.0,
+      1e16,
+      9007199254740993.0,
+      123456.7890125,
+  };
+  for (const double v : edges) EXPECT_EQ(f64(v), std::to_string(v)) << v;
+  // "%f" of -DBL_MAX is the longest text a double prints as, and exactly
+  // fills the writer's buffer.
+  EXPECT_EQ(std::to_string(-max).size(), TextWriter::kMaxF64Chars);
+
+  Rng rng(21);
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = from_bits(rng.Next());
+    ASSERT_EQ(f64(v), std::to_string(v)) << i;
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const double v = static_cast<double>(static_cast<std::int64_t>(rng.Next()) >>
+                                         (rng.Next() % 64));
+    ASSERT_EQ(f64(v), std::to_string(v)) << i;
+  }
+
+  std::string out;
+  TextWriter w(&out);
+  const std::uint64_t ints[] = {0, 1, 9, 10, 4294967301ull,
+                                std::numeric_limits<std::uint64_t>::max()};
+  std::string want;
+  for (const std::uint64_t v : ints) {
+    w.U64(v).Char(' ');
+    want += std::to_string(v) + " ";
+  }
+  w.Str("end").Field("k", 42);
+  EXPECT_EQ(out, want + "end k=42");
 }
 
 TEST(StringsTest, KeyValues) {
