@@ -5,9 +5,13 @@
 //   * sampler memory < 2 MB per node, registration of a few kB;
 //   * sampler CPU at 1 s sampling ≈ hundredths of a percent of a core;
 //   * aggregator CPU/memory for a Chama-shaped L1 (156 samplers, 20 s);
+//     memory per daemon is resident bytes: set-memory pool in use plus the
+//     heap the daemon holds (its sets' bookkeeping, schemas, plans);
 //   * network bytes per collection interval (Chama: ~4 kB/node -> ~5 MB
 //     per 20 s across 1296 nodes; Blue Waters: 44 MB/min);
 //   * daily CSV storage volume (Chama ~27 GB/day, Blue Waters ~43 GB/day).
+#include <malloc.h>
+
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -36,6 +40,18 @@ std::vector<SamplerPluginPtr> ChamaPlugins(const NodeDataSourcePtr& source,
   };
   *total_metrics = 6 + 5 + 3 + 6 + 1 + 4;  // + synthetic below
   return plugins;
+}
+
+/// Heap bytes in use across every malloc arena. A delta taken around a
+/// daemon's construction, less its set-memory pool (reserved from the heap
+/// but resident only as far as it is used), gives the heap it holds.
+std::size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+double Mb(std::size_t bytes) {
+  return static_cast<double>(bytes) / 1024.0 / 1024.0;
 }
 
 void SetSizes() {
@@ -85,10 +101,6 @@ void SetSizes() {
   MeasuredRow("data portion %.1f%% of total set size",
               100.0 * static_cast<double>(data_bytes) /
                   static_cast<double>(total_bytes));
-
-  PaperRow("< 2 MB of memory per node for samplers");
-  MeasuredRow("sampler pool in use: %.2f MB (pool reserved: 8 MB)",
-              static_cast<double>(mem.bytes_in_use()) / 1024.0 / 1024.0);
 }
 
 void SamplerCpu() {
@@ -143,7 +155,13 @@ void AggregatorShape() {
 
   std::vector<std::unique_ptr<Ldmsd>> samplers;
   std::vector<std::unique_ptr<SimClock>> clocks;  // one per daemon
+  samplers.reserve(kSamplers);
+  clocks.reserve(kSamplers);
+  std::size_t sampler_heap = 0;
+  std::size_t sampler_pool = 0;
   for (int n = 0; n < kSamplers; ++n) {
+    auto source = cluster.MakeDataSource(n);
+    const std::size_t heap_before = HeapInUse();
     clocks.push_back(std::make_unique<SimClock>(0));
     LdmsdOptions opts;
     opts.name = cluster.Hostname(n);
@@ -154,7 +172,6 @@ void AggregatorShape() {
     opts.store_threads = 0;
     opts.clock = clocks.back().get();
     auto d = std::make_unique<Ldmsd>(opts);
-    auto source = cluster.MakeDataSource(n);
     SamplerConfig sc;
     sc.interval = kNsPerSec;
     std::size_t real_metrics = 0;
@@ -173,9 +190,20 @@ void AggregatorShape() {
     (void)pad;
     (void)d->Start();
     d->RunUntil(*clocks.back(), clocks.back()->Now() + kNsPerSec + 1);
+    sampler_heap += HeapInUse() - heap_before - d->memory().pool_size();
+    sampler_pool += d->memory().bytes_in_use();
     samplers.push_back(std::move(d));
   }
+  PaperRow("< 2 MB of memory per node for samplers");
+  MeasuredRow("Chama sampler daemon: %.2f MB resident (%.2f MB pool in use "
+              "+ %.2f MB heap), mean of %d",
+              Mb(sampler_pool + sampler_heap) / kSamplers,
+              Mb(sampler_pool) / kSamplers, Mb(sampler_heap) / kSamplers,
+              kSamplers);
 
+  // The aggregator's heap delta also counts the state the samplers keep
+  // for its 156 connections.
+  const std::size_t agg_heap_before = HeapInUse();
   LdmsdOptions agg_opts;
   agg_opts.name = "agg-l1";
   agg_opts.worker_threads = 0;  // collect inline so the cycle is measurable
@@ -209,15 +237,18 @@ void AggregatorShape() {
         [&] { aggregator.RunUntil(agg_clock, agg_clock.Now() + kNsPerSec); });
   }
   steady /= kCycles;
+  const std::size_t agg_heap =
+      HeapInUse() - agg_heap_before - aggregator.memory().pool_size();
+  const std::size_t agg_pool = aggregator.memory().bytes_in_use();
 
   PaperRow("L1: 7 sets x 156 samplers @ 20 s -> ~0.1%% of a core, 33 MB");
   MeasuredRow("connect+lookup cycle: %.1f ms; steady pull cycle: %.1f ms",
               first * 1e3, steady * 1e3);
   MeasuredRow("=> %.3f%% of a core at a 20 s collection interval",
               100.0 * steady / 20.0);
-  MeasuredRow("aggregator set memory: %.1f MB for %zu mirrored sets",
-              static_cast<double>(aggregator.memory().bytes_in_use()) / 1024.0 /
-                  1024.0,
+  MeasuredRow("aggregator: %.1f MB resident (%.1f MB pool in use + %.1f MB "
+              "heap) for %zu mirrored sets",
+              Mb(agg_pool + agg_heap), Mb(agg_pool), Mb(agg_heap),
               aggregator.sets().size());
 
   // Network volume per interval (the data chunks only).

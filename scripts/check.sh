@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Resilience gate: build every preset and run the deterministic
-# chaos/overload suites under it. The default preset additionally runs the
-# full tier-1 test list and the pipeline benchmark's own unit tests.
+# Resilience gate: build every preset and run the tests under it. The
+# default and asan presets run the full tier-1 test list; tsan runs the
+# concurrency-heavy labelled suites. The default preset additionally runs
+# the pipeline benchmark's own unit tests and the bench regression gate.
 # Usage: scripts/check.sh [preset...]
 #   scripts/check.sh              # default + tsan + asan
 #   scripts/check.sh tsan         # just one preset
@@ -36,9 +37,15 @@ for preset in "${presets[@]}"; do
       scripts/bench_compare.py "bench/baselines/$artifact" \
         "build/bench-artifacts/$artifact"
     done
+  elif [ "$preset" = asan ]; then
+    # Every suite: set lifetimes and decoders live in the unlabelled ones
+    # (test_core, test_store, test_daemon, test_sampler) too.
+    echo "==> [$preset] full test suite"
+    ctest --preset "$preset" --output-on-failure
   else
-    # Sanitizer presets focus on the concurrency-heavy fault suites and the
-    # wire codecs (the preset's own filter applies on top of the labels).
+    # tsan keeps to the concurrency-heavy fault suites and the wire codecs
+    # (the preset's own filter applies on top of the labels): test_daemon
+    # is not tsan-clean.
     echo "==> [$preset] chaos + overload + codec + tree + persist + query suites"
     ctest --preset "$preset" --output-on-failure \
       -L 'chaos|overload|codec|tree|persist|query'

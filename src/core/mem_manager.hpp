@@ -10,6 +10,11 @@
 // exactly like registered memory outliving the registering process's
 // bookkeeping would be a bug on real hardware, here the shared_ptr makes
 // teardown order a non-issue.
+//
+// The manager also interns the daemon's schemas (SchemaTable): every set
+// carved from its pool shares one immutable Schema per shape, so a daemon
+// holding thousands of same-shaped sets keeps one copy of their metric
+// definitions instead of one per set.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +24,7 @@
 #include <set>
 #include <utility>
 
+#include "core/schema.hpp"
 #include "util/status.hpp"
 
 namespace ldmsxx {
@@ -77,12 +83,14 @@ class MemPool {
 
 using MemPoolPtr = std::shared_ptr<MemPool>;
 
-/// Handle a daemon owns; hands out the shared pool to metric sets.
+/// Handle a daemon owns; hands out the shared pool and the daemon's
+/// interned schemas to metric sets.
 class MemManager {
  public:
   /// @param pool_size bytes reserved for all metric sets of this daemon
   explicit MemManager(std::size_t pool_size)
-      : pool_(std::make_shared<MemPool>(pool_size)) {}
+      : pool_(std::make_shared<MemPool>(pool_size)),
+        schemas_(std::make_shared<SchemaTable>()) {}
 
   void* Allocate(std::size_t size, std::size_t align = 8) {
     return pool_->Allocate(size, align);
@@ -98,8 +106,15 @@ class MemManager {
   /// Shared handle for objects that must keep the pool alive (metric sets).
   const MemPoolPtr& pool() const { return pool_; }
 
+  /// This daemon's schemas, one per shape among its live sets. Never shared
+  /// with another MemManager: in a deployment each daemon is its own process.
+  SchemaTable& schemas() { return *schemas_; }
+  const SchemaTable& schemas() const { return *schemas_; }
+
  private:
   MemPoolPtr pool_;
+  /// Shared: an interned schema's release hook keeps the table alive.
+  std::shared_ptr<SchemaTable> schemas_;
 };
 
 }  // namespace ldmsxx

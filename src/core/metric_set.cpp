@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 #include "core/wire.hpp"
 
@@ -37,29 +38,71 @@ constexpr int kSnapshotAttempts = 8;
 // set sizes at ~124 B/metric (24 kB for the 194-metric Blue Waters set) and
 // the data chunk at "roughly 10%" of the set.
 constexpr std::size_t kNameFieldWidth = 80;
+constexpr std::size_t kMaxMetricName = kNameFieldWidth - 2;  // after its u16
+
+/// One metric record: type, component id, offset, fixed-width name.
+constexpr std::size_t kMetricRecordSize = 1 + 8 + 4 + kNameFieldWidth;
+
+/// Metadata bytes before the instance name: magic, MGN, cardinality, data
+/// size and the set's component id.
+constexpr std::size_t kMetaFixedSize = 4 + 4 + 4 + 4 + 8;
 
 void WriteFixedName(ByteWriter& w, const std::string& name) {
-  const auto len =
-      static_cast<std::uint16_t>(std::min(name.size(), kNameFieldWidth - 2));
-  w.U16(len);
-  w.Raw(name.data(), len);
-  static const char kZeros[kNameFieldWidth] = {};
-  w.Raw(kZeros, kNameFieldWidth - 2 - len);
+  w.U16(static_cast<std::uint16_t>(name.size()));
+  w.Raw(name.data(), name.size());
+  static const char kZeros[kMaxMetricName] = {};
+  w.Raw(kZeros, kMaxMetricName - name.size());
 }
 
-std::string ReadFixedName(ByteReader& r) {
-  std::string field(kNameFieldWidth - 2, '\0');
-  const std::uint16_t len = r.U16();
-  if (len > kNameFieldWidth - 2) return {};
-  for (auto& c : field) c = static_cast<char>(r.U8());
-  field.resize(len);
-  return field;
+/// The schema records of a set's metadata: everything from the schema name
+/// on. They depend on the schema alone, never on the set's names, so they
+/// are what SchemaTable interns by.
+std::span<const std::byte> SchemaRecords(std::span<const std::byte> metadata,
+                                         const std::string& instance,
+                                         const std::string& producer) {
+  return metadata.subspan(kMetaFixedSize + 2 + instance.size() + 2 +
+                          producer.size());
+}
+
+/// The schema a peer's records describe: the schema name, then exactly
+/// @p card metric records, each at the offset this side's layout gives it.
+/// Null and @p error set when the records are anything else.
+std::optional<Schema> ParseSchemaRecords(std::span<const std::byte> records,
+                                         std::uint32_t card,
+                                         const char** error) {
+  ByteReader r(records);
+  Schema schema(r.Str());
+  if (!r.ok() || r.remaining() != card * kMetricRecordSize) {
+    *error = "metric records do not match the metric count";
+    return std::nullopt;
+  }
+  for (std::uint32_t i = 0; i < card; ++i) {
+    const std::uint8_t type = r.U8();
+    const std::uint64_t comp = r.U64();
+    const std::uint32_t offset = r.U32();
+    const std::uint16_t len = r.U16();
+    const std::span<const std::byte> field = r.View(kMaxMetricName);
+    if (type > static_cast<std::uint8_t>(MetricType::kD64) ||
+        len > kMaxMetricName) {
+      *error = "malformed metric record";
+      return std::nullopt;
+    }
+    const std::size_t idx = schema.AddMetric(
+        std::string_view(reinterpret_cast<const char*>(field.data()), len),
+        static_cast<MetricType>(type), comp);
+    if (schema.metric(idx).data_offset != offset) {
+      *error = "metadata layout mismatch";
+      return std::nullopt;
+    }
+  }
+  return schema;
 }
 
 }  // namespace
 
-MetricSet::MetricSet(MemPoolPtr mem, Schema schema, std::string instance,
-                     std::string producer, std::uint64_t component_id)
+MetricSet::MetricSet(MemPoolPtr mem, std::shared_ptr<const Schema> schema,
+                     std::string instance, std::string producer,
+                     std::uint64_t component_id)
     : mem_(std::move(mem)),
       schema_(std::move(schema)),
       instance_(std::move(instance)),
@@ -86,6 +129,7 @@ std::vector<std::byte> MetricSet::SerializeMetadata(
   w.Str(schema.name());
   for (std::size_t i = 0; i < schema.metric_count(); ++i) {
     const MetricDef& def = schema.metric(i);
+    if (def.name.size() > kMaxMetricName) return {};
     w.U8(static_cast<std::uint8_t>(def.type));
     w.U64(def.component_id);
     w.U32(def.data_offset);
@@ -100,7 +144,7 @@ std::vector<std::byte> MetricSet::SerializeMetadata(
 
 Status MetricSet::AllocateChunks(std::span<const std::byte> serialized_meta) {
   meta_size_ = serialized_meta.size();
-  data_size_ = sizeof(DataHeader) + schema_.value_area_size();
+  data_size_ = sizeof(DataHeader) + schema_->value_area_size();
   meta_ = static_cast<std::byte*>(mem_->Allocate(meta_size_, 8));
   data_ = static_cast<std::byte*>(mem_->Allocate(data_size_, 8));
   if (meta_ == nullptr || data_ == nullptr) {
@@ -112,7 +156,7 @@ Status MetricSet::AllocateChunks(std::span<const std::byte> serialized_meta) {
   }
   std::memcpy(meta_, serialized_meta.data(), meta_size_);
   std::memset(data_, 0, data_size_);
-  const std::size_t metrics = schema_.metric_count();
+  const std::size_t metrics = schema_->metric_count();
   dirty_words_.assign((metrics + 63) / 64, 0);
   delta_extent_cap_ = static_cast<std::uint32_t>(metrics);
   if (metrics > 0) {
@@ -131,8 +175,6 @@ Status MetricSet::AllocateChunks(std::span<const std::byte> serialized_meta) {
 MetricSetPtr MetricSet::Create(MemManager& mem, const Schema& schema,
                                std::string instance, std::string producer,
                                std::uint64_t component_id, Status* status) {
-  // Force layout computation before serializing offsets.
-  (void)schema.value_area_size();
   auto meta_bytes =
       SerializeMetadata(schema, instance, producer, component_id);
   if (meta_bytes.empty()) {
@@ -140,13 +182,18 @@ MetricSetPtr MetricSet::Create(MemManager& mem, const Schema& schema,
     // make every mirror of this set fail to parse.
     if (status != nullptr) {
       *status = {ErrorCode::kInvalidArgument,
-                 "instance, producer or schema name longer than 65535 bytes"};
+                 "instance, producer or schema name longer than 65535 "
+                 "bytes, or a metric name longer than 78"};
     }
     return nullptr;
   }
+  const auto records = SchemaRecords(meta_bytes, instance, producer);
+  std::shared_ptr<const Schema> shared = mem.schemas().Find(records);
+  if (shared == nullptr) shared = mem.schemas().Intern(records, schema);
   // shared_ptr with private ctor: wrap manually.
-  MetricSetPtr set(new MetricSet(mem.pool(), schema, std::move(instance),
-                                 std::move(producer), component_id));
+  MetricSetPtr set(new MetricSet(mem.pool(), std::move(shared),
+                                 std::move(instance), std::move(producer),
+                                 component_id));
   Status st = set->AllocateChunks(meta_bytes);
   if (status != nullptr) *status = st;
   if (!st.ok()) return nullptr;
@@ -156,6 +203,10 @@ MetricSetPtr MetricSet::Create(MemManager& mem, const Schema& schema,
 MetricSetPtr MetricSet::CreateMirror(MemManager& mem,
                                      std::span<const std::byte> metadata,
                                      Status* status) {
+  auto fail = [status](const char* why) -> MetricSetPtr {
+    if (status != nullptr) *status = {ErrorCode::kInvalidArgument, why};
+    return nullptr;
+  };
   ByteReader r(metadata);
   const std::uint32_t magic = r.U32();
   const std::uint32_t mgn = r.U32();
@@ -164,33 +215,22 @@ MetricSetPtr MetricSet::CreateMirror(MemManager& mem,
   const std::uint64_t component_id = r.U64();
   std::string instance = r.Str();
   std::string producer = r.Str();
-  std::string schema_name = r.Str();
   if (!r.ok() || magic != kMetaMagic || mgn == 0) {
-    if (status != nullptr)
-      *status = {ErrorCode::kInvalidArgument, "malformed set metadata"};
-    return nullptr;
+    return fail("malformed set metadata");
   }
-  Schema schema(schema_name);
-  for (std::uint32_t i = 0; i < card; ++i) {
-    const auto type = static_cast<MetricType>(r.U8());
-    const std::uint64_t comp = r.U64();
-    const std::uint32_t offset = r.U32();
-    std::string name = ReadFixedName(r);
-    if (!r.ok()) {
-      if (status != nullptr)
-        *status = {ErrorCode::kInvalidArgument, "truncated metric record"};
-      return nullptr;
-    }
-    const std::size_t idx = schema.AddMetric(name, type, comp);
-    (void)idx;
-    (void)offset;  // recomputed deterministically below
+  const auto records = SchemaRecords(metadata, instance, producer);
+  std::shared_ptr<const Schema> schema = mem.schemas().Find(records);
+  if (schema == nullptr) {
+    const char* error = nullptr;
+    std::optional<Schema> parsed = ParseSchemaRecords(records, card, &error);
+    if (!parsed) return fail(error);
+    schema = mem.schemas().Intern(records, std::move(*parsed));
   }
-  // The layout algorithm is deterministic, so recomputed offsets match the
-  // producer's; verify the data size as a cross-check.
-  if (sizeof(DataHeader) + schema.value_area_size() != data_size) {
-    if (status != nullptr)
-      *status = {ErrorCode::kInvalidArgument, "metadata layout mismatch"};
-    return nullptr;
+  // Equal records fix the metrics and their offsets; the header fields
+  // outside them must agree.
+  if (schema->metric_count() != card ||
+      sizeof(DataHeader) + schema->value_area_size() != data_size) {
+    return fail("metadata layout mismatch");
   }
   MetricSetPtr set(new MetricSet(mem.pool(), std::move(schema),
                                  std::move(instance), std::move(producer),
@@ -231,12 +271,12 @@ void MetricSet::BeginTransaction() {
 
 void MetricSet::CompileDirtyExtents(std::uint64_t base_dgn) {
   std::uint32_t count = 0;
-  const std::size_t metrics = schema_.metric_count();
+  const std::size_t metrics = schema_->metric_count();
   // Layout assigns offsets in index order, so scanning by index walks the
   // value area monotonically and extents come out sorted.
   for (std::size_t i = 0; i < metrics; ++i) {
     if ((dirty_words_[i >> 6] & (1ull << (i & 63))) == 0) continue;
-    const MetricDef& def = schema_.metric(i);
+    const MetricDef& def = schema_->metric(i);
     const std::uint32_t off = def.data_offset;
     const auto len = static_cast<std::uint32_t>(MetricTypeSize(def.type));
     if (count > 0) {
@@ -270,13 +310,13 @@ void MetricSet::EndTransaction(TimeNs ts) {
 }
 
 void MetricSet::StoreScalar(std::size_t idx, const void* src) {
-  const MetricDef& def = schema_.metric(idx);
+  const MetricDef& def = schema_->metric(idx);
   std::memcpy(value_area() + def.data_offset, src, MetricTypeSize(def.type));
   MarkDirty(idx);
 }
 
 void MetricSet::SetValue(std::size_t idx, const MetricValue& v) {
-  const MetricDef& def = schema_.metric(idx);
+  const MetricDef& def = schema_->metric(idx);
   switch (def.type) {
     case MetricType::kU8: {
       auto x = static_cast<std::uint8_t>(v.v.u64);
@@ -329,7 +369,7 @@ void MetricSet::SetValue(std::size_t idx, const MetricValue& v) {
 }
 
 std::uint64_t MetricSet::GetU64(std::size_t idx) const {
-  const MetricDef& def = schema_.metric(idx);
+  const MetricDef& def = schema_->metric(idx);
   std::uint64_t v = 0;
   std::memcpy(&v, value_area() + def.data_offset, MetricTypeSize(def.type));
   return v;
@@ -340,7 +380,7 @@ std::int64_t MetricSet::GetS64(std::size_t idx) const {
 }
 
 double MetricSet::GetD64(std::size_t idx) const {
-  const MetricDef& def = schema_.metric(idx);
+  const MetricDef& def = schema_->metric(idx);
   if (def.type == MetricType::kD64) {
     double v;
     std::memcpy(&v, value_area() + def.data_offset, sizeof v);
@@ -350,7 +390,7 @@ double MetricSet::GetD64(std::size_t idx) const {
 }
 
 MetricValue MetricSet::GetValue(std::size_t idx) const {
-  const MetricDef& def = schema_.metric(idx);
+  const MetricDef& def = schema_->metric(idx);
   const std::byte* src = value_area() + def.data_offset;
   MetricValue out;
   out.type = def.type;

@@ -49,21 +49,26 @@ class MetricSet {
   static_assert(sizeof(DataHeader) == 32);
 
   /// Create a local (writable) set.
-  /// @param mem       pool the chunks are carved from
-  /// @param schema    metric definitions (layout is finalized here; do not
-  ///                  add metrics to @p schema afterwards)
+  /// @param mem       pool the chunks are carved from; its SchemaTable
+  ///                  supplies the set's schema (a copy of @p schema the
+  ///                  first time a set of that shape is created)
+  /// @param schema    metric definitions
   /// @param instance  set instance name, e.g. "nid00042/meminfo"
   /// @param producer  producer (host) name stored with the set
   /// @param component_id default component ID for metrics defined with 0
   /// Returns nullptr and sets @p status on pool exhaustion (kOutOfMemory) or
-  /// when a name is longer than the metadata's u16 length prefix can hold
-  /// (kInvalidArgument; nothing is allocated then).
+  /// when a name does not fit the metadata: an instance, producer or schema
+  /// name longer than its u16 length prefix can hold, or a metric name
+  /// longer than its fixed-width field (kInvalidArgument; nothing is
+  /// allocated then).
   static MetricSetPtr Create(MemManager& mem, const Schema& schema,
                              std::string instance, std::string producer,
                              std::uint64_t component_id, Status* status);
 
   /// Reconstruct a read-mostly mirror from serialized metadata received in a
   /// lookup reply. The mirror's data chunk is overwritten by ApplyData().
+  /// The schema records are looked up in @p mem's SchemaTable before any
+  /// metric name is parsed; only a shape new to this daemon is parsed.
   static MetricSetPtr CreateMirror(MemManager& mem,
                                    std::span<const std::byte> metadata,
                                    Status* status);
@@ -73,7 +78,12 @@ class MetricSet {
   MetricSet(const MetricSet&) = delete;
   MetricSet& operator=(const MetricSet&) = delete;
 
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return *schema_; }
+  /// The interned schema, shared by every set of this shape on the daemon.
+  /// Caches keyed by schema address hold it, so the address stays theirs.
+  const std::shared_ptr<const Schema>& shared_schema() const {
+    return schema_;
+  }
   const std::string& instance_name() const { return instance_; }
   const std::string& producer_name() const { return producer_; }
   std::uint64_t component_id() const { return component_id_; }
@@ -194,8 +204,9 @@ class MetricSet {
   static constexpr std::uint32_t kMetaMagic = 0x4c444d4d;  // "LDMM"
 
  private:
-  MetricSet(MemPoolPtr mem, Schema schema, std::string instance,
-            std::string producer, std::uint64_t component_id);
+  MetricSet(MemPoolPtr mem, std::shared_ptr<const Schema> schema,
+            std::string instance, std::string producer,
+            std::uint64_t component_id);
 
   Status AllocateChunks(std::span<const std::byte> serialized_meta);
   DataHeader* header() { return reinterpret_cast<DataHeader*>(data_); }
@@ -217,7 +228,7 @@ class MetricSet {
 
   /// Serialize header+schema into metadata bytes; MGN is a content hash so
   /// identical schemas produce identical MGNs across restarts. Empty when a
-  /// name does not fit its u16 length prefix.
+  /// name does not fit its field.
   static std::vector<std::byte> SerializeMetadata(
       const Schema& schema, const std::string& instance,
       const std::string& producer, std::uint64_t component_id);
@@ -225,7 +236,7 @@ class MetricSet {
   /// Shared: keeps the pool alive while this set (or a remote pin of it)
   /// exists, regardless of daemon teardown order.
   MemPoolPtr mem_;
-  Schema schema_;
+  std::shared_ptr<const Schema> schema_;
   std::string instance_;
   std::string producer_;
   std::uint64_t component_id_ = 0;

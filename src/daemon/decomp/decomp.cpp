@@ -96,10 +96,8 @@ Status ParseDecompSpec(std::string_view text, DecompSpec* out) {
 }
 
 Status CompileRowPlan(const DecompSpec& spec, const Schema& schema,
-                      std::uint32_t meta_gn, RowPlan* out) {
+                      RowPlan* out) {
   *out = RowPlan{};
-  out->schema = schema.name();
-  out->meta_gn = meta_gn;
   for (const DecompGroupSpec& gspec : spec.groups) {
     RowGroup group;
     group.table = gspec.table.empty() ? schema.name() : gspec.table;
@@ -130,15 +128,14 @@ Status CompileRowPlan(const DecompSpec& spec, const Schema& schema,
 }
 
 Status Decomposer::Decompose(const MetricSet& set, RowBatch* out) {
-  const std::uint32_t gn = set.meta_gn();
-  auto it = plans_.find(gn);
+  auto it = plans_.find(&set.schema());
   if (it == plans_.end()) {
-    auto plan = std::make_unique<RowPlan>();
-    Status st = CompileRowPlan(spec_, set.schema(), gn, plan.get());
+    SchemaPlan compiled{set.shared_schema(), {}};
+    Status st = CompileRowPlan(spec_, set.schema(), &compiled.plan);
     if (!st.ok()) return st;
-    it = plans_.emplace(gn, std::move(plan)).first;
+    it = plans_.emplace(&set.schema(), std::move(compiled)).first;
   }
-  const RowPlan& plan = *it->second;
+  const RowPlan& plan = it->second.plan;
   if (!spec_.has_derived) {
     AppendPlanRows(set, plan, out);
     return Status::Ok();

@@ -20,8 +20,8 @@
 //   scaleN — value * N (e.g. scale1024 to turn kB counters into bytes).
 //
 // The spec is parsed once at strgp_add (config errors are synchronous) and
-// compiled against each schema it meets, keyed by the schema's content hash
-// (meta_gn), into a flat RowPlan — so the per-sample hot path is index-driven
+// compiled once per interned schema (one per shape, whatever the set's
+// names) into a flat RowPlan — so the per-sample hot path is index-driven
 // copies with zero string lookups. Derived columns keep per-series history
 // keyed by set instance name; a counter reset or first sample emits 0.
 #pragma once
@@ -69,10 +69,10 @@ Status ParseDecompSpec(std::string_view text, DecompSpec* out);
 /// Resolve @p spec against @p schema. Fails with kNotFound when the spec
 /// names a metric the schema does not have.
 Status CompileRowPlan(const DecompSpec& spec, const Schema& schema,
-                      std::uint32_t meta_gn, RowPlan* out);
+                      RowPlan* out);
 
-/// Applies one parsed spec to samples, caching compiled plans per schema
-/// digest and per-series history for derived columns. Not thread-safe; the
+/// Applies one parsed spec to samples, caching compiled plans per interned
+/// schema and per-series history for derived columns. Not thread-safe; the
 /// store runtime serializes calls per policy.
 class Decomposer {
  public:
@@ -81,8 +81,8 @@ class Decomposer {
   const DecompSpec& spec() const { return spec_; }
 
   /// Append rows for @p set's current sample to @p out. Compiles (and
-  /// caches) the plan on first contact with a schema digest; a compile
-  /// failure is returned on every call for that digest.
+  /// caches) the plan on first contact with a shape; a compile failure is
+  /// returned on every call for that shape.
   Status Decompose(const MetricSet& set, RowBatch* out);
 
  private:
@@ -93,7 +93,7 @@ class Decomposer {
   };
 
   DecompSpec spec_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<RowPlan>> plans_;
+  SchemaPlanCache plans_;
   /// Per-series history for derived columns, keyed by instance name. Only
   /// touched when the spec has derived columns.
   std::unordered_map<std::string, Series> series_;

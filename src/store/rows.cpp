@@ -47,10 +47,8 @@ double SlotAsDouble(std::uint64_t slot, MetricType type) {
   }
 }
 
-RowPlan BuildIdentityPlan(const Schema& schema, std::uint32_t meta_gn) {
+RowPlan BuildIdentityPlan(const Schema& schema) {
   RowPlan plan;
-  plan.schema = schema.name();
-  plan.meta_gn = meta_gn;
   RowGroup group;
   group.table = schema.name();
   group.columns.reserve(schema.metric_count());

@@ -1,7 +1,7 @@
-// Row-decomposition interchange types (ISSUE 9 tentpole part 1). A RowPlan is
-// the compiled form of a per-strgp decomposition config: which schema metrics
-// feed which output columns of which destination table, resolved to metric
-// *indices* once per schema digest so the per-sample hot path is index-driven
+// Row-decomposition interchange types. A RowPlan is the compiled form of a
+// per-strgp decomposition config: which schema metrics feed which output
+// columns of which destination table, resolved to metric *indices* once per
+// interned schema (one per shape) so the per-sample hot path is index-driven
 // copies with zero string lookups. A RowBatch is the flat buffer those copies
 // land in: one slot vector shared by every row emitted from a drain batch, so
 // a 16-sample drain hands the store one contiguous append instead of 16
@@ -15,7 +15,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/metric_set.hpp"
@@ -52,14 +54,23 @@ struct RowGroup {
   bool has_derived = false;  ///< any kDelta/kRate column (needs history)
 };
 
-/// A decomposition spec compiled against one schema digest (meta_gn).
+/// A decomposition spec compiled against one schema.
 struct RowPlan {
-  std::string schema;
-  std::uint32_t meta_gn = 0;
   std::vector<RowGroup> groups;
   /// Sum of all groups' column counts: slots one sample contributes.
   std::size_t total_slots = 0;
 };
+
+/// Compiled plans, one per interned schema (MetricSet::shared_schema). The
+/// key is the schema's address; each entry holds the schema, so no other
+/// shape can take that address while the plan is cached. Keying by MGN
+/// instead would be unsafe: it hashes the set's names too, so two sets of
+/// different shapes can share one.
+struct SchemaPlan {
+  std::shared_ptr<const Schema> schema;
+  RowPlan plan;
+};
+using SchemaPlanCache = std::unordered_map<const Schema*, SchemaPlan>;
 
 /// 8-byte slot encoding: every output value travels as the raw bits of its
 /// declared type widened to 64 bits (sign-extended for signed integers,
@@ -100,7 +111,7 @@ struct RowBatch {
 /// metric copied under its own name. Row-capable stores use this for plain
 /// StoreSet calls so the batched and unbatched ingest paths share one
 /// append implementation.
-RowPlan BuildIdentityPlan(const Schema& schema, std::uint32_t meta_gn);
+RowPlan BuildIdentityPlan(const Schema& schema);
 
 /// Append @p set's current values to @p out following @p plan. Derived
 /// columns (kDelta/kRate) are not handled here — plans built by

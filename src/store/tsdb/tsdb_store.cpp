@@ -454,16 +454,18 @@ Status TsdbStore::PersistRollupsLocked(Table& t) {
   return st;
 }
 
+const RowPlan& TsdbStore::IdentityPlanLocked(const MetricSet& set) {
+  auto [it, inserted] = identity_plans_.try_emplace(&set.schema());
+  if (inserted) {
+    it->second = {set.shared_schema(), BuildIdentityPlan(set.schema())};
+  }
+  return it->second.plan;
+}
+
 Status TsdbStore::StoreSet(const MetricSet& set) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint32_t gn = set.meta_gn();
-  auto it = identity_plans_.find(gn);
-  if (it == identity_plans_.end()) {
-    it = identity_plans_.emplace(gn, BuildIdentityPlan(set.schema(), gn))
-             .first;
-  }
   scratch_.Clear();
-  AppendPlanRows(set, it->second, &scratch_);
+  AppendPlanRows(set, IdentityPlanLocked(set), &scratch_);
   return AppendRowsLocked(scratch_);
 }
 
@@ -479,13 +481,7 @@ Status TsdbStore::StoreSetBatch(const BatchItem* items, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     std::lock_guard<std::mutex> set_lock(*items[i].mu);
     const MetricSet& set = *items[i].set;
-    const std::uint32_t gn = set.meta_gn();
-    auto it = identity_plans_.find(gn);
-    if (it == identity_plans_.end()) {
-      it = identity_plans_.emplace(gn, BuildIdentityPlan(set.schema(), gn))
-               .first;
-    }
-    AppendPlanRows(set, it->second, &scratch_);
+    AppendPlanRows(set, IdentityPlanLocked(set), &scratch_);
   }
   Status st = AppendRowsLocked(scratch_);
   if (stored != nullptr) *stored = st.ok() ? n : 0;

@@ -132,6 +132,8 @@ class TsdbStore final : public Store {
   /// Find-or-create the destination table for one plan row group, via the
   /// pointer-keyed cache so steady state does no string lookups.
   Table* TableForLocked(const RowPlan* plan, std::uint32_t group_idx);
+  /// The identity plan of @p set's shape, compiled on first contact.
+  const RowPlan& IdentityPlanLocked(const MetricSet& set);
   Status SealLocked(Table& t);
   void FoldRollupsLocked(Table& t, const SegmentBuilder& seg);
   Status PersistRollupsLocked(Table& t);
@@ -146,8 +148,8 @@ class TsdbStore final : public Store {
   std::string name_ = "store_tsdb";
   mutable std::mutex mu_;
   std::map<std::string, Table> tables_;
-  /// Identity plans for plain StoreSet ingest, keyed by schema digest.
-  std::unordered_map<std::uint32_t, RowPlan> identity_plans_;
+  /// Identity plans for plain StoreSet ingest, one per interned schema.
+  SchemaPlanCache identity_plans_;
   /// plan pointer -> per-group destination table; plans are stable for the
   /// life of their Decomposer (or this store, for identity plans).
   std::unordered_map<const RowPlan*, std::vector<Table*>> group_tables_;

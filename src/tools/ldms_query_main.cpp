@@ -124,6 +124,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Values print through TextWriter::F64, as the `query` verb prints them:
+  // fixed with six decimals, so every integer below 2^53 comes out exact.
+  std::string out;
+  TextWriter w(&out);
+  constexpr std::size_t kFlushBytes = 1 << 16;
+  auto flush = [&out](std::size_t min_bytes) {
+    if (out.size() < min_bytes) return;
+    std::fwrite(out.data(), 1, out.size(), stdout);
+    out.clear();
+  };
+
   if (rollup) {
     std::vector<TsdbRollupRow> rows;
     if (Status st = store.QueryRollup(query, &rows); !st.ok()) {
@@ -131,32 +142,34 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (format == "json") {
-      std::printf("{\"buckets\":[");
+      w.Str("{\"buckets\":[");
       bool first = true;
       for (const auto& r : rows) {
-        std::printf("%s{\"bucket_us\":%llu,\"node\":%llu,\"metric\":\"%s\","
-                    "\"min\":%g,\"max\":%g,\"avg\":%g,\"count\":%llu}",
-                    first ? "" : ",",
-                    static_cast<unsigned long long>(r.bucket / kNsPerUs),
-                    static_cast<unsigned long long>(r.node),
-                    JsonEscape(r.metric).c_str(), r.min, r.max, r.avg,
-                    static_cast<unsigned long long>(r.count));
+        w.Str(first ? "{" : ",{");
+        w.Str("\"bucket_us\":").U64(r.bucket / kNsPerUs);
+        w.Str(",\"node\":").U64(r.node);
+        w.Str(",\"metric\":\"").Str(JsonEscape(r.metric)).Char('"');
+        w.Str(",\"min\":").F64(r.min).Str(",\"max\":").F64(r.max);
+        w.Str(",\"avg\":").F64(r.avg).Str(",\"count\":").U64(r.count);
+        w.Char('}');
         first = false;
+        flush(kFlushBytes);
       }
-      std::printf("]}\n");
+      w.Str("]}\n");
+      flush(0);
       return 0;
     }
     const char sep = format == "csv" ? ',' : '\t';
-    std::printf(format == "csv" ? "bucket_us,node,metric,min,max,avg,count\n"
-                                : "#bucket_us\tnode\tmetric\tmin\tmax\tavg"
-                                  "\tcount\n");
+    w.Str(format == "csv" ? "bucket_us,node,metric,min,max,avg,count\n"
+                          : "#bucket_us\tnode\tmetric\tmin\tmax\tavg"
+                            "\tcount\n");
     for (const auto& r : rows) {
-      std::printf("%llu%c%llu%c%s%c%g%c%g%c%g%c%llu\n",
-                  static_cast<unsigned long long>(r.bucket / kNsPerUs), sep,
-                  static_cast<unsigned long long>(r.node), sep,
-                  r.metric.c_str(), sep, r.min, sep, r.max, sep, r.avg, sep,
-                  static_cast<unsigned long long>(r.count));
+      w.U64(r.bucket / kNsPerUs).Char(sep).U64(r.node).Char(sep);
+      w.Str(r.metric).Char(sep).F64(r.min).Char(sep).F64(r.max).Char(sep);
+      w.F64(r.avg).Char(sep).U64(r.count).Char('\n');
+      flush(kFlushBytes);
     }
+    flush(0);
     return 0;
   }
 
@@ -175,21 +188,22 @@ int main(int argc, char** argv) {
                 static_cast<double>(result.bytes_read)
           : 1.0;
   if (format == "json") {
-    std::printf("{\"columns\":[\"ts_us\",\"node\"");
+    w.Str("{\"columns\":[\"ts_us\",\"node\"");
     for (const auto& column : result.columns) {
-      std::printf(",\"%s\"", JsonEscape(column).c_str());
+      w.Str(",\"").Str(JsonEscape(column)).Char('"');
     }
-    std::printf("],\"rows\":[");
+    w.Str("],\"rows\":[");
     bool first = true;
     for (const auto& row : result.rows) {
-      std::printf("%s[%llu,%llu", first ? "" : ",",
-                  static_cast<unsigned long long>(row.ts / kNsPerUs),
-                  static_cast<unsigned long long>(row.node));
-      for (const double v : row.values) std::printf(",%g", v);
-      std::printf("]");
+      w.Str(first ? "[" : ",[").U64(row.ts / kNsPerUs);
+      w.Char(',').U64(row.node);
+      for (const double v : row.values) w.Char(',').F64(v);
+      w.Char(']');
       first = false;
+      flush(kFlushBytes);
     }
-    std::printf("]");
+    w.Char(']');
+    flush(0);
     if (stats) {
       std::printf(
           ",\"stats\":{\"segments_considered\":%llu,\"segments_pruned\":%llu,"
@@ -205,25 +219,16 @@ int main(int argc, char** argv) {
     std::printf("}\n");
   } else {
     const char sep = format == "csv" ? ',' : '\t';
-    if (format == "csv") {
-      std::printf("ts_us,node");
-      for (const auto& column : result.columns) {
-        std::printf(",%s", column.c_str());
-      }
-    } else {
-      std::printf("#ts_us\tnode");
-      for (const auto& column : result.columns) {
-        std::printf("\t%s", column.c_str());
-      }
-    }
-    std::printf("\n");
+    w.Str(format == "csv" ? "ts_us,node" : "#ts_us\tnode");
+    for (const auto& column : result.columns) w.Char(sep).Str(column);
+    w.Char('\n');
     for (const auto& row : result.rows) {
-      std::printf("%llu%c%llu",
-                  static_cast<unsigned long long>(row.ts / kNsPerUs), sep,
-                  static_cast<unsigned long long>(row.node));
-      for (const double v : row.values) std::printf("%c%g", sep, v);
-      std::printf("\n");
+      w.U64(row.ts / kNsPerUs).Char(sep).U64(row.node);
+      for (const double v : row.values) w.Char(sep).F64(v);
+      w.Char('\n');
+      flush(kFlushBytes);
     }
+    flush(0);
     if (stats) {
       std::fprintf(stderr,
                    "segments: considered=%llu pruned=%llu read=%llu "

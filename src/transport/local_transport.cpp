@@ -127,7 +127,7 @@ class LocalEndpoint final : public Endpoint {
       ChargeServer(srv, NowSteadyNs() - t0);
       // Model the frames the wire transport would have exchanged.
       Account(kFrameHeaderSize + EncodeQueryRequest(req).size(),
-              kFrameHeaderSize + EncodeQueryResponse(*resp).size(), srv);
+              kFrameHeaderSize + QueryResponseSize(*resp), srv);
       return Status::Ok();
     });
     if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);

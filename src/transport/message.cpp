@@ -346,6 +346,19 @@ std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg) {
   return w.Take();
 }
 
+std::size_t QueryResponseSize(const QueryResponse& msg) {
+  // ByteWriter::Str refuses (writes nothing for) a string past its u16.
+  auto str = [](const std::string& s) {
+    return s.size() > 0xffff ? 0 : 2 + s.size();
+  };
+  const TsdbQueryResult& r = msg.result;
+  std::size_t size = 1 + str(msg.error) + 2;
+  for (const auto& c : r.columns) size += str(c);
+  size += 4;
+  for (const auto& row : r.rows) size += 16 + 8 * row.values.size();
+  return size + 8 + 1 + 5 * 8;
+}
+
 bool DecodeQueryResponse(std::span<const std::byte> payload,
                          QueryResponse* out) {
   TsdbQueryResult& res = out->result;

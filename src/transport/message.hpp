@@ -255,6 +255,8 @@ bool DecodeQueryRequest(std::span<const std::byte> payload, QueryRequest* out);
 
 void WriteQueryResponse(ByteWriter& w, const QueryResponse& msg);
 std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg);
+/// EncodeQueryResponse(msg).size(), counted without encoding a row.
+std::size_t QueryResponseSize(const QueryResponse& msg);
 bool DecodeQueryResponse(std::span<const std::byte> payload,
                          QueryResponse* out);
 

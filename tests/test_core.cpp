@@ -262,6 +262,195 @@ TEST(SchemaTest, FindMetric) {
 }
 
 // ---------------------------------------------------------------------------
+// Schema interning
+// ---------------------------------------------------------------------------
+
+Schema ThreeMetrics() {
+  Schema schema("shape");
+  schema.AddMetric("u", MetricType::kU64);
+  schema.AddMetric("d", MetricType::kD64);
+  schema.AddMetric("s", MetricType::kS32);
+  return schema;
+}
+
+/// Offset of metric @p i's record in the metadata of a set made by
+/// MetricSet::Create(mem, ThreeMetrics(), instance, producer, ...).
+std::size_t RecordAt(const MetricSet& set, std::size_t i) {
+  return 24 + 2 + set.instance_name().size() + 2 +
+         set.producer_name().size() + 2 + set.schema().name().size() +
+         i * 93;
+}
+
+TEST(SchemaTableTest, SetsOfOneShapeShareOneSchemaPerManager) {
+  MemManager mem(1 << 20);
+  MemManager peer(1 << 20);
+  Status st;
+  auto a = MetricSet::Create(mem, ThreeMetrics(), "n1/shape", "n1", 1, &st);
+  auto b = MetricSet::Create(mem, ThreeMetrics(), "n2/shape", "n2", 2, &st);
+  auto remote =
+      MetricSet::Create(peer, ThreeMetrics(), "n3/shape", "n3", 3, &st);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(remote, nullptr);
+  // The names make the MGNs differ; the shape is still one.
+  EXPECT_NE(a->meta_gn(), b->meta_gn());
+  EXPECT_EQ(&a->schema(), &b->schema());
+  EXPECT_EQ(a->shared_schema(), b->shared_schema());
+  // A mirror of the peer's set finds the same entry, and copies it nowhere.
+  auto mirror = MetricSet::CreateMirror(mem, remote->metadata_bytes(), &st);
+  ASSERT_NE(mirror, nullptr) << st.ToString();
+  EXPECT_EQ(&mirror->schema(), &a->schema());
+  EXPECT_EQ(mirror->instance_name(), "n3/shape");
+  EXPECT_EQ(mem.schemas().size(), 1u);
+  // Two managers (two daemons) never share.
+  EXPECT_NE(&remote->schema(), &a->schema());
+  EXPECT_EQ(peer.schemas().size(), 1u);
+  // The entry lives exactly as long as the last set holding it.
+  a.reset();
+  b.reset();
+  EXPECT_EQ(mem.schemas().size(), 1u);
+  EXPECT_EQ(mirror->schema().metric(2).name, "s");
+  mirror.reset();
+  EXPECT_EQ(mem.schemas().size(), 0u);
+  EXPECT_EQ(mem.bytes_in_use(), 0u);
+}
+
+TEST(SchemaTableTest, OneChangedRecordByteMakesAnotherShape) {
+  MemManager mem(1 << 20);
+  Status st;
+  auto base = MetricSet::Create(mem, ThreeMetrics(), "n1/shape", "n1", 1, &st);
+  ASSERT_NE(base, nullptr);
+  std::vector<MetricSetPtr> others;
+
+  // Local sets: one metric's name, type or component id differs.
+  Schema renamed("shape");
+  renamed.AddMetric("v", MetricType::kU64);
+  renamed.AddMetric("d", MetricType::kD64);
+  renamed.AddMetric("s", MetricType::kS32);
+  Schema retyped("shape");
+  retyped.AddMetric("u", MetricType::kS64);
+  retyped.AddMetric("d", MetricType::kD64);
+  retyped.AddMetric("s", MetricType::kS32);
+  Schema recomponented("shape");
+  recomponented.AddMetric("u", MetricType::kU64, 1);
+  recomponented.AddMetric("d", MetricType::kD64);
+  recomponented.AddMetric("s", MetricType::kS32);
+  for (const Schema* schema : {&renamed, &retyped, &recomponented}) {
+    others.push_back(
+        MetricSet::Create(mem, *schema, "n1/shape", "n1", 1, &st));
+    ASSERT_NE(others.back(), nullptr) << st.ToString();
+  }
+
+  // Mirrors: one byte of the same record fields flipped in the metadata.
+  const std::size_t rec = RecordAt(*base, 0);
+  const std::size_t kTypeAt = 0, kComponentAt = 1, kNameAt = 15;
+  for (const std::size_t at : {rec + kNameAt, rec + kTypeAt,
+                               rec + kComponentAt}) {
+    std::vector<std::byte> meta(base->metadata_bytes().begin(),
+                                base->metadata_bytes().end());
+    meta[at] ^= std::byte{1};  // 'u'->'t', kU64->kS64, component 0->1
+    others.push_back(MetricSet::CreateMirror(mem, meta, &st));
+    ASSERT_NE(others.back(), nullptr) << at << ": " << st.ToString();
+  }
+  for (const auto& set : others) {
+    EXPECT_NE(&set->schema(), &base->schema());
+  }
+  // The flipped mirrors match the local sets changed the same way, except
+  // the name ('t' mirror vs 'v' local).
+  EXPECT_EQ(&others[4]->schema(), &others[1]->schema());  // type
+  EXPECT_EQ(&others[5]->schema(), &others[2]->schema());  // component id
+  EXPECT_EQ(mem.schemas().size(), 5u);
+}
+
+TEST(SchemaTableTest, MirrorRefusesRecordsThatDisagreeWithItsLayout) {
+  MemManager peer(1 << 20);
+  Status st;
+  auto set = MetricSet::Create(peer, ThreeMetrics(), "n1/shape", "n1", 1, &st);
+  ASSERT_NE(set, nullptr);
+  const std::vector<std::byte> good(set->metadata_bytes().begin(),
+                                    set->metadata_bytes().end());
+  const std::size_t rec1 = RecordAt(*set, 1);
+  auto with = [&](std::size_t at, std::uint8_t value) {
+    auto meta = good;
+    meta[at] = std::byte{value};
+    return meta;
+  };
+  auto appended = good;
+  appended.push_back(std::byte{0});
+  const std::vector<std::vector<std::byte>> bad = {
+      with(rec1 + 9, 4),     // metric 1's offset: 4 instead of 8
+      with(rec1, 0xee),      // metric 1's type: unknown
+      with(rec1 + 13, 79),   // metric 1's name: longer than its field
+      with(8, 4),            // cardinality 4 over three records
+      appended,              // a byte after the last record
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    // Pass 1 has the good shape interned, so the cardinality check runs on
+    // the lookup hit instead of the parse.
+    MemManager mem(1 << 20);
+    MetricSetPtr keep;
+    if (pass == 1) keep = MetricSet::CreateMirror(mem, good, &st);
+    const std::size_t shapes = mem.schemas().size();
+    const std::size_t in_use = mem.bytes_in_use();
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(MetricSet::CreateMirror(mem, bad[i], &st), nullptr)
+          << "pass " << pass << " case " << i;
+      EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << i;
+      EXPECT_EQ(mem.schemas().size(), shapes) << i;
+      EXPECT_EQ(mem.bytes_in_use(), in_use) << i;
+    }
+    EXPECT_NE(MetricSet::CreateMirror(mem, good, &st), nullptr);
+  }
+}
+
+TEST(SchemaTableTest, ConcurrentMirrorsAgreeOnOneSchemaPerShape) {
+  // Aggregators create mirrors on connector threads. Threads racing to
+  // create, drop and re-create mirrors of two shapes must always agree on
+  // one schema per live shape, and leave no entry behind.
+  MemManager peer(1 << 20);
+  Schema wide("wide");
+  for (int i = 0; i < 40; ++i) {
+    wide.AddMetric("m" + std::to_string(i), MetricType::kU64);
+  }
+  Status st;
+  auto narrow_src =
+      MetricSet::Create(peer, ThreeMetrics(), "n0/shape", "n0", 0, &st);
+  auto wide_src = MetricSet::Create(peer, wide, "n0/wide", "n0", 0, &st);
+  ASSERT_NE(narrow_src, nullptr);
+  ASSERT_NE(wide_src, nullptr);
+  MemManager mem(4 << 20);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<MetricSetPtr>> kept(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 400; ++i) {
+        const MetricSet& src = (i + t) % 2 == 0 ? *narrow_src : *wide_src;
+        Status s;
+        auto mirror = MetricSet::CreateMirror(mem, src.metadata_bytes(), &s);
+        if (mirror == nullptr) continue;
+        if (i % 50 == 0) kept[static_cast<std::size_t>(t)].push_back(mirror);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::vector<const Schema*> narrow, wider;
+  for (const auto& sets : kept) {
+    for (const auto& set : sets) {
+      (set->schema().name() == "shape" ? narrow : wider)
+          .push_back(&set->schema());
+    }
+  }
+  ASSERT_FALSE(narrow.empty());
+  ASSERT_FALSE(wider.empty());
+  for (const Schema* s : narrow) EXPECT_EQ(s, narrow.front());
+  for (const Schema* s : wider) EXPECT_EQ(s, wider.front());
+  EXPECT_EQ(mem.schemas().size(), 2u);
+  kept.clear();
+  EXPECT_EQ(mem.schemas().size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // MetricSet
 // ---------------------------------------------------------------------------
 
@@ -669,6 +858,21 @@ TEST(MetricSetCreateTest, NameTooLongForMetadataRejected) {
   Status st;
   EXPECT_EQ(MetricSet::Create(mem, long_schema, "x/s", "x", 0, &st), nullptr);
   EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+
+  // A metric name longer than its fixed-width record field is refused too:
+  // the metadata would carry it cut short.
+  Schema long_metric("s");
+  long_metric.AddMetric(std::string(79, 'm'), MetricType::kU64);
+  EXPECT_EQ(MetricSet::Create(mem, long_metric, "x/s", "x", 0, &st), nullptr);
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(mem.bytes_in_use(), 0u);
+  Schema max_metric("s");
+  max_metric.AddMetric(std::string(78, 'm'), MetricType::kU64);
+  auto fits = MetricSet::Create(mem, max_metric, "x/s", "x", 0, &st);
+  ASSERT_NE(fits, nullptr) << st.ToString();
+  auto fits_mirror = MetricSet::CreateMirror(mem, fits->metadata_bytes(), &st);
+  ASSERT_NE(fits_mirror, nullptr) << st.ToString();
+  EXPECT_EQ(fits_mirror->schema().metric(0).name, std::string(78, 'm'));
 
   // The longest name that fits still round-trips through a mirror.
   const std::string max_name(0xffff, 'm');

@@ -159,6 +159,8 @@ TEST(SchemaChangeTest, MirrorIsReplacedAfterPeerSchemaChange) {
   ASSERT_NE(mirror, nullptr);
   EXPECT_EQ(mirror->schema().name(), "synthetic");
   EXPECT_EQ(mirror->schema().metric_count(), 12u);
+  // The meminfo shape left the aggregator's schema table with its mirror.
+  EXPECT_EQ(aggregator.memory().schemas().size(), 1u);
 
   aggregator.Stop();
   sampler->Stop();
@@ -199,6 +201,13 @@ TEST(SchemaChangeTest, PoolFreesReplacedMirrors) {
       ASSERT_NE(mirror, nullptr) << instance;
       EXPECT_EQ(mirror->schema().metric_count(), width) << instance;
     }
+    // node0's two sets share one schema; node1's keep the original width.
+    // The replaced shape's entry is gone.
+    EXPECT_EQ(&aggregator.sets().Find("node0/chaos")->schema(),
+              &aggregator.sets().Find("node0/chaos1")->schema());
+    EXPECT_EQ(aggregator.memory().schemas().size(),
+              width == opts.metrics_per_set ? 1u : 2u)
+        << "width " << width;
   }
   EXPECT_GE(relookups, 8u);
   EXPECT_EQ(aggregator.sets().List().size(), 4u);

@@ -37,11 +37,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -162,7 +164,7 @@ TEST_F(QueryTest, CompileRejectsUnknownMetric) {
   DecompSpec spec;
   ASSERT_TRUE(ParseDecompSpec("hot@active,cached", &spec).ok());
   RowPlan plan;
-  Status st = CompileRowPlan(spec, schema_, /*meta_gn=*/1, &plan);
+  Status st = CompileRowPlan(spec, schema_, &plan);
   EXPECT_EQ(st.code(), ErrorCode::kNotFound);
   EXPECT_NE(st.message().find("unknown metric 'cached'"), std::string::npos)
       << st.ToString();
@@ -759,6 +761,133 @@ TEST_F(TsdbStoreTest, CompressedAndRawQueriesAgree) {
   // far fewer from disk.
   EXPECT_EQ(a.bytes_decoded, b.bytes_decoded);
   EXPECT_LT(a.bytes_read * 2, b.bytes_read);
+}
+
+// Row plans are cached per interned schema. They were cached by MGN, which
+// hashes the set's instance and producer names too, so sets of two shapes
+// could share a key. These two collide on MGN 0xd436326d: the loadavg
+// sample was appended through netdev's plan (reading metrics 3-7 of a
+// 3-metric set) into table netdev, and table loadavg never appeared.
+TEST_F(TsdbStoreTest, SetsWhoseMgnsCollideKeepTheirOwnPlans) {
+  Schema netdev("netdev");
+  for (int i = 0; i < 8; ++i) {
+    netdev.AddMetric("ctr" + std::to_string(i), MetricType::kU64);
+  }
+  Schema loadavg("loadavg");
+  for (const char* name : {"load1", "load5", "load15"}) {
+    loadavg.AddMetric(name, MetricType::kD64);
+  }
+  Status st;
+  MetricSetPtr nd = MetricSet::Create(mem_, netdev, "nid053958/netdev",
+                                      "nid053958", 53958, &st);
+  ASSERT_NE(nd, nullptr) << st.ToString();
+  MetricSetPtr la = MetricSet::Create(mem_, loadavg, "nid029397/loadavg",
+                                      "nid029397", 29397, &st);
+  ASSERT_NE(la, nullptr) << st.ToString();
+  // The metadata bytes, and so the collision, are unchanged.
+  ASSERT_EQ(nd->meta_gn(), 0xd436326du);
+  ASSERT_EQ(la->meta_gn(), 0xd436326du);
+
+  nd->BeginTransaction();
+  for (std::size_t i = 0; i < 8; ++i) nd->SetU64(i, 100 + i);
+  nd->EndTransaction(1 * kNsPerSec);
+  la->BeginTransaction();
+  la->SetD64(0, 0.25);
+  la->SetD64(1, 0.5);
+  la->SetD64(2, 0.75);
+  la->EndTransaction(1 * kNsPerSec);
+  const std::vector<double> nd_values = {100, 101, 102, 103,
+                                         104, 105, 106, 107};
+  const std::vector<double> la_values = {0.25, 0.5, 0.75};
+
+  auto only_row = [](const TsdbStore& store, const std::string& table) {
+    TsdbQuery q;
+    q.table = table;
+    TsdbQueryResult r;
+    EXPECT_TRUE(store.Query(q, &r).ok()) << table;
+    EXPECT_EQ(r.rows.size(), 1u) << table;
+    return r.rows.empty() ? TsdbQueryRow{} : r.rows[0];
+  };
+  auto expect_own_tables = [&](const TsdbStore& store) {
+    EXPECT_EQ(store.Tables(),
+              (std::vector<std::string>{"loadavg", "netdev"}));
+    const TsdbQueryRow n = only_row(store, "netdev");
+    EXPECT_EQ(n.node, 53958u);
+    EXPECT_EQ(n.values, nd_values);
+    const TsdbQueryRow l = only_row(store, "loadavg");
+    EXPECT_EQ(l.node, 29397u);
+    EXPECT_EQ(l.values, la_values);
+  };
+
+  const harness::ScratchDir scratch("mgn");
+  {
+    TsdbStore store(Options(scratch.path() + "/set"));
+    ASSERT_TRUE(store.StoreSet(*nd).ok());
+    ASSERT_TRUE(store.StoreSet(*la).ok());
+    expect_own_tables(store);
+  }
+  {
+    TsdbStore store(Options(scratch.path() + "/batch"));
+    std::mutex nd_mu, la_mu;
+    const Store::BatchItem items[] = {{nd.get(), &nd_mu}, {la.get(), &la_mu}};
+    std::size_t stored = 0;
+    ASSERT_TRUE(store.StoreSetBatch(items, 2, &stored).ok());
+    EXPECT_EQ(stored, 2u);
+    expect_own_tables(store);
+  }
+  {
+    // One decomp= policy meets both shapes. Its spec compiles against
+    // netdev; loadavg has neither metric, so it gets no plan and no row.
+    DecompSpec spec;
+    ASSERT_TRUE(ParseDecompSpec("ctr3,ctr7", &spec).ok());
+    Decomposer decomposer(spec);
+    RowBatch batch;
+    ASSERT_TRUE(decomposer.Decompose(*nd, &batch).ok());
+    EXPECT_EQ(decomposer.Decompose(*la, &batch).code(), ErrorCode::kNotFound);
+    TsdbStore store(Options(scratch.path() + "/decomp"));
+    ASSERT_TRUE(store.StoreRows(batch).ok());
+    EXPECT_EQ(store.Tables(), (std::vector<std::string>{"netdev"}));
+    EXPECT_EQ(only_row(store, "netdev").values,
+              (std::vector<double>{103, 107}));
+  }
+}
+
+// ldms_query prints values exactly. With %g, active=1234567..1234570 all
+// printed as 1.23457e+06.
+TEST_F(TsdbStoreTest, LdmsQueryPrintsExactValues) {
+  const harness::ScratchDir scratch("ldms_query");
+  {
+    TsdbStore store(Options(scratch.path()));
+    MetricSetPtr set = MakeSet("nid1", 1);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      WriteSample(set, 1234567 + i, 0, 0.0, (i + 1) * kNsPerSec);
+      ASSERT_TRUE(store.StoreSet(*set).ok());
+    }
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  auto run = [&](const std::string& args) {
+    const std::string cmd = std::string(LDMS_QUERY_BIN) + " -d " +
+                            scratch.path() + "/tsdb -g 1 -t memtest" +
+                            " -m active " + args;
+    std::string out;
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr) << cmd;
+    if (pipe == nullptr) return out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+    EXPECT_EQ(::pclose(pipe), 0) << cmd;
+    return out;
+  };
+  for (const char* args : {"--format tsv", "--format csv", "--format json",
+                           "--rollup", "--rollup --format json"}) {
+    const std::string out = run(args);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      EXPECT_NE(out.find(std::to_string(1234567 + i) + ".000000"),
+                std::string::npos)
+          << args << ":\n" << out;
+    }
+  }
 }
 
 TEST_F(TsdbStoreTest, QueriesStartNoThreads) {

@@ -888,6 +888,28 @@ TEST(BatchCodecTest, ModeledSizesMatchEncoders) {
   EXPECT_EQ(BatchEntrySize(BatchEntryKind::kUnchanged, 0), 5u);
   EXPECT_EQ(BatchEntrySize(BatchEntryKind::kError, 0), 6u);
   EXPECT_EQ(BatchEntrySize(BatchEntryKind::kData, 48), 9u + 48u);
+
+  // Query replies: empty, error, truncated and multi-column.
+  QueryResponse empty;
+  EXPECT_EQ(QueryResponseSize(empty), EncodeQueryResponse(empty).size());
+  QueryResponse error;
+  error.code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
+  error.error = "query: no such table 'netdev'";
+  EXPECT_EQ(QueryResponseSize(error), EncodeQueryResponse(error).size());
+  QueryResponse rows;
+  rows.result.columns = {"active", "free", "load1"};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    rows.result.rows.push_back({i * kNsPerSec, i, {1.0 * i, 2.0, 0.5}});
+  }
+  rows.total_rows = 5;
+  rows.result.segments_read = 2;
+  EXPECT_EQ(QueryResponseSize(rows), EncodeQueryResponse(rows).size());
+  QueryResponse truncated = rows;
+  truncated.result.rows.resize(2);
+  truncated.truncated = 1;
+  EXPECT_EQ(QueryResponseSize(truncated),
+            EncodeQueryResponse(truncated).size());
+  EXPECT_LT(QueryResponseSize(truncated), QueryResponseSize(rows));
 }
 
 TEST(BatchProtocolTest, SockBatchDataUnchangedAndUnknownHandle) {
