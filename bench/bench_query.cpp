@@ -4,6 +4,10 @@
 //   ingest   — rows/s through store_tsdb's columnar append path vs. the
 //              CSV store fed the same samples (the paper-era baseline
 //              format); columnar must not cost more than row-at-a-time CSV.
+//              Then the same samples again, one StoreSet call timed at a
+//              time: p50/p99 of the calls that fill (and freeze) a segment
+//              vs. the calls that only append — the stall a seal puts on
+//              the ingest path.
 //   query    — p50/p99 latency of a time-range x node-set x metric query
 //              answered by the footer index (prune on min/max ts + node
 //              dictionary, read only the selected columns) vs. the
@@ -23,6 +27,7 @@
 // bench/baselines/BENCH_query.json by scripts/bench_compare.py; the _us
 // latencies and rows-per-second rates are machine-dependent trend data.
 // LDMSXX_BENCH_SMOKE=1 shrinks row counts and repetitions.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -159,6 +164,37 @@ int main() {
               "(%.2fx csv)",
               ingest_rows, tsdb_rows_per_sec / 1e6, csv_rows_per_sec / 1e6,
               tsdb_rows_per_sec / csv_rows_per_sec);
+
+  // Per-call stall: the call whose row fills a segment is the one that
+  // freezes it for sealing. Smaller segments in smoke mode keep ~10 of them.
+  TsdbOptions calls_opts;
+  calls_opts.root_path = dir + "/calls_tsdb";
+  calls_opts.segment_rows = smoke ? 512 : 8192;
+  std::vector<std::uint64_t> seal_call_ns, append_call_ns;
+  {
+    TsdbStore calls(calls_opts);
+    IngestRows(sets, ingest_ticks, [&](const MetricSet& s) {
+      const auto t0 = std::chrono::steady_clock::now();
+      (void)calls.StoreSet(s);
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      auto& bucket = calls.rows_written() % calls_opts.segment_rows == 0
+                         ? seal_call_ns
+                         : append_call_ns;
+      bucket.push_back(static_cast<std::uint64_t>(ns));
+    });
+    (void)calls.Flush();
+  }
+  const LatencyStats seal_call = {PercentileUs(seal_call_ns, 0.50),
+                                  PercentileUs(seal_call_ns, 0.99)};
+  const LatencyStats append_call = {PercentileUs(append_call_ns, 0.50),
+                                    PercentileUs(append_call_ns, 0.99)};
+  MeasuredRow("ingest calls: %zu fill a %zu-row segment (p50 %.1f us, p99 "
+              "%.1f us), %zu only append (p50 %.2f us, p99 %.2f us)",
+              seal_call_ns.size(), calls_opts.segment_rows, seal_call.p50_us,
+              seal_call.p99_us, append_call_ns.size(), append_call.p50_us,
+              append_call.p99_us);
 
   // --- query leg: build the big dataset, then race the two paths ------------
   TsdbOptions opts;
@@ -359,6 +395,14 @@ int main() {
   json.Field("tsdb_rows_per_sec", tsdb_rows_per_sec);
   json.Field("csv_rows_per_sec", csv_rows_per_sec);
   json.Field("tsdb_vs_csv_x", tsdb_rows_per_sec / csv_rows_per_sec);
+  json.BeginObject("calls");
+  json.Field("segment_rows", calls_opts.segment_rows);
+  json.Field("seal_calls", seal_call_ns.size());
+  json.Field("seal_call_us_p50", seal_call.p50_us);
+  json.Field("seal_call_us_p99", seal_call.p99_us);
+  json.Field("append_call_us_p50", append_call.p50_us);
+  json.Field("append_call_us_p99", append_call.p99_us);
+  json.EndObject();
   json.EndObject();
   json.BeginObject("dataset");
   json.Field("rows_written", rows_written);

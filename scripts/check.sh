@@ -44,8 +44,8 @@ for preset in "${presets[@]}"; do
     ctest --preset "$preset" --output-on-failure
   else
     # tsan keeps to the concurrency-heavy fault suites and the wire codecs
-    # (the preset's own filter applies on top of the labels): test_daemon
-    # is not tsan-clean.
+    # (the preset's own filter applies on top of the labels): test_daemon,
+    # test_core and test_failure_recovery are not tsan-clean.
     echo "==> [$preset] chaos + overload + codec + tree + persist + query suites"
     ctest --preset "$preset" --output-on-failure \
       -L 'chaos|overload|codec|tree|persist|query'

@@ -16,37 +16,6 @@ const char* ColumnOpName(ColumnOp op) {
   return "?";
 }
 
-std::uint64_t SlotFromValue(const MetricValue& v, MetricType out_type) {
-  switch (out_type) {
-    case MetricType::kF32:
-    case MetricType::kD64:
-      return std::bit_cast<std::uint64_t>(v.AsDouble());
-    case MetricType::kS8:
-    case MetricType::kS16:
-    case MetricType::kS32:
-    case MetricType::kS64:
-      // Sign-extend through the union's s64 view.
-      return static_cast<std::uint64_t>(v.v.s64);
-    default:
-      return v.v.u64;
-  }
-}
-
-double SlotAsDouble(std::uint64_t slot, MetricType type) {
-  switch (type) {
-    case MetricType::kF32:
-    case MetricType::kD64:
-      return std::bit_cast<double>(slot);
-    case MetricType::kS8:
-    case MetricType::kS16:
-    case MetricType::kS32:
-    case MetricType::kS64:
-      return static_cast<double>(static_cast<std::int64_t>(slot));
-    default:
-      return static_cast<double>(slot);
-  }
-}
-
 RowPlan BuildIdentityPlan(const Schema& schema) {
   RowPlan plan;
   RowGroup group;
@@ -65,6 +34,23 @@ RowPlan BuildIdentityPlan(const Schema& schema) {
   return plan;
 }
 
+void WriteGroupSlots(const MetricSet& set, const RowGroup& group,
+                     std::uint64_t* out) {
+  for (const RowColumn& col : group.columns) {
+    const MetricValue v = set.GetValue(col.metric_index);
+    std::uint64_t slot = SlotFromValue(v, col.type);
+    if (col.op == ColumnOp::kScale) {
+      if (col.type == MetricType::kF32 || col.type == MetricType::kD64) {
+        slot = SlotFromDouble(std::bit_cast<double>(slot) *
+                              static_cast<double>(col.scale));
+      } else {
+        slot *= col.scale;
+      }
+    }
+    *out++ = slot;
+  }
+}
+
 void AppendPlanRows(const MetricSet& set, const RowPlan& plan, RowBatch* out) {
   const TimeNs ts = set.timestamp();
   const std::uint64_t node = set.component_id();
@@ -77,19 +63,8 @@ void AppendPlanRows(const MetricSet& set, const RowPlan& plan, RowBatch* out) {
     row.component_id = node;
     row.producer = &set.producer_name();
     row.slot_offset = static_cast<std::uint32_t>(out->slots.size());
-    for (const RowColumn& col : group.columns) {
-      const MetricValue v = set.GetValue(col.metric_index);
-      std::uint64_t slot = SlotFromValue(v, col.type);
-      if (col.op == ColumnOp::kScale) {
-        if (col.type == MetricType::kF32 || col.type == MetricType::kD64) {
-          slot = SlotFromDouble(std::bit_cast<double>(slot) *
-                                static_cast<double>(col.scale));
-        } else {
-          slot *= col.scale;
-        }
-      }
-      out->slots.push_back(slot);
-    }
+    out->slots.resize(out->slots.size() + group.columns.size());
+    WriteGroupSlots(set, group, out->slots.data() + row.slot_offset);
     out->rows.push_back(row);
   }
 }

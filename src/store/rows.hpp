@@ -75,9 +75,39 @@ using SchemaPlanCache = std::unordered_map<const Schema*, SchemaPlan>;
 /// 8-byte slot encoding: every output value travels as the raw bits of its
 /// declared type widened to 64 bits (sign-extended for signed integers,
 /// double bits for F32/D64). Segments store slots verbatim, so encode and
-/// decode must stay inverses.
-std::uint64_t SlotFromValue(const MetricValue& v, MetricType out_type);
-double SlotAsDouble(std::uint64_t slot, MetricType type);
+/// decode must stay inverses. Both are inline: stores call them per stored
+/// value, queries per decoded cell.
+inline std::uint64_t SlotFromValue(const MetricValue& v,
+                                   MetricType out_type) {
+  switch (out_type) {
+    case MetricType::kF32:
+    case MetricType::kD64:
+      return std::bit_cast<std::uint64_t>(v.AsDouble());
+    case MetricType::kS8:
+    case MetricType::kS16:
+    case MetricType::kS32:
+    case MetricType::kS64:
+      // Sign-extend through the union's s64 view.
+      return static_cast<std::uint64_t>(v.v.s64);
+    default:
+      return v.v.u64;
+  }
+}
+
+inline double SlotAsDouble(std::uint64_t slot, MetricType type) {
+  switch (type) {
+    case MetricType::kF32:
+    case MetricType::kD64:
+      return std::bit_cast<double>(slot);
+    case MetricType::kS8:
+    case MetricType::kS16:
+    case MetricType::kS32:
+    case MetricType::kS64:
+      return static_cast<double>(static_cast<std::int64_t>(slot));
+    default:
+      return static_cast<double>(slot);
+  }
+}
 
 inline std::uint64_t SlotFromDouble(double d) {
   return std::bit_cast<std::uint64_t>(d);
@@ -112,6 +142,12 @@ struct RowBatch {
 /// StoreSet calls so the batched and unbatched ingest paths share one
 /// append implementation.
 RowPlan BuildIdentityPlan(const Schema& schema);
+
+/// Write the slots of @p group's columns for @p set's current values to
+/// @p out (group.columns.size() of them). Derived columns (kDelta/kRate)
+/// are not handled here, as in AppendPlanRows.
+void WriteGroupSlots(const MetricSet& set, const RowGroup& group,
+                     std::uint64_t* out);
 
 /// Append @p set's current values to @p out following @p plan. Derived
 /// columns (kDelta/kRate) are not handled here — plans built by

@@ -106,13 +106,35 @@ void SegmentBuilder::Append(TimeNs ts, std::uint64_t node,
   max_ts_ = std::max(max_ts_, ts);
 }
 
-std::string SegmentBuilder::Serialize(bool compress) const {
-  ByteWriter w;
-  w.U32(kSegMagicV2);
-  w.Str(table_);
-  w.U16(static_cast<std::uint16_t>(columns_.size()));
+void SegmentBuilder::Reset() {
+  min_ts_ = ~TimeNs{0};
+  max_ts_ = 0;
+  ts_.clear();
+  nodes_.clear();
+  prod_.clear();
+  for (auto& col : cols_) col.clear();
+  prod_dict_.clear();
+  prod_index_.clear();
+}
 
-  const std::size_t n_cols = 3 + columns_.size();
+Status WriteSegmentFile(const std::string& path, const SegmentBuilder& seg,
+                        bool durable, bool compress, SegmentFooter* footer) {
+  const auto& columns = seg.columns();
+  const auto& producers = seg.producer_dict();
+  if (producers.size() > 0xffff || columns.size() > 0xffff) {
+    return {ErrorCode::kInvalidArgument,
+            "segment " + path + ": too many producers or columns"};
+  }
+  // Streamed: each column block is written as it is encoded, so a seal
+  // holds one column's encoding, never the whole file.
+  AtomicFileWriter file(path);
+  ByteWriter header;
+  header.U32(kSegMagicV2);
+  header.Str(seg.table());
+  header.U16(static_cast<std::uint16_t>(columns.size()));
+  file.Append(header.buffer().data(), header.size());
+
+  const std::size_t n_cols = 3 + columns.size();
   std::vector<std::uint64_t> offsets(n_cols), crcs(n_cols), enc_lens(n_cols);
   std::vector<std::uint8_t> codecs(n_cols);
   // One scratch encode buffer shared by every column: cleared per column,
@@ -120,7 +142,7 @@ std::string SegmentBuilder::Serialize(bool compress) const {
   std::vector<std::uint8_t> scratch;
   auto put_column = [&](const std::vector<std::uint64_t>& col,
                         ColumnCodec want, std::size_t idx) {
-    offsets[idx] = w.size();
+    offsets[idx] = file.size();
     const std::size_t raw_bytes = col.size() * sizeof(std::uint64_t);
     if (compress && want != ColumnCodec::kRaw) {
       scratch.clear();
@@ -129,44 +151,46 @@ std::string SegmentBuilder::Serialize(bool compress) const {
         codecs[idx] = static_cast<std::uint8_t>(want);
         enc_lens[idx] = scratch.size();
         crcs[idx] = Fnv1aBytes(scratch.data(), scratch.size());
-        w.Raw(scratch.data(), scratch.size());
+        file.Append(scratch.data(), scratch.size());
         return;
       }
     }
     codecs[idx] = static_cast<std::uint8_t>(ColumnCodec::kRaw);
     enc_lens[idx] = raw_bytes;
     crcs[idx] = Fnv1aWords(col.data(), col.size());
-    w.Raw(col.data(), raw_bytes);
+    file.Append(col.data(), raw_bytes);
   };
-  put_column(ts_, ColumnCodec::kDeltaOfDelta, SegmentFooter::kTsCol);
-  put_column(nodes_, ColumnCodec::kRle, SegmentFooter::kNodeCol);
-  put_column(prod_, ColumnCodec::kRle, SegmentFooter::kProdCol);
-  for (std::size_t i = 0; i < cols_.size(); ++i) {
-    const bool is_double = columns_[i].type == MetricType::kD64 ||
-                           columns_[i].type == MetricType::kF32;
-    put_column(cols_[i], PreferredDataCodec(is_double),
+  put_column(seg.ts(), ColumnCodec::kDeltaOfDelta, SegmentFooter::kTsCol);
+  put_column(seg.nodes(), ColumnCodec::kRle, SegmentFooter::kNodeCol);
+  put_column(seg.producers_idx(), ColumnCodec::kRle, SegmentFooter::kProdCol);
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    const bool is_double = columns[i].type == MetricType::kD64 ||
+                           columns[i].type == MetricType::kF32;
+    put_column(seg.column(i), PreferredDataCodec(is_double),
                SegmentFooter::DataCol(i));
   }
 
   // Footer: the index. Node dictionary is sorted-unique with an overflow
   // escape so the footer stays small no matter what the segment holds.
-  const std::size_t footer_offset = w.size();
-  w.Str(table_);
-  w.U64(empty() ? 0 : min_ts_);
-  w.U64(max_ts_);
-  w.U64(row_count());
-  std::vector<std::uint64_t> dict(nodes_);
+  const std::uint64_t footer_offset = file.size();
+  const TimeNs min_ts = seg.empty() ? 0 : seg.min_ts();
+  ByteWriter w;
+  w.Str(seg.table());
+  w.U64(min_ts);
+  w.U64(seg.max_ts());
+  w.U64(seg.row_count());
+  std::vector<std::uint64_t> dict(seg.nodes());
   std::sort(dict.begin(), dict.end());
   dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  const bool overflow = dict.size() > kMaxNodeDict;
+  const bool overflow = dict.size() > SegmentBuilder::kMaxNodeDict;
   w.U8(overflow ? 1 : 0);
   if (overflow) dict.clear();
   w.U16(static_cast<std::uint16_t>(dict.size()));
   for (const std::uint64_t node : dict) w.U64(node);
-  w.U16(static_cast<std::uint16_t>(prod_dict_.size()));
-  for (const auto& p : prod_dict_) w.Str(p);
-  w.U16(static_cast<std::uint16_t>(columns_.size()));
-  for (const auto& col : columns_) {
+  w.U16(static_cast<std::uint16_t>(producers.size()));
+  for (const auto& p : producers) w.Str(p);
+  w.U16(static_cast<std::uint16_t>(columns.size()));
+  for (const auto& col : columns) {
     w.Str(col.name);
     w.U8(static_cast<std::uint8_t>(col.type));
   }
@@ -174,19 +198,32 @@ std::string SegmentBuilder::Serialize(bool compress) const {
   for (const std::uint64_t crc : crcs) w.U64(crc);
   for (const std::uint8_t codec : codecs) w.U8(codec);
   for (const std::uint64_t len : enc_lens) w.U64(len);
-  const std::size_t footer_end = w.size();
-
+  const std::uint64_t footer_crc = Fnv1a(w.buffer().data(), w.size());
   w.U64(footer_offset);
-  w.U64(Fnv1a(w.buffer().data() + footer_offset, footer_end - footer_offset));
+  w.U64(footer_crc);
   w.U32(kTrailerMagicV2);
+  if (!header.ok() || !w.ok()) {
+    return {ErrorCode::kInvalidArgument,
+            "segment " + path + ": a name is too long to encode"};
+  }
+  file.Append(w.buffer().data(), w.size());
+  Status st = file.Commit(durable);
+  if (!st.ok() || footer == nullptr) return st;
 
-  const auto& buf = w.buffer();
-  return std::string(reinterpret_cast<const char*>(buf.data()), buf.size());
-}
-
-Status WriteSegmentFile(const std::string& path, const SegmentBuilder& builder,
-                        bool durable, bool compress) {
-  return AtomicWriteFile(path, builder.Serialize(compress), 0644, durable);
+  footer->table = seg.table();
+  footer->min_ts = min_ts;
+  footer->max_ts = seg.max_ts();
+  footer->row_count = seg.row_count();
+  footer->node_overflow = overflow;
+  // Exact size: the footer lives as long as the segment does.
+  footer->nodes.assign(dict.begin(), dict.end());
+  footer->producers = producers;
+  footer->columns = columns;
+  footer->offsets = std::move(offsets);
+  footer->crcs = std::move(crcs);
+  footer->codecs = std::move(codecs);
+  footer->enc_lens = std::move(enc_lens);
+  return Status::Ok();
 }
 
 Status ReadSegmentFooter(const std::string& path, SegmentFooter* out) {

@@ -88,6 +88,8 @@ struct SegmentFooter {
 
 /// In-memory segment under construction; also serves queries over the active
 /// (not yet sealed) segment. Not thread-safe — the owning store serializes.
+/// A full builder is frozen: the store seals it on its syncer thread while
+/// queries read it, and then Reset()s it to take the next rows.
 class SegmentBuilder {
  public:
   SegmentBuilder(std::string table, std::vector<SegmentColumn> columns,
@@ -106,6 +108,9 @@ class SegmentBuilder {
   std::size_t capacity() const { return capacity_; }
   bool full() const { return ts_.size() >= capacity_; }
   bool empty() const { return ts_.empty(); }
+  /// Drop every row and the producer dictionary, keeping the column
+  /// buffers' capacity for the next segment.
+  void Reset();
   TimeNs min_ts() const { return min_ts_; }
   TimeNs max_ts() const { return max_ts_; }
 
@@ -116,12 +121,6 @@ class SegmentBuilder {
     return cols_[i];
   }
   const std::vector<std::string>& producer_dict() const { return prod_dict_; }
-
-  /// Serialize the whole segment file (header + body + footer + trailer) in
-  /// format v2. With @p compress false every column is written raw (codec
-  /// ids all kRaw) — the ablation/debug path; the layout stays v2 either
-  /// way. One scratch encode buffer is reused across all columns.
-  std::string Serialize(bool compress = true) const;
 
   /// How many distinct node ids the footer dictionary will index before
   /// degrading to the overflow flag.
@@ -143,11 +142,17 @@ class SegmentBuilder {
   std::unordered_map<std::string, std::uint16_t> prod_index_;
 };
 
-/// Seal @p builder to @p path via AtomicWriteFile (tmp + rename; with
-/// @p durable false the fsyncs are the caller's to batch — store_tsdb
-/// queues them on a background syncer drained by Flush).
+/// Seal @p builder to @p path: the whole segment file (header + body +
+/// footer + trailer) in format v2, streamed column by column through an
+/// AtomicFileWriter (tmp + rename; with @p durable false the fsync is the
+/// caller's — store_tsdb's syncer runs it once the segment is published).
+/// With @p compress false every column is written raw (codec ids all kRaw)
+/// — the ablation/debug path; the layout stays v2 either way. @p footer,
+/// when given, receives the footer exactly as ReadSegmentFooter would parse
+/// it back, so the caller need not read the file.
 Status WriteSegmentFile(const std::string& path, const SegmentBuilder& builder,
-                        bool durable = true, bool compress = true);
+                        bool durable = true, bool compress = true,
+                        SegmentFooter* footer = nullptr);
 
 /// Read and validate a sealed segment's footer (one seek + one small read).
 Status ReadSegmentFooter(const std::string& path, SegmentFooter* out);

@@ -74,9 +74,9 @@ bool RowMatches(const TsdbQuery& q,
          (node_filter.empty() || SortedContains(node_filter, node));
 }
 
-/// Copy the ts, node and @p cols slots of each active-segment row that
-/// answers @p q into @p buf.
-void CopyMatches(const SegmentBuilder& seg,
+/// Copy the ts, node and @p cols slots of each row of an in-memory segment
+/// (frozen or active; null for none) that answers @p q into @p buf.
+void CopyMatches(const SegmentBuilder* seg,
                  const std::vector<std::uint32_t>& cols, const TsdbQuery& q,
                  const std::vector<std::uint64_t>& node_filter,
                  ScanColumns* buf) {
@@ -84,12 +84,13 @@ void CopyMatches(const SegmentBuilder& seg,
   buf->nodes.clear();
   if (buf->data.size() < cols.size()) buf->data.resize(cols.size());
   for (std::size_t c = 0; c < cols.size(); ++c) buf->data[c].clear();
-  for (std::size_t r = 0; r < seg.row_count(); ++r) {
-    if (!RowMatches(q, node_filter, seg.ts()[r], seg.nodes()[r])) continue;
-    buf->ts.push_back(seg.ts()[r]);
-    buf->nodes.push_back(seg.nodes()[r]);
+  if (seg == nullptr || seg->max_ts() < q.t0 || seg->min_ts() > q.t1) return;
+  for (std::size_t r = 0; r < seg->row_count(); ++r) {
+    if (!RowMatches(q, node_filter, seg->ts()[r], seg->nodes()[r])) continue;
+    buf->ts.push_back(seg->ts()[r]);
+    buf->nodes.push_back(seg->nodes()[r]);
     for (std::size_t c = 0; c < cols.size(); ++c) {
-      buf->data[c].push_back(seg.column(cols[c])[r]);
+      buf->data[c].push_back(seg->column(cols[c])[r]);
     }
   }
 }
@@ -112,6 +113,11 @@ void AppendMatches(const ScanColumns& seg, const std::vector<MetricType>& types,
   }
 }
 
+Status ShapeMismatch(const std::string& table) {
+  return {ErrorCode::kInvalidArgument,
+          "store_tsdb: row shape does not match table '" + table + "'"};
+}
+
 }  // namespace
 
 TsdbStore::TsdbStore(TsdbOptions opts) : opts_(std::move(opts)) {
@@ -128,30 +134,63 @@ TsdbStore::~TsdbStore() {
   if (syncer_.joinable()) syncer_.join();
 }
 
-void TsdbStore::EnqueueSync(std::string path) {
+void TsdbStore::QueueSealLocked(Table& t) {
+  t.sealing = true;
+  ++seals_in_flight_;
   std::lock_guard<std::mutex> lock(sync_mu_);
   if (!syncer_.joinable()) {
     syncer_ = std::thread([this] { SyncerMain(); });
   }
-  sync_queue_.push_back(std::move(path));
+  sync_queue_.push_back({&t, t.frozen.get(), t.frozen_path});
   sync_cv_.notify_all();
+}
+
+Status TsdbStore::RunSeal(const SealJob& job) {
+  SegmentFooter footer;
+  Status st = EnsureDirectories(opts_.root_path);
+  if (st.ok()) {
+    // Renamed into place now (a reader never sees it torn); the fsync
+    // follows publication. A crash before it lands leaves a file the CRC
+    // checks reject at the next attach, like a crash mid-write.
+    st = WriteSegmentFile(job.path, *job.segment, /*durable=*/false,
+                          opts_.compress, &footer);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Table& t = *job.table;
+    t.sealing = false;
+    --seals_in_flight_;
+    if (st.ok()) {
+      // One critical section swaps the frozen rows for the file holding
+      // them, so a query answers each row exactly once.
+      t.sealed.push_back({job.path, std::move(footer)});
+      ++segments_sealed_;
+      t.frozen->Reset();
+      t.spare = std::move(t.frozen);
+      t.seal_err = Status::Ok();
+    } else {
+      t.seal_err = st;
+    }
+  }
+  seal_cv_.notify_all();
+  return st.ok() ? SyncFile(job.path) : Status::Ok();
 }
 
 void TsdbStore::SyncerMain() {
   std::unique_lock<std::mutex> lock(sync_mu_);
   for (;;) {
     sync_cv_.wait(lock, [this] { return sync_stop_ || !sync_queue_.empty(); });
-    // Drain the remaining queue even on stop: destruction must not drop
-    // durability work that a caller already handed over.
+    // Drain the remaining queue even on stop: destruction finishes the
+    // seals a caller already handed over.
     if (sync_queue_.empty()) {
       if (sync_stop_) return;
       continue;
     }
-    const std::string path = std::move(sync_queue_.front());
+    const SealJob job = std::move(sync_queue_.front());
     sync_queue_.pop_front();
     ++sync_in_flight_;
     lock.unlock();
-    Status st = SyncFile(path);
+    Status st = RunSeal(job);
     lock.lock();
     --sync_in_flight_;
     if (!st.ok() && sync_err_.ok()) sync_err_ = st;
@@ -312,108 +351,94 @@ TsdbStore::Table* TsdbStore::TableForLocked(const RowPlan* plan,
   return &t;
 }
 
-Status TsdbStore::AppendRowsLocked(const RowBatch& batch) {
-  for (const RowBatch::Row& row : batch.rows) {
-    Table* t = TableForLocked(row.plan, row.group);
-    if (t == nullptr) {
-      CountFailedRow();
-      return {ErrorCode::kInvalidArgument,
-              "store_tsdb: row shape does not match table '" +
-                  row.plan->groups[row.group].table + "'"};
-    }
-    if (t->active == nullptr) {
-      t->active = std::make_unique<SegmentBuilder>(t->name, t->columns,
-                                                   opts_.segment_rows);
-    }
-    const std::uint16_t producer =
-        t->active->InternProducer(row.producer != nullptr ? *row.producer
-                                                          : std::string());
-    t->active->Append(row.ts, row.component_id, producer,
-                      batch.slots.data() + row.slot_offset);
-    CountRow(8 * t->columns.size() + 24);
-    if (t->active->full()) {
-      Status st = SealLocked(*t);
-      if (!st.ok()) {
-        // Rows stay in the (now oversized) active segment; the seal is
-        // retried on the next append, so a transient disk fault loses
-        // nothing — but the failure must reach the breaker.
-        CountFailedRow();
-        return st;
-      }
-    }
+Status TsdbStore::AppendRowLocked(std::unique_lock<std::mutex>& lock,
+                                  Table& t, TimeNs ts, std::uint64_t node,
+                                  const std::string& producer,
+                                  const std::uint64_t* slots) {
+  Status st = MakeRoomLocked(lock, t);
+  if (!st.ok()) {
+    // The table is full and its previous seal still fails: refuse the row,
+    // so the failure reaches the breaker, rather than grow a third builder.
+    CountFailedRow();
+    return st;
+  }
+  SegmentBuilder& seg = *t.active;
+  seg.Append(ts, node, seg.InternProducer(producer), slots);
+  FoldRowLocked(t, ts, node, slots);
+  CountRow(8 * t.columns.size() + 24);
+  // Freeze as soon as the segment fills, so its seal overlaps the next
+  // appends. The row has landed either way; a seal that cannot start now is
+  // retried when the next row needs the room.
+  if (seg.full()) (void)MakeRoomLocked(lock, t);
+  return Status::Ok();
+}
+
+Status TsdbStore::MakeRoomLocked(std::unique_lock<std::mutex>& lock,
+                                 Table& t) {
+  if (t.active != nullptr && t.active->full()) {
+    Status st = AwaitFrozenLocked(lock, t);
+    if (!st.ok()) return st;
+    // mu_ dropped while waiting: another caller may have frozen it already.
+    if (t.active != nullptr && t.active->full()) FreezeLocked(t);
+  }
+  if (t.active == nullptr) {
+    t.active = t.spare != nullptr
+                   ? std::move(t.spare)
+                   : std::make_unique<SegmentBuilder>(t.name, t.columns,
+                                                      opts_.segment_rows);
   }
   return Status::Ok();
 }
 
-Status TsdbStore::SealLocked(Table& t) {
-  Status st = EnsureDirectories(opts_.root_path);
-  if (!st.ok()) return st;
+Status TsdbStore::AwaitFrozenLocked(std::unique_lock<std::mutex>& lock,
+                                    Table& t) {
+  for (bool retried = false;; retried = true) {
+    seal_cv_.wait(lock, [&t] { return !t.sealing; });
+    if (t.frozen == nullptr) return Status::Ok();
+    if (retried) return t.seal_err;
+    QueueSealLocked(t);
+  }
+}
+
+void TsdbStore::FreezeLocked(Table& t) {
   namespace fs = std::filesystem;
-  std::string path;
   for (;;) {
-    path = opts_.root_path + "/" + t.name + "." + std::to_string(t.seq) +
-           ".seg";
+    t.frozen_path = opts_.root_path + "/" + t.name + "." +
+                    std::to_string(t.seq) + ".seg";
     std::error_code ec;
-    if (!fs::exists(path, ec)) break;
+    if (!fs::exists(t.frozen_path, ec)) break;
     ++t.seq;
   }
-  // Rename the segment into place now (readers see it immediately, never
-  // torn); the fsyncs run on the background syncer and are awaited by
-  // Flush(). A crash before they land leaves a file the CRC checks reject
-  // at the next attach — indistinguishable from a crash mid-write.
-  st = WriteSegmentFile(path, *t.active, /*durable=*/false, opts_.compress);
-  if (!st.ok()) return st;
-  EnqueueSync(path);
-  Sealed sealed;
-  sealed.path = path;
-  st = ReadSegmentFooter(path, &sealed.footer);
-  if (!st.ok()) return st;
-  FoldRollupsLocked(t, *t.active);
-  t.sealed.push_back(std::move(sealed));
   ++t.seq;
-  ++segments_sealed_;
-  t.active.reset();
-  return Status::Ok();
+  t.frozen = std::move(t.active);
+  t.active = std::move(t.spare);
+  QueueSealLocked(t);
 }
 
-void TsdbStore::FoldRollupsLocked(Table& t, const SegmentBuilder& seg) {
+void TsdbStore::FoldRowLocked(Table& t, TimeNs ts, std::uint64_t node,
+                              const std::uint64_t* slots) {
   const DurationNs g = opts_.rollup_granularity;
   if (g == 0) return;
-  const auto& ts = seg.ts();
-  const auto& nodes = seg.nodes();
+  const std::uint64_t bucket = ts - ts % g;
   const std::size_t ncols = t.columns.size();
-  if (ts.empty() || ncols == 0) return;
-  // Resolve each row's accumulator vector once (runs of the same node and
-  // bucket — the common arrival order — share a single map lookup), then
-  // fold column-major so each column body streams sequentially.
-  std::vector<std::vector<RollupAccum>*> row_accs(ts.size());
-  std::vector<RollupAccum>* accs = nullptr;
-  std::uint64_t last_node = 0, last_bucket = 0;
-  for (std::size_t r = 0; r < ts.size(); ++r) {
-    const std::uint64_t bucket = ts[r] - ts[r] % g;
-    if (accs == nullptr || nodes[r] != last_node || bucket != last_bucket) {
-      last_node = nodes[r];
-      last_bucket = bucket;
-      accs = &t.rollups[{last_node, last_bucket}];
-      if (accs->size() != ncols) accs->resize(ncols);
-    }
-    row_accs[r] = accs;
+  RollupCursor& cursor = t.cursors[node];
+  if (cursor.accs == nullptr || cursor.bucket != bucket) {
+    cursor.bucket = bucket;
+    cursor.accs = &t.rollups[{node, bucket}];
+    if (cursor.accs->size() != ncols) cursor.accs->resize(ncols);
   }
+  RollupAccum* accs = cursor.accs->data();
   for (std::size_t c = 0; c < ncols; ++c) {
-    const auto& col = seg.column(c);
-    const MetricType type = t.columns[c].type;
-    for (std::size_t r = 0; r < ts.size(); ++r) {
-      const double v = SlotAsDouble(col[r], type);
-      RollupAccum& acc = (*row_accs[r])[c];
-      if (acc.count == 0) {
-        acc.min = acc.max = v;
-      } else {
-        acc.min = std::min(acc.min, v);
-        acc.max = std::max(acc.max, v);
-      }
-      acc.sum += v;
-      ++acc.count;
+    const double v = SlotAsDouble(slots[c], t.columns[c].type);
+    RollupAccum& acc = accs[c];
+    if (acc.count == 0) {
+      acc.min = acc.max = v;
+    } else {
+      acc.min = std::min(acc.min, v);
+      acc.max = std::max(acc.max, v);
     }
+    acc.sum += v;
+    ++acc.count;
   }
   t.rollup_dirty = true;
 }
@@ -462,50 +487,108 @@ const RowPlan& TsdbStore::IdentityPlanLocked(const MetricSet& set) {
   return it->second.plan;
 }
 
+Status TsdbStore::StoreSetLocked(std::unique_lock<std::mutex>& lock,
+                                 const MetricSet& set, std::mutex* set_mu) {
+  const RowPlan& plan = IdentityPlanLocked(set);
+  Table* t = TableForLocked(&plan, 0);
+  if (t == nullptr) {
+    CountFailedRow();
+    return ShapeMismatch(plan.groups[0].table);
+  }
+  // Room first: waiting for a seal must not hold the set's lock, which is
+  // always taken after mu_.
+  Status st = MakeRoomLocked(lock, *t);
+  if (!st.ok()) {
+    CountFailedRow();
+    return st;
+  }
+  // The row is staged per thread, not per store: mu_ may drop while the
+  // append waits for a seal, and another caller may append meanwhile.
+  thread_local std::vector<std::uint64_t> row;
+  row.resize(plan.total_slots);
+  TimeNs ts = 0;
+  std::uint64_t node = 0;
+  {
+    std::unique_lock<std::mutex> set_lock;
+    if (set_mu != nullptr) set_lock = std::unique_lock<std::mutex>(*set_mu);
+    WriteGroupSlots(set, plan.groups[0], row.data());
+    ts = set.timestamp();
+    node = set.component_id();
+  }
+  return AppendRowLocked(lock, *t, ts, node, set.producer_name(), row.data());
+}
+
 Status TsdbStore::StoreSet(const MetricSet& set) {
-  std::lock_guard<std::mutex> lock(mu_);
-  scratch_.Clear();
-  AppendPlanRows(set, IdentityPlanLocked(set), &scratch_);
-  return AppendRowsLocked(scratch_);
+  std::unique_lock<std::mutex> lock(mu_);
+  return StoreSetLocked(lock, set, nullptr);
 }
 
 Status TsdbStore::StoreRows(const RowBatch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendRowsLocked(batch);
+  static const std::string kNoProducer;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (const RowBatch::Row& row : batch.rows) {
+    Table* t = TableForLocked(row.plan, row.group);
+    if (t == nullptr) {
+      CountFailedRow();
+      return ShapeMismatch(row.plan->groups[row.group].table);
+    }
+    Status st = AppendRowLocked(
+        lock, *t, row.ts, row.component_id,
+        row.producer != nullptr ? *row.producer : kNoProducer,
+        batch.slots.data() + row.slot_offset);
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
 }
 
 Status TsdbStore::StoreSetBatch(const BatchItem* items, std::size_t n,
                                 std::size_t* stored) {
-  std::lock_guard<std::mutex> lock(mu_);
-  scratch_.Clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::lock_guard<std::mutex> set_lock(*items[i].mu);
-    const MetricSet& set = *items[i].set;
-    AppendPlanRows(set, IdentityPlanLocked(set), &scratch_);
+  std::unique_lock<std::mutex> lock(mu_);
+  Status st;
+  std::size_t landed = 0;
+  for (; landed < n; ++landed) {
+    st = StoreSetLocked(lock, *items[landed].set, items[landed].mu);
+    if (!st.ok()) break;
   }
-  Status st = AppendRowsLocked(scratch_);
-  if (stored != nullptr) *stored = st.ok() ? n : 0;
+  // The samples before a failing one are stored (and queryable).
+  if (stored != nullptr) *stored = landed;
   return st;
 }
 
 Status TsdbStore::Flush() {
   Status first;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     for (auto& [name, t] : tables_) {
-      if (t.active != nullptr && !t.active->empty()) {
-        Status st = SealLocked(t);
-        if (!st.ok() && first.ok()) first = st;
+      const bool rows = t.active != nullptr && !t.active->empty();
+      if (!rows && t.frozen == nullptr) continue;
+      Status st = AwaitFrozenLocked(lock, t);
+      if (!st.ok()) {
+        if (first.ok()) first = st;
+        continue;
       }
-      if (t.rollup_dirty) {
-        Status st = PersistRollupsLocked(t);
-        if (!st.ok() && first.ok()) first = st;
-      }
+      if (t.active != nullptr && !t.active->empty()) FreezeLocked(t);
     }
   }
-  // Outside mu_: waiting for fsyncs must not block concurrent queries.
-  Status st = DrainSyncs();
-  if (!st.ok() && first.ok()) first = st;
+  // Outside mu_: waiting for seals and fsyncs must not block queries.
+  const Status synced = DrainSyncs();
+  if (!synced.ok() && first.ok()) first = synced;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [name, t] : tables_) {
+    if (t.frozen != nullptr) {
+      if (first.ok()) first = t.seal_err;
+      continue;
+    }
+    // Rollups count every row folded so far, so they persist only while
+    // all of those rows sit in landed, synced segments: a .rollup file
+    // never counts a row that no segment holds.
+    if (!t.rollup_dirty || !synced.ok() ||
+        (t.active != nullptr && !t.active->empty())) {
+      continue;
+    }
+    Status st = PersistRollupsLocked(t);
+    if (!st.ok() && first.ok()) first = st;
+  }
   return first;
 }
 
@@ -552,7 +635,7 @@ Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
   // Queries run on their callers' threads, concurrently. Per-thread buffers
   // let each caller reuse its decode and copy allocations across segments
   // and queries without sharing them.
-  thread_local ScanColumns segment, active;
+  thread_local ScanColumns segment, frozen, active;
   std::vector<std::uint32_t> cols;
   std::vector<MetricType> types;
   std::vector<std::uint64_t> node_filter(q.nodes);
@@ -561,9 +644,10 @@ Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
   {
     // Under mu_: prune on footers, snapshot the surviving sealed entries
     // (path + footer copies — sealed files are immutable), and copy the
-    // slots of the active segment's matching rows, since that segment keeps
-    // growing once mu_ drops. Disk reads and row building happen after the
-    // lock drops, so a long scan never stalls ingest.
+    // slots of the frozen and active segments' matching rows, since the
+    // syncer may publish the one and ingest grows the other once mu_ drops.
+    // Disk reads and row building happen after the lock drops, so a long
+    // scan never stalls ingest.
     std::lock_guard<std::mutex> lock(mu_);
     const Table* t = FindTableLocked(q.table);
     if (t == nullptr) {
@@ -584,19 +668,18 @@ Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
       }
       survivors.push_back(seg);
     }
-    active.ts.clear();
-    if (t->active != nullptr && t->active->max_ts() >= q.t0 &&
-        t->active->min_ts() <= q.t1) {
-      CopyMatches(*t->active, cols, q, node_filter, &active);
-    }
+    CopyMatches(t->frozen.get(), cols, q, node_filter, &frozen);
+    CopyMatches(t->active.get(), cols, q, node_filter, &active);
   }
   out->segments_read = survivors.size();
-  // Sealed segments in sequence order, then the active segment.
+  // Append order: sealed segments in sequence order, then the frozen
+  // segment, then the active one.
   for (const Sealed& seg : survivors) {
     Status st = ReadScanColumns(seg.path, seg.footer, cols, &segment, out);
     if (!st.ok()) return st;
     AppendMatches(segment, types, q, node_filter, &out->rows);
   }
+  AppendMatches(frozen, types, q, node_filter, &out->rows);
   AppendMatches(active, types, q, node_filter, &out->rows);
   return Status::Ok();
 }
@@ -652,8 +735,9 @@ Status TsdbStore::QueryFullScan(const TsdbQuery& q,
       out->rows.push_back(std::move(row));
     }
   }
-  if (t->active != nullptr) {
-    const SegmentBuilder& seg = *t->active;
+  for (const SegmentBuilder* mem : {t->frozen.get(), t->active.get()}) {
+    if (mem == nullptr) continue;
+    const SegmentBuilder& seg = *mem;
     for (std::size_t r = 0; r < seg.row_count(); ++r) {
       const TimeNs ts = seg.ts()[r];
       const std::uint64_t node = seg.nodes()[r];
@@ -685,15 +769,12 @@ Status TsdbStore::QueryRollup(const TsdbQuery& q,
   std::vector<std::string> names;
   Status st = ResolveColumns(*t, q.metrics, &cols, &names);
   if (!st.ok()) return st;
-  std::vector<std::uint64_t> node_filter(q.nodes);
-  std::sort(node_filter.begin(), node_filter.end());
-  for (const auto& [key, accs] : t->rollups) {
-    const auto& [node, bucket] = key;
-    if (bucket + opts_.rollup_granularity <= q.t0 || bucket > q.t1) continue;
-    if (!node_filter.empty() && !SortedContains(node_filter, node)) continue;
+  auto emit = [&](const RollupMap::value_type& entry) {
+    const auto& [node, bucket] = entry.first;
+    if (bucket + opts_.rollup_granularity <= q.t0 || bucket > q.t1) return;
     for (const std::uint32_t col : cols) {
-      if (col >= accs.size()) continue;
-      const RollupAccum& acc = accs[col];
+      if (col >= entry.second.size()) continue;
+      const RollupAccum& acc = entry.second[col];
       if (acc.count == 0) continue;
       TsdbRollupRow row;
       row.bucket = bucket;
@@ -704,6 +785,23 @@ Status TsdbStore::QueryRollup(const TsdbQuery& q,
       row.avg = acc.sum / static_cast<double>(acc.count);
       row.count = acc.count;
       out->push_back(std::move(row));
+    }
+  };
+  if (q.nodes.empty()) {
+    for (const auto& entry : t->rollups) emit(entry);
+    return Status::Ok();
+  }
+  // Seek each requested node's first entry instead of walking every
+  // (node, bucket): the map's (node, bucket) order is the reply's order, so
+  // a sorted, deduplicated filter yields the same rows a full walk would.
+  std::vector<std::uint64_t> node_filter(q.nodes);
+  std::sort(node_filter.begin(), node_filter.end());
+  node_filter.erase(std::unique(node_filter.begin(), node_filter.end()),
+                    node_filter.end());
+  for (const std::uint64_t node : node_filter) {
+    for (auto it = t->rollups.lower_bound({node, 0});
+         it != t->rollups.end() && it->first.first == node; ++it) {
+      emit(*it);
     }
   }
   return Status::Ok();
@@ -718,7 +816,8 @@ std::vector<std::string> TsdbStore::Tables() const {
 }
 
 std::uint64_t TsdbStore::segments_sealed() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  seal_cv_.wait(lock, [this] { return seals_in_flight_ == 0; });
   return segments_sealed_;
 }
 

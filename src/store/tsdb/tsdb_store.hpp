@@ -1,12 +1,15 @@
-// store_tsdb: the queryable columnar time-series backend (ISSUE 9 tentpole).
-// Rows (decomposed by the strgp's RowPlan, or the identity plan for plain
-// StoreSet calls) are appended to an in-memory columnar segment per table;
-// at segment_rows the segment is sealed to disk (atomic write, CRC-sealed
-// footer index) and folded into min/max/avg/count rollups at a configurable
-// granularity. Queries (time range × node set × metric list) prune whole
-// segments on the footer's min/max timestamp and node dictionary, then read
-// only the requested columns — versus the full-scan path that re-reads every
-// column of every segment the way a CSV consumer would.
+// store_tsdb: the queryable columnar time-series backend. Rows (decomposed
+// by the strgp's RowPlan, or the identity plan for plain StoreSet calls) are
+// appended to an in-memory columnar segment per table and folded, as they
+// land, into min/max/avg/count rollups at a configurable granularity, so
+// rollups cover the active segment too. At segment_rows the segment is
+// frozen and sealed to disk on the store's syncer thread (atomic write,
+// CRC-sealed footer index) while ingest continues in a second builder; the
+// frozen rows stay queryable in memory until their file is published.
+// Queries (time range × node set × metric list) prune whole segments on the
+// footer's min/max timestamp and node dictionary, then read only the
+// requested columns — versus the full-scan path that re-reads every column
+// of every segment the way a CSV consumer would.
 //
 // A store constructed over an existing directory re-attaches every sealed
 // segment (and the persisted rollups), so a daemon restarted via
@@ -78,7 +81,10 @@ class TsdbStore final : public Store {
   Status StoreRows(const RowBatch& batch) override;
   Status StoreSetBatch(const BatchItem* items, std::size_t n,
                        std::size_t* stored) override;
-  /// Seal non-empty active segments and persist dirty rollups.
+  /// Freeze every non-empty active segment, wait for every seal and fsync
+  /// (retrying a seal that failed), then persist the rollups of each table
+  /// whose rows all sit in landed segments. Returns the first seal or fsync
+  /// error.
   Status Flush() override;
 
   /// Indexed query: footer-pruned segment selection, column-selective reads.
@@ -91,6 +97,8 @@ class TsdbStore final : public Store {
                      std::vector<TsdbRollupRow>* out) const;
 
   std::vector<std::string> Tables() const;
+  /// Segments published (sealed to disk and queried from their files),
+  /// counted once every seal in flight has landed or failed.
   std::uint64_t segments_sealed() const;
   /// Sealed segments found on disk at attach (restart-resume).
   std::uint64_t segments_attached() const { return segments_attached_; }
@@ -106,27 +114,68 @@ class TsdbStore final : public Store {
     double min = 0, max = 0, sum = 0;
     std::uint64_t count = 0;
   };
-  /// (node, bucket start) -> one accumulator per table column. Keyed per
-  /// row rather than per value so the seal-time fold costs one map lookup
-  /// per row run, not one per cell.
+  /// (node, bucket start) -> one accumulator per table column.
   using RollupMap = std::map<std::pair<std::uint64_t, std::uint64_t>,
                              std::vector<RollupAccum>>;
+  /// The accumulators a node's rows last folded into, so the append-time
+  /// fold walks the map once per (node, bucket) rather than once per row.
+  struct RollupCursor {
+    std::uint64_t bucket = 0;
+    std::vector<RollupAccum>* accs = nullptr;
+  };
+  // A table holds at most two builders: `active` takes rows, and either
+  // `frozen` (full, sealing) or `spare` (its seal landed; reset for reuse).
   struct Table {
     std::string name;
     std::vector<SegmentColumn> columns;
     std::unique_ptr<SegmentBuilder> active;
+    /// Full, queued on the syncer (`sealing`) or waiting to retry a failed
+    /// seal (`seal_err`). Queries read it until its Sealed entry replaces it.
+    std::unique_ptr<SegmentBuilder> frozen;
+    std::string frozen_path;
+    bool sealing = false;
+    Status seal_err;
+    std::unique_ptr<SegmentBuilder> spare;
     std::vector<Sealed> sealed;
     std::uint64_t seq = 0;  ///< next segment file number
     RollupMap rollups;
+    std::unordered_map<std::uint64_t, RollupCursor> cursors;  ///< by node
     bool rollup_dirty = false;
   };
+  /// One frozen builder for the syncer to seal. Its fields are fixed while
+  /// the job is queued or running, so the syncer reads them without mu_.
+  struct SealJob {
+    Table* table;
+    const SegmentBuilder* segment;
+    std::string path;
+  };
 
-  Status AppendRowsLocked(const RowBatch& batch);
-  /// Hand a freshly renamed segment file to the background syncer; its
-  /// fsync happens off the ingest path and is awaited by DrainSyncs.
-  void EnqueueSync(std::string path);
-  /// Block until every queued fsync has completed; returns (and clears) the
-  /// first error the syncer hit since the last drain.
+  /// Append one row to @p t (slots: one per column) and fold it into its
+  /// rollups. mu_ may drop while a full table waits for its seal.
+  Status AppendRowLocked(std::unique_lock<std::mutex>& lock, Table& t,
+                         TimeNs ts, std::uint64_t node,
+                         const std::string& producer,
+                         const std::uint64_t* slots);
+  /// Append @p set as one row of its identity plan's table, reading its
+  /// values under @p set_mu (null: the caller holds the set's lock).
+  Status StoreSetLocked(std::unique_lock<std::mutex>& lock,
+                        const MetricSet& set, std::mutex* set_mu);
+  /// Leave @p t with an active builder that has room: a full one is frozen
+  /// once the previous frozen builder has landed.
+  Status MakeRoomLocked(std::unique_lock<std::mutex>& lock, Table& t);
+  /// Wait until @p t has no frozen builder. A seal that failed is retried
+  /// once, and its error returned if the retry fails too.
+  Status AwaitFrozenLocked(std::unique_lock<std::mutex>& lock, Table& t);
+  /// Move @p t's active builder to its (free) frozen slot and queue the seal.
+  void FreezeLocked(Table& t);
+  void QueueSealLocked(Table& t);
+  void FoldRowLocked(Table& t, TimeNs ts, std::uint64_t node,
+                     const std::uint64_t* slots);
+  /// Syncer side of a seal: write the file, publish it under mu_, fsync it.
+  /// Returns the fsync's status (a failed write is kept on the table).
+  Status RunSeal(const SealJob& job);
+  /// Block until every queued seal (and its fsync) has completed; returns
+  /// (and clears) the first fsync error since the last drain.
   Status DrainSyncs();
   void SyncerMain();
   /// Find-or-create the destination table for one plan row group, via the
@@ -134,8 +183,6 @@ class TsdbStore final : public Store {
   Table* TableForLocked(const RowPlan* plan, std::uint32_t group_idx);
   /// The identity plan of @p set's shape, compiled on first contact.
   const RowPlan& IdentityPlanLocked(const MetricSet& set);
-  Status SealLocked(Table& t);
-  void FoldRollupsLocked(Table& t, const SegmentBuilder& seg);
   Status PersistRollupsLocked(Table& t);
   void AttachExistingLocked();
   void LoadRollupFileLocked(const std::string& path);
@@ -153,19 +200,21 @@ class TsdbStore final : public Store {
   /// plan pointer -> per-group destination table; plans are stable for the
   /// life of their Decomposer (or this store, for identity plans).
   std::unordered_map<const RowPlan*, std::vector<Table*>> group_tables_;
-  RowBatch scratch_;  ///< reused by StoreSet/StoreSetBatch (under mu_)
   std::uint64_t segments_sealed_ = 0;
   std::uint64_t segments_attached_ = 0;
   std::uint64_t attach_rejects_ = 0;
+  /// Tables whose `sealing` is set; seal_cv_ (with mu_) signals each
+  /// change of a table's frozen slot.
+  std::uint64_t seals_in_flight_ = 0;
+  mutable std::condition_variable seal_cv_;
 
-  // Background durability: seals rename the segment into place inline (a
-  // reader never sees a torn file) but the fsyncs — the dominant cost of a
-  // seal — run on this thread. Flush() drains the queue, so the store's
-  // durability contract is "everything stored before a successful Flush".
-  // The syncer touches only this state, never the tables above.
+  // The syncer seals frozen segments off the ingest path: it writes and
+  // renames the file (a reader never sees it torn), publishes it under mu_,
+  // and then fsyncs it. Flush() drains the queue, so the store's durability
+  // contract is "everything stored before a successful Flush".
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;
-  std::deque<std::string> sync_queue_;
+  std::deque<SealJob> sync_queue_;
   std::size_t sync_in_flight_ = 0;
   Status sync_err_;
   bool sync_stop_ = false;

@@ -12,6 +12,10 @@
 namespace ldmsxx {
 namespace {
 
+// AtomicFileWriter appends smaller than this gather into one write(2);
+// larger ones go straight through.
+constexpr std::size_t kWriteBuffer = 64 << 10;
+
 std::string ParentDir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -34,58 +38,93 @@ Status EnsureDirectories(const std::string& path) {
   return Status::Ok();
 }
 
-Status AtomicWriteFile(const std::string& path, std::string_view contents,
-                       unsigned mode, bool durable) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        static_cast<mode_t>(mode));
-  if (fd < 0) return ErrnoStatus("open " + tmp);
+AtomicFileWriter::AtomicFileWriter(std::string path, unsigned mode)
+    : path_(std::move(path)),
+      tmp_(path_ + ".tmp." + std::to_string(::getpid())) {
+  fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               static_cast<mode_t>(mode));
+  if (fd_ < 0) {
+    st_ = ErrnoStatus("open " + tmp_);
+    return;
+  }
   // O_CREAT mode is filtered by umask; key files need the exact bits.
-  if (::fchmod(fd, static_cast<mode_t>(mode)) != 0) {
-    const Status st = ErrnoStatus("fchmod " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return st;
+  if (::fchmod(fd_, static_cast<mode_t>(mode)) != 0) {
+    st_ = ErrnoStatus("fchmod " + tmp_);
   }
-  std::size_t off = 0;
-  while (off < contents.size()) {
-    const ssize_t n = ::write(fd, contents.data() + off, contents.size() - off);
-    if (n < 0) {
+}
+
+AtomicFileWriter::~AtomicFileWriter() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    ::unlink(tmp_.c_str());
+  }
+}
+
+Status AtomicFileWriter::WriteOut(const void* data, std::size_t n) {
+  const char* p = static_cast<const char*>(data);
+  while (st_.ok() && n > 0) {
+    const ssize_t w = ::write(fd_, p, n);
+    if (w < 0) {
       if (errno == EINTR) continue;
-      const Status st = ErrnoStatus("write " + tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return st;
+      st_ = ErrnoStatus("write " + tmp_);
+      break;
     }
-    off += static_cast<std::size_t>(n);
+    p += w;
+    n -= static_cast<std::size_t>(w);
   }
-  if (durable && ::fsync(fd) != 0) {
-    const Status st = ErrnoStatus("fsync " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return st;
+  return st_;
+}
+
+Status AtomicFileWriter::Append(const void* data, std::size_t n) {
+  if (!st_.ok()) return st_;
+  size_ += n;
+  if (buf_.size() + n > kWriteBuffer) {
+    WriteOut(buf_.data(), buf_.size());
+    buf_.clear();
+    if (n >= kWriteBuffer) return WriteOut(data, n);
   }
-  if (::close(fd) != 0) {
-    const Status st = ErrnoStatus("close " + tmp);
-    ::unlink(tmp.c_str());
-    return st;
+  const char* p = static_cast<const char*>(data);
+  buf_.insert(buf_.end(), p, p + n);
+  return st_;
+}
+
+Status AtomicFileWriter::Commit(bool durable) {
+  if (!buf_.empty()) {
+    WriteOut(buf_.data(), buf_.size());
+    buf_.clear();
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status st = ErrnoStatus("rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return st;
+  if (!st_.ok()) return st_;
+  if (durable && ::fsync(fd_) != 0) return st_ = ErrnoStatus("fsync " + tmp_);
+  const int rc = ::close(fd_);
+  fd_ = -1;
+  if (rc != 0) {
+    st_ = ErrnoStatus("close " + tmp_);
+    ::unlink(tmp_.c_str());
+    return st_;
+  }
+  if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    st_ = ErrnoStatus("rename " + tmp_ + " -> " + path_);
+    ::unlink(tmp_.c_str());
+    return st_;
   }
   if (!durable) return Status::Ok();
   // Make the rename durable: fsync the containing directory. Failure here is
   // reported (the caller may retry) but the file content is already safe.
-  const std::string dir = ParentDir(path);
+  const std::string dir = ParentDir(path_);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd >= 0) {
-    const int rc = ::fsync(dfd);
+    const int drc = ::fsync(dfd);
     ::close(dfd);
-    if (rc != 0) return ErrnoStatus("fsync " + dir);
+    if (drc != 0) return ErrnoStatus("fsync " + dir);
   }
   return Status::Ok();
+}
+
+Status AtomicWriteFile(const std::string& path, std::string_view contents,
+                       unsigned mode, bool durable) {
+  AtomicFileWriter writer(path, mode);
+  writer.Append(contents.data(), contents.size());
+  return writer.Commit(durable);
 }
 
 Status SyncFile(const std::string& path) {

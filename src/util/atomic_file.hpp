@@ -6,8 +6,11 @@
 // creation paths so there is exactly one audited implementation.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/status.hpp"
 
@@ -32,6 +35,35 @@ Status EnsureDirectories(const std::string& path);
 ///        drains the queue on Flush).
 Status AtomicWriteFile(const std::string& path, std::string_view contents,
                        unsigned mode = 0644, bool durable = true);
+
+/// The streaming form of AtomicWriteFile, for payloads built piecewise:
+/// Append() buffers bytes into "<path>.tmp.<pid>" and Commit() renames it
+/// over @p path (with both fsyncs when durable). A writer destroyed before
+/// a successful Commit unlinks its temp file, leaving @p path untouched.
+class AtomicFileWriter {
+ public:
+  explicit AtomicFileWriter(std::string path, unsigned mode = 0644);
+  ~AtomicFileWriter();
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+  /// Append @p n bytes. Once a call fails, every later call (and Commit)
+  /// returns that error.
+  Status Append(const void* data, std::size_t n);
+  /// Bytes appended so far.
+  std::uint64_t size() const { return size_; }
+  Status Commit(bool durable = true);
+
+ private:
+  Status WriteOut(const void* data, std::size_t n);
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+  Status st_;
+  std::vector<char> buf_;  ///< appended bytes not yet written
+  std::uint64_t size_ = 0;
+};
 
 /// fsync @p path (and its parent directory) in place; the second half of an
 /// AtomicWriteFile(durable=false) write.

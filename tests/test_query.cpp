@@ -19,7 +19,11 @@
 //                (segments re-attached from disk, corrupt files skipped),
 //                every prefix and bit flip of a segment or rollup file
 //                refused or answered exactly, compressed/raw query-path
-//                agreement, and queries that start no threads;
+//                agreement, and queries that start no threads; then the
+//                seal handoff: segment bytes pinned by digest, landed
+//                counts from StoreSetBatch, rollup node seeks, rollups over
+//                the active segment, sealed counts that match the files, a
+//                failed seal that loses no row, and queries racing seals;
 //   5. daemon  — strgp_add decomp= validation, the `query` control verb,
 //                registry round-trip of decomposition provenance, restore-
 //                from-registry serving queries that span the restart,
@@ -36,6 +40,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -45,6 +51,8 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/wire.hpp"
@@ -64,6 +72,7 @@
 #include "store/tsdb/segment.hpp"
 #include "store/tsdb/tsdb_store.hpp"
 #include "util/clock.hpp"
+#include "util/hash.hpp"
 #include "util/status.hpp"
 
 namespace ldmsxx {
@@ -1073,6 +1082,435 @@ TEST_F(TsdbStoreTest, DamagedFilesNeverAnswerWrongly) {
   // its query.
   EXPECT_GT(refused, 0u);
   EXPECT_GT(served, 0u);
+}
+
+// --- layer 4b: the seal handoff and append-time rollups --------------------
+
+/// One fixed ingest through every append path into one store: plain
+/// StoreSet (two nodes, 20 ticks), StoreSetBatch of a four-type schema
+/// (three nodes, 9 ticks) and StoreRows from a delta/scale/rate decomp spec
+/// (one node, 12 ticks); eight-row segments, one-second rollups, flushed.
+/// Returns "name size fnv1a" for every file the store wrote, in name order.
+std::vector<std::string> GoldenIngest(const std::string& root) {
+  MemManager mem(1 << 20);
+  Schema memtest("memtest");
+  memtest.AddMetric("active", MetricType::kU64);
+  memtest.AddMetric("free", MetricType::kU64);
+  memtest.AddMetric("load", MetricType::kD64);
+  Schema mixed("mixed");
+  mixed.AddMetric("temp", MetricType::kS32);
+  mixed.AddMetric("ratio", MetricType::kF32);
+  mixed.AddMetric("flag", MetricType::kU8);
+  mixed.AddMetric("drift", MetricType::kS64);
+  std::uint64_t lcg = 11;
+  auto noise = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(lcg >> 11) / 9007199254740992.0;
+  };
+  std::vector<MetricSetPtr> sets;
+  auto make = [&](const Schema& schema, int node) {
+    const std::string name = "nid" + std::to_string(node);
+    Status st;
+    sets.push_back(MetricSet::Create(mem, schema, name + "/" + schema.name(),
+                                     name, static_cast<std::uint64_t>(node),
+                                     &st));
+    return sets.back().get();
+  };
+  TsdbOptions opts;
+  opts.root_path = root;
+  opts.segment_rows = 8;
+  opts.rollup_granularity = 1 * kNsPerSec;
+  {
+    TsdbStore store(opts);
+    MetricSet* plain[] = {make(memtest, 1), make(memtest, 2)};
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      for (MetricSet* set : plain) {
+        set->BeginTransaction();
+        set->SetU64(0, i * 7 + set->component_id());
+        set->SetU64(1, 1000 - i);
+        set->SetD64(2, noise());
+        set->EndTransaction(i * 150 * kNsPerMs);
+        (void)store.StoreSet(*set);
+      }
+    }
+    std::vector<std::mutex> mus(3);
+    std::vector<Store::BatchItem> items;
+    for (int n = 0; n < 3; ++n) {
+      items.push_back({make(mixed, 10 + n), &mus[static_cast<std::size_t>(n)]});
+    }
+    for (std::uint64_t i = 0; i < 9; ++i) {
+      for (const Store::BatchItem& item : items) {
+        MetricSet& set = const_cast<MetricSet&>(*item.set);
+        set.BeginTransaction();
+        set.SetValue(0, MetricValue::S64(-40 + static_cast<std::int64_t>(i)));
+        set.SetValue(1, MetricValue::D64(noise()));
+        set.SetValue(2, MetricValue::U64(i % 2));
+        set.SetValue(3, MetricValue::S64(-static_cast<std::int64_t>(i * i)));
+        set.EndTransaction(i * kNsPerSec / 3);
+      }
+      std::size_t stored = 0;
+      (void)store.StoreSetBatch(items.data(), items.size(), &stored);
+    }
+    DecompSpec spec;
+    (void)ParseDecompSpec(
+        "d@active:a_d:delta,free:f_s:scale3,load;r@active:a_r:rate", &spec);
+    Decomposer decomposer(spec);
+    MetricSet* src = make(memtest, 3);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      src->BeginTransaction();
+      src->SetU64(0, i * i);
+      src->SetU64(1, 50 + i);
+      src->SetD64(2, noise());
+      src->EndTransaction((i + 1) * 250 * kNsPerMs);
+      RowBatch batch;
+      (void)decomposer.Decompose(*src, &batch);
+      (void)store.StoreRows(batch);
+    }
+    (void)store.Flush();
+  }
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(root)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    files.push_back(entry.path().filename().string() + " " +
+                    std::to_string(bytes.size()) + " " +
+                    std::to_string(Fnv1a(bytes.data(), bytes.size())));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Segments seal on the syncer and rollups fold at append, but every file a
+// fixed ingest writes keeps the bytes (and so the digests) that sealing
+// inline and folding at seal produced.
+TEST(TsdbSealTest, SegmentFilesKeepTheirBytes) {
+  const harness::ScratchDir scratch("golden");
+  const std::vector<std::string> want = {
+      "d.0.seg 346 9957375533544022961",
+      "d.1.seg 303 16538642338027914722",
+      "d.rollup 667 6204141404276660189",
+      "memtest.0.seg 421 5353858884771302888",
+      "memtest.1.seg 425 12054374184959382248",
+      "memtest.2.seg 425 4637993166584825838",
+      "memtest.3.seg 426 10066667217756121199",
+      "memtest.4.seg 426 16021745676703349911",
+      "memtest.rollup 1017 6767350689493775763",
+      "mixed.0.seg 441 16142807062346445836",
+      "mixed.1.seg 448 16125049515292221401",
+      "mixed.2.seg 445 1591035539311869220",
+      "mixed.3.seg 364 4964618355673428176",
+      "mixed.rollup 1993 1992275847831562381",
+      "r.0.seg 218 3618222103108507413",
+      "r.1.seg 208 916717533735043607",
+      "r.rollup 239 2312738685519792161",
+  };
+  EXPECT_EQ(GoldenIngest(scratch.path() + "/tsdb"), want);
+}
+
+// StoreSetBatch reports the samples that landed before a failing one; they
+// are stored and queryable, so the policy must not count them as failures.
+TEST_F(TsdbStoreTest, StoreSetBatchReportsWhatLanded) {
+  const harness::ScratchDir scratch("landed");
+  TsdbStore store(Options(scratch.path()));
+  Schema wider("memtest");  // same table name, one metric more
+  for (const char* name : {"active", "free", "load", "cached"}) {
+    wider.AddMetric(name, MetricType::kU64);
+  }
+  Status st;
+  MetricSetPtr bad = MetricSet::Create(mem_, wider, "nid9/memtest", "nid9", 9,
+                                       &st);
+  ASSERT_NE(bad, nullptr) << st.ToString();
+  MetricSetPtr n1 = MakeSet("nid1", 1);
+  MetricSetPtr n2 = MakeSet("nid2", 2);
+  MetricSetPtr n3 = MakeSet("nid3", 3);
+  for (const MetricSetPtr& set : {n1, n2, n3}) {
+    WriteSample(set, set->component_id(), 0, 0.0, kNsPerSec);
+  }
+  bad->BeginTransaction();
+  bad->EndTransaction(kNsPerSec);
+  std::mutex mus[4];
+  const Store::BatchItem items[] = {{n1.get(), &mus[0]},
+                                    {n2.get(), &mus[1]},
+                                    {bad.get(), &mus[2]},
+                                    {n3.get(), &mus[3]}};
+  std::size_t stored = 99;
+  EXPECT_EQ(store.StoreSetBatch(items, 4, &stored).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stored, 2u);
+  EXPECT_EQ(store.rows_written(), 2u);
+  EXPECT_EQ(store.rows_failed(), 1u);
+  TsdbQuery q;
+  q.table = "memtest";
+  TsdbQueryResult r;
+  ASSERT_TRUE(store.Query(q, &r).ok());
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0].node, 1u);
+  EXPECT_EQ(r.rows[1].node, 2u);
+}
+
+// A node filter seeks each node's entries; the reply must be exactly the
+// full walk's rows for those nodes, in the same order, each node once.
+TEST_F(TsdbStoreTest, RollupNodeFilterMatchesFullWalk) {
+  const harness::ScratchDir scratch("rollup_seek");
+  TsdbStore store(Options(scratch.path()));
+  std::vector<MetricSetPtr> sets;
+  for (std::uint64_t n = 1; n <= 5; ++n) {
+    sets.push_back(MakeSet("nid" + std::to_string(n), n));
+  }
+  for (std::uint64_t i = 0; i < 30; ++i) {  // 3 one-second buckets
+    for (const MetricSetPtr& set : sets) {
+      WriteSample(set, i * set->component_id(), i, 0.25 * static_cast<double>(i),
+                  i * 100 * kNsPerMs);
+      ASSERT_TRUE(store.StoreSet(*set).ok());
+    }
+  }
+  const std::vector<std::vector<std::uint64_t>> filters = {
+      {3, 1}, {2, 2, 2}, {99}, {1, 99, 5}, {5, 4, 3, 2, 1}, {4}};
+  for (const auto& [t0, t1] : std::vector<std::pair<TimeNs, TimeNs>>{
+           {0, ~TimeNs{0}}, {1 * kNsPerSec, ~TimeNs{0}},
+           {1500 * kNsPerMs, 1700 * kNsPerMs}, {0, 900 * kNsPerMs}}) {
+    TsdbQuery all;
+    all.table = "memtest";
+    all.t0 = t0;
+    all.t1 = t1;
+    all.metrics = {"load", "active"};
+    std::vector<TsdbRollupRow> walk;
+    ASSERT_TRUE(store.QueryRollup(all, &walk).ok());
+    ASSERT_FALSE(walk.empty());
+    for (const auto& filter : filters) {
+      std::vector<TsdbRollupRow> want;
+      for (const TsdbRollupRow& row : walk) {
+        if (std::find(filter.begin(), filter.end(), row.node) !=
+            filter.end()) {
+          want.push_back(row);
+        }
+      }
+      TsdbQuery q = all;
+      q.nodes = filter;
+      std::vector<TsdbRollupRow> got;
+      ASSERT_TRUE(store.QueryRollup(q, &got).ok());
+      EXPECT_EQ(RollupText(got), RollupText(want))
+          << "filter of " << filter.size() << " from t0=" << t0;
+    }
+  }
+}
+
+// Rows fold into rollups as they land, so rollups cover the active segment
+// too; Flush seals those rows, and the persisted rollups bring the same
+// buckets back after a restart.
+TEST_F(TsdbStoreTest, RollupsCoverActiveRowsAndSurviveRestart) {
+  const harness::ScratchDir scratch("rollup_active");
+  const TsdbOptions opts = Options(scratch.path());
+  TsdbQuery q;
+  q.table = "memtest";
+  std::vector<std::string> before;
+  {
+    TsdbStore store(opts);
+    Ingest(store, 0, 13);  // 26 rows: three sealed segments, two active rows
+    EXPECT_EQ(store.segments_sealed(), 3u);
+    std::vector<TsdbRollupRow> rollups;
+    ASSERT_TRUE(store.QueryRollup(q, &rollups).ok());
+    ASSERT_EQ(rollups.size(), 12u);  // 2 nodes x 3 columns x 2 buckets
+    for (const TsdbRollupRow& r : rollups) {
+      // Bucket 1 holds ticks 10-12; tick 12 is still in the active segment.
+      EXPECT_EQ(r.count, r.bucket == 0 ? 10u : 3u) << r.metric;
+      if (r.metric == "active" && r.node == 1 && r.bucket != 0) {
+        EXPECT_EQ(r.max, 12.0);
+      }
+    }
+    before = RollupText(rollups);
+    ASSERT_TRUE(store.Flush().ok());
+    EXPECT_EQ(store.segments_sealed(), 4u);
+    ASSERT_TRUE(store.QueryRollup(q, &rollups).ok());
+    EXPECT_EQ(RollupText(rollups), before);
+  }
+  TsdbStore store(opts);
+  std::vector<TsdbRollupRow> rollups;
+  ASSERT_TRUE(store.QueryRollup(q, &rollups).ok());
+  EXPECT_EQ(RollupText(rollups), before);
+}
+
+std::size_t SegmentFiles(const std::string& dir) {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (const auto& e : fs::directory_iterator(dir, ec)) {
+    n += e.path().extension() == ".seg" ? 1 : 0;
+  }
+  return n;
+}
+
+// segments_sealed() and Flush() wait for the seals in flight, so right
+// after either returns the count is the number of files on disk.
+TEST_F(TsdbStoreTest, SealedCountMatchesFilesOnDisk) {
+  const harness::ScratchDir scratch("sealed_count");
+  const TsdbOptions opts = Options(scratch.path());
+  TsdbStore store(opts);
+  MetricSetPtr set = MakeSet("nid1", 1);
+  for (std::uint64_t i = 0; i < 43; ++i) {
+    WriteSample(set, i, 0, 0.0, i * kNsPerMs);
+    ASSERT_TRUE(store.StoreSet(*set).ok());
+    const std::uint64_t sealed = store.segments_sealed();
+    ASSERT_EQ(sealed, SegmentFiles(opts.root_path)) << "row " << i;
+    ASSERT_EQ(sealed, (i + 1) / 8) << "row " << i;
+  }
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(SegmentFiles(opts.root_path), 6u);
+  EXPECT_EQ(store.segments_sealed(), 6u);
+}
+
+// A seal that fails on the syncer keeps its rows queryable; calls whose
+// rows landed return OK; a table that fills again while the seal still
+// fails refuses rows with the seal's error rather than grow a third
+// builder; and once the disk is back every row lands exactly once.
+TEST_F(TsdbStoreTest, FailedSealLosesNoRow) {
+  const harness::ScratchDir scratch("seal_fail");
+  TsdbOptions opts = Options(scratch.path());
+  opts.segment_rows = 4;
+  const std::string away = opts.root_path + ".away";
+  MetricSetPtr set = MakeSet("nid1", 1);
+  std::mutex set_mu;
+  const Store::BatchItem item{set.get(), &set_mu};
+  std::uint64_t next = 0;  // the first row not yet stored
+  // Rows first..next-1, each once and in order. While the directory is
+  // away the first (sealed) segment is unreadable, so those checks start
+  // past it and the footer index prunes it.
+  auto rows_in_order = [&](const TsdbStore& store, std::uint64_t first) {
+    TsdbQuery q;
+    q.table = "memtest";
+    q.t0 = first * kNsPerSec;
+    q.metrics = {"active"};
+    TsdbQueryResult r;
+    EXPECT_TRUE(store.Query(q, &r).ok());
+    bool ok = r.rows.size() == next - first;
+    for (std::size_t k = 0; ok && k < r.rows.size(); ++k) {
+      ok = r.rows[k].ts == (first + k) * kNsPerSec &&
+           r.rows[k].values[0] == static_cast<double>(first + k);
+    }
+    return ok;
+  };
+  TsdbStore store(opts);
+  auto store_next = [&] {
+    WriteSample(set, next, 0, 0.0, next * kNsPerSec);
+    const Status st = store.StoreSet(*set);
+    if (st.ok()) ++next;
+    return st;
+  };
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(store_next().ok());
+  ASSERT_TRUE(store.Flush().ok());  // the first segment's fsync too
+  ASSERT_EQ(store.segments_sealed(), 1u);
+
+  // The store directory becomes a regular file: no seal can write.
+  fs::rename(opts.root_path, away);
+  std::ofstream(opts.root_path) << "not a directory";
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(store_next().ok()) << "row " << next << " landed";
+  }
+  EXPECT_EQ(store.segments_sealed(), 1u);
+  EXPECT_TRUE(rows_in_order(store, 4));
+  // Both builders are full and the seal still fails: rows are refused.
+  const Status refused = store_next();
+  EXPECT_FALSE(refused.ok());
+  std::size_t stored = 99;
+  WriteSample(set, next, 0, 0.0, next * kNsPerSec);
+  EXPECT_EQ(store.StoreSetBatch(&item, 1, &stored).ToString(),
+            refused.ToString());
+  EXPECT_EQ(stored, 0u);
+  EXPECT_EQ(store.rows_failed(), 2u);
+  EXPECT_FALSE(store.Flush().ok());
+  EXPECT_TRUE(rows_in_order(store, 4));
+  EXPECT_EQ(store.rows_written(), next);
+
+  // Restore the directory: the retried seal lands, the refused row is
+  // stored on its next attempt, and nothing is duplicated.
+  fs::remove(opts.root_path);
+  fs::rename(away, opts.root_path);
+  ASSERT_TRUE(store_next().ok());
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(next, 13u);
+  EXPECT_EQ(store.rows_written(), 13u);
+  EXPECT_TRUE(rows_in_order(store, 0));
+  EXPECT_EQ(store.segments_sealed(), 4u);
+  EXPECT_EQ(SegmentFiles(opts.root_path), 4u);
+  TsdbStore reopened(opts);
+  EXPECT_EQ(reopened.segments_attached(), 4u);
+  EXPECT_TRUE(rows_in_order(reopened, 0));
+}
+
+// One ingest thread seals every four appends while two query threads and a
+// rollup thread read. Each query answers a prefix of the appended rows, in
+// append order (so no (ts, node) twice); the rollups count the same prefix.
+TEST_F(TsdbStoreTest, SealHandoffRacesQueries) {
+  const harness::ScratchDir scratch("seal_race");
+  TsdbOptions opts = Options(scratch.path());
+  opts.segment_rows = 4;
+  TsdbStore store(opts);
+  constexpr std::uint64_t kRows = 400;
+  std::vector<MetricSetPtr> sets;
+  for (std::uint64_t n = 1; n <= 3; ++n) {
+    sets.push_back(MakeSet("nid" + std::to_string(n), n));
+  }
+  auto append = [&](std::uint64_t i) {
+    const MetricSetPtr& set = sets[i % 3];
+    WriteSample(set, i, 0, 0.0, i * kNsPerMs);
+    return store.StoreSet(*set);
+  };
+  ASSERT_TRUE(append(0).ok());
+  std::atomic<std::uint64_t> appended{1};
+  std::atomic<bool> done{false};
+  std::thread ingest([&] {
+    for (std::uint64_t i = 1; i < kRows; ++i) {
+      if (!append(i).ok()) break;
+      appended.store(i + 1);
+    }
+    done.store(true);
+  });
+  auto query_loop = [&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const std::uint64_t low = appended.load();
+      TsdbQuery q;
+      q.table = "memtest";
+      q.metrics = {"active"};
+      TsdbQueryResult r;
+      ASSERT_TRUE(store.Query(q, &r).ok());
+      // The row of a StoreSet call still running may show already.
+      const std::uint64_t high = appended.load() + 1;
+      ASSERT_GE(r.rows.size(), std::max(low, last));
+      ASSERT_LE(r.rows.size(), high);
+      for (std::size_t k = 0; k < r.rows.size(); ++k) {
+        ASSERT_EQ(r.rows[k].ts, k * kNsPerMs);
+        ASSERT_EQ(r.rows[k].node, k % 3 + 1);
+        ASSERT_EQ(r.rows[k].values[0], static_cast<double>(k));
+      }
+      last = r.rows.size();
+    }
+  };
+  auto rollup_loop = [&] {
+    while (!done.load()) {
+      const std::uint64_t low = appended.load();
+      TsdbQuery q;
+      q.table = "memtest";
+      q.metrics = {"active"};
+      std::vector<TsdbRollupRow> rollups;
+      ASSERT_TRUE(store.QueryRollup(q, &rollups).ok());
+      const std::uint64_t high = appended.load() + 1;
+      std::uint64_t counted = 0;
+      for (const TsdbRollupRow& r : rollups) counted += r.count;
+      ASSERT_GE(counted, low);
+      ASSERT_LE(counted, high);
+      const std::uint64_t sealed = store.segments_sealed();
+      ASSERT_LE(sealed * opts.segment_rows, appended.load() + 1);
+    }
+  };
+  std::thread q1(query_loop), q2(query_loop), rollup(rollup_loop);
+  ingest.join();
+  q1.join();
+  q2.join();
+  rollup.join();
+  ASSERT_EQ(appended.load(), kRows);
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(store.segments_sealed(), kRows / 4);
+  EXPECT_EQ(SegmentFiles(opts.root_path), kRows / 4);
 }
 
 // --- layer 5: daemon integration --------------------------------------------
